@@ -34,7 +34,6 @@ from .io import (
 from .lebesgue import decompose, verify_decomposition
 from .linalg import DEFAULT_TOL, EXACT, FLOAT, Matrix, PsdOperator, SemilinearOperator
 from .preserver import (
-    KIND_COMPOSITE,
     KIND_CONGRUENCE,
     KIND_FORM_IV,
     KIND_WILD,
@@ -56,14 +55,6 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _load_operator(path: str, tol: float | None = None) -> PsdOperator:
-    m = read_matrix(path)
-    try:
-        return PsdOperator.from_matrix(m, tol) if m.backend == FLOAT else PsdOperator.from_matrix(m)
-    except ValueError as exc:
-        raise MatrixFileError(f"{path}: {exc}") from None
-
-
 def _convert(m: Matrix, backend: str) -> Matrix:
     return m.to_exact() if backend == EXACT else m.to_float()
 
@@ -83,8 +74,8 @@ def _cmd_analyze(args) -> int:
             "inputs use different backends; pass --backend exact|float to convert"
         )
     try:
-        pa = PsdOperator.from_matrix(a, args.tol if a.backend == FLOAT else None)
-        pb = PsdOperator.from_matrix(b, args.tol if b.backend == FLOAT else None)
+        pa = PsdOperator.from_matrix(a, args.tol)
+        pb = PsdOperator.from_matrix(b, args.tol)
     except ValueError as exc:
         raise MatrixFileError(str(exc)) from None
     report = analyze_pair(pa, pb, args.tol)
@@ -155,7 +146,7 @@ def _cmd_map_apply(args) -> int:
         _note("note: converted exact input to the float backend for a spectral map")
         m = m.to_float()
     try:
-        a = PsdOperator.from_matrix(m, args.tol if m.backend == FLOAT else None)
+        a = PsdOperator.from_matrix(m, args.tol)
     except ValueError as exc:
         raise MatrixFileError(f"{args.operand}: {exc}") from None
     image = apply_map(spec, a)
@@ -250,15 +241,27 @@ def _parse_dims(text: str) -> list[int]:
     try:
         if ".." in text:
             lo_s, hi_s = text.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
-            if hi < lo:
-                raise ValueError
-            return list(range(lo, hi + 1))
-        return [int(part) for part in text.split(",") if part.strip()]
+            dims = list(range(int(lo_s), int(hi_s) + 1))
+        else:
+            dims = [int(part) for part in text.split(",") if part.strip()]
+        if not dims or min(dims) < 1:
+            raise ValueError
+        return dims
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"cannot read dimension list {text!r}; use forms like '3', '2,4,5' or '2..5'"
+            f"cannot read dimension list {text!r}; use positive dimensions in "
+            "forms like '3', '2,4,5' or '2..5'"
         ) from None
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
 def _cmd_suite(args) -> int:
@@ -280,8 +283,15 @@ def _add_tol(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="float-backend tolerance")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports malformed arguments as one line on stderr, with exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="psdcone",
         description="Analyze domination and singularity of PSD operator pairs, "
         "decompose against a base, and verify cone maps.",
@@ -316,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = msub.add_parser("verify", help="check what a map preserves, on seeded samples")
     p.add_argument("spec", help="map description file")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
     _add_tol(p)
     p.set_defaults(func=_cmd_map_verify)
@@ -331,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="seeded property battery across the package")
     p.add_argument("--dims", type=_parse_dims, default=[2, 3, 4], help="e.g. 3, '2,4' or '2..5'")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--skip-float", action="store_true", help="exact-backend sections only")
     _add_tol(p)

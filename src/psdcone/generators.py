@@ -16,13 +16,13 @@ import numpy as np
 from .errors import GenerationError
 from .linalg import (
     EXACT,
-    FLOAT,
     FLAVOR_LINEAR,
+    GaussianRational,
     Matrix,
     PsdOperator,
     SemilinearOperator,
 )
-from .relations import analyze_pair
+from .relations import relation_triple
 
 RETRY_BUDGET = 64
 
@@ -49,6 +49,19 @@ def _gauss_int_matrix(rows: int, cols: int, rand: random.Random) -> Matrix:
         for _ in range(rows)
     ]
     return Matrix.exact(data)
+
+
+def random_direction(n: int, rand: random.Random) -> Matrix:
+    """Nonzero Gaussian-integer column vector of length n, redrawn until nonzero."""
+    while True:
+        f = _gauss_int_matrix(n, 1, rand)
+        if not f.is_zero():
+            return f
+
+
+def random_scalar(rand: random.Random) -> GaussianRational:
+    """Nonzero Gaussian-integer scalar, drawn like a direction of length 1."""
+    return random_direction(1, rand).entry(0, 0)
 
 
 def _float_factor(rows: int, cols: int, rng: np.random.Generator) -> Matrix:
@@ -163,8 +176,8 @@ def _pair_ac(dim: int, seed: int, backend: str) -> tuple[PsdOperator, PsdOperato
         a = _operator_from_factor(g, ra)
         if a is None:
             continue
-        report = analyze_pair(a, b)
-        if report.abs_cont_ab and (not equal_range or report.same_range_class):
+        ab, ba, _ = relation_triple(a, b)
+        if ab and (not equal_range or ba):
             return a, b
     raise GenerationError("exhausted retries building an absolutely continuous pair")
 
@@ -182,8 +195,7 @@ def _pair_singular(dim: int, seed: int, backend: str) -> tuple[PsdOperator, PsdO
         ) if rb else PsdOperator.zero(dim, backend)
         if a is None or b is None:
             continue
-        report = analyze_pair(a, b)
-        if report.singular:
+        if relation_triple(a, b)[2]:
             return a, b
     raise GenerationError("exhausted retries building a singular pair")
 
@@ -203,7 +215,6 @@ def _pair_incomparable(dim: int, seed: int, backend: str) -> tuple[PsdOperator, 
         b = _operator_from_factor(gb, shared + pb)
         if a is None or b is None:
             continue
-        report = analyze_pair(a, b)
-        if not report.abs_cont_ab and not report.abs_cont_ba and not report.singular:
+        if not any(relation_triple(a, b)):
             return a, b
     raise GenerationError("exhausted retries building an incomparable pair")

@@ -187,6 +187,16 @@ def _require_seed(obj, key: str) -> int:
 
 
 def spec_from_obj(obj) -> PreserverSpec:
+    """The map a document describes; any defect of the document is a MatrixFileError."""
+    try:
+        return _spec_from_obj(obj)
+    except MatrixFileError:
+        raise
+    except ValueError as exc:  # e.g. a singular T or a negative weight seed
+        raise MatrixFileError(str(exc)) from None
+
+
+def _spec_from_obj(obj) -> PreserverSpec:
     if not isinstance(obj, dict):
         raise MatrixFileError("map document must be a JSON object")
     kind = obj.get("kind")

@@ -10,7 +10,7 @@ invariants plus a sampled maximality oracle live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .linalg import (
     subspace_preimage,
 )
 from .relations import is_singular
+from .report import Verdict
 
 #: eigenvalue/asymmetry slack granted to freshly constructed parts
 _CONSTRUCTION_TOL = 1e-12
@@ -57,19 +58,19 @@ def decompose(a: PsdOperator, b: PsdOperator, tol: float = DEFAULT_TOL) -> Lebes
     they are PSD by construction and sum to a up to rounding.
     """
     _check(a, b)
-    root = psd_sqrt(a).matrix.array
-    dom = ac_domain(a, b, tol)
-    p = dom.projector().array
-    n = a.dim
-    ac_arr = root @ p @ root
-    sing_arr = root @ (np.eye(n) - p) @ root
+    root = psd_sqrt(a).matrix
+    # ac_domain(a, b, tol), without taking the square root a second time
+    p = subspace_preimage(root, b.range(), tol).projector().array
+    s = root.array
+    ac_arr = s @ p @ s
+    sing_arr = s @ (np.eye(a.dim) - p) @ s
     ac_part = PsdOperator.from_matrix(Matrix.from_float(ac_arr), tol=_CONSTRUCTION_TOL)
     singular_part = PsdOperator.from_matrix(Matrix.from_float(sing_arr), tol=_CONSTRUCTION_TOL)
     return LebesgueDecomposition(ac_part=ac_part, singular_part=singular_part, base=b)
 
 
 @dataclass(frozen=True)
-class DecompositionCheck:
+class DecompositionCheck(Verdict):
     """Outcome of the decomposition invariants plus the maximality oracle."""
 
     sum_ok: bool
@@ -89,19 +90,6 @@ class DecompositionCheck:
             and self.singular_ok
             and self.maximality_violations == 0
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "sum_ok": self.sum_ok,
-            "ac_ok": self.ac_ok,
-            "singular_ok": self.singular_ok,
-            "maximality_sampled": self.maximality_sampled,
-            "maximality_kept": self.maximality_kept,
-            "maximality_violations": self.maximality_violations,
-            "worst_excess": self.worst_excess,
-            "passed": self.passed,
-            "note": self.note,
-        }
 
 
 def _dominated_residual(c: np.ndarray, p_base: np.ndarray, n: int) -> float:
@@ -140,8 +128,9 @@ def verify_decomposition(
     ac_ok = _dominated_residual(ac, p_base, n) <= tol
     singular_ok = is_singular(dec.singular_part, dec.base, tol)
 
-    root = psd_sqrt(a).matrix.array
-    p_dom = ac_domain(a, dec.base, tol).projector().array
+    root = psd_sqrt(a).matrix
+    p_dom = subspace_preimage(root, dec.base.range(), tol).projector().array
+    s = root.array
     rng = np.random.default_rng(derive_seed(seed, 71, n))
     kept = 0
     violations = 0
@@ -154,7 +143,7 @@ def verify_decomposition(
         r = (np.eye(n) + w / top) / 2.0  # eigenvalues in [0, 1]
         if k % 2 == 1:
             r = p_dom @ r @ p_dom  # still 0 ≤ R ≤ I, supported on the domain
-        c = root @ r @ root
+        c = s @ r @ s
         c = (c + c.conj().T) / 2.0
         if _dominated_residual(c, p_base, n) > tol:
             continue

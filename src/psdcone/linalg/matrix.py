@@ -109,21 +109,6 @@ class Matrix:
         return cls.from_float(np.eye(n, dtype=np.complex128))
 
     @classmethod
-    def diag(cls, values: Sequence, backend: str = EXACT) -> "Matrix":
-        n = len(values)
-        if backend == EXACT:
-            return cls.exact(
-                [[values[i] if i == j else 0 for j in range(n)] for i in range(n)]
-            )
-        return cls.from_float(np.diag(np.asarray(values, dtype=np.complex128)))
-
-    @classmethod
-    def column_vector(cls, values: Sequence, backend: str = EXACT) -> "Matrix":
-        if backend == EXACT:
-            return cls.exact([[v] for v in values])
-        return cls.from_float(np.asarray(values, dtype=np.complex128).reshape(-1, 1))
-
-    @classmethod
     def hstack(cls, parts: Sequence["Matrix"]) -> "Matrix":
         if not parts:
             raise ValueError("nothing to stack")
@@ -297,11 +282,6 @@ class Matrix:
         if self.cols == 0:
             raise ValueError("cannot transpose a zero-column matrix into zero rows")
         return _exact(self._re.T, -self._im.T, self._den)
-
-    def trace(self):
-        if self.backend == FLOAT:
-            return complex(np.trace(self._f))
-        return self._scalar(sum(self._re.diagonal()), sum(self._im.diagonal()))
 
     # ------------------------------------------------------------------
     # comparisons and norms

@@ -8,10 +8,13 @@ generators or congruences can carry an exactly known rank instead.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from ..errors import BackendError, DimensionMismatchError, RangeInclusionError
 from .matrix import EXACT, FLOAT, Matrix, default_rank_tol, psd_certify_exact
+from .scalar import GaussianRational
 from .subspace import DEFAULT_TOL, Subspace, column_space
 
 
@@ -96,11 +99,12 @@ class PsdOperator:
         return PsdOperator(self.matrix.to_float(), self.rank, _trusted=True)
 
     def scaled(self, c) -> "PsdOperator":
-        """c * A for a nonnegative scalar c."""
-        if c == 0:
+        """c * A for a nonnegative real scalar c of any numeric or exact type."""
+        r = _real_value(c)
+        if r is None or not r >= 0:
+            raise ValueError("scaling by anything but a nonnegative real leaves the PSD cone")
+        if r == 0:
             return PsdOperator.zero(self.dim, self.backend)
-        if (isinstance(c, (int, float)) and c < 0):
-            raise ValueError("negative scaling leaves the PSD cone")
         return PsdOperator(self.matrix.scale(c), self.rank, _trusted=True)
 
     def __eq__(self, other) -> bool:
@@ -113,6 +117,16 @@ class PsdOperator:
 
     def __repr__(self) -> str:
         return f"PsdOperator(dim={self.dim}, rank={self.rank}, backend={self.backend})"
+
+
+def _real_value(c):
+    """The real number ``c`` stands for, or None when it has an imaginary part."""
+    if isinstance(c, numbers.Real):
+        return c
+    if isinstance(c, numbers.Complex):
+        return None if c.imag else c.real
+    z = GaussianRational.coerce(c)
+    return None if z.im else z.re
 
 
 def _float_psd_range(m: Matrix, rank: int) -> Subspace:

@@ -4,9 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
-
-RationalLike = Union[int, str, Fraction]
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,10 +118,6 @@ class GaussianRational:
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 
@@ -135,11 +128,6 @@ class GaussianRational:
             return f"{self.im}i"
         sign = "+" if self.im > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
-
-
-QQ_ZERO = GaussianRational()
-QQ_ONE = GaussianRational(1)
-QQ_I = GaussianRational(0, 1)
 
 
 def _over_one(z: GaussianRational) -> tuple[int, int, int]:

@@ -53,12 +53,6 @@ class SemilinearOperator:
             object.__setattr__(self, "_float", SemilinearOperator(self.t.to_float(), self.flavor))
         return self._float
 
-    def apply_vector(self, v: Matrix) -> Matrix:
-        if v.rows != self.dim or v.cols != 1:
-            raise DimensionMismatchError("expected an ambient column vector")
-        arg = v.conj() if self.is_conjugate else v
-        return self.t @ arg
-
     def apply_matrix(self, m: Matrix) -> Matrix:
         """Columnwise action: each column x becomes T x or T conj(x)."""
         if m.rows != self.dim:

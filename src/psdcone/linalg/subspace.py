@@ -9,8 +9,6 @@ in radians (a direction counts as common when its sine is below ``tol``).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from ..errors import BackendError, DimensionMismatchError
@@ -49,12 +47,6 @@ class Subspace:
     @classmethod
     def full(cls, ambient_dim: int, backend: str = EXACT) -> "Subspace":
         return cls(Matrix.identity(ambient_dim, backend), _validated=True)
-
-    @classmethod
-    def span_of_vectors(cls, vectors: Sequence[Sequence], backend: str = EXACT) -> "Subspace":
-        """Span of the given vectors (they need not be independent)."""
-        cols = [Matrix.column_vector(v, backend) for v in vectors]
-        return column_space(Matrix.hstack(cols)) if cols else cls.zero(1, backend)
 
     # -- basic views -----------------------------------------------------
 
@@ -142,7 +134,7 @@ def principal_sines(u: Subspace, v: Subspace) -> np.ndarray:
     return np.clip(s, 0.0, 1.0)
 
 
-def column_space(m: Matrix, tol: float | None = None, rank_hint: int | None = None) -> Subspace:
+def column_space(m: Matrix, rank_hint: int | None = None) -> Subspace:
     """Range of ``m`` as a subspace.
 
     Exact: the pivot columns of ``m`` form the basis.  Float: the leading
@@ -159,8 +151,7 @@ def column_space(m: Matrix, tol: float | None = None, rank_hint: int | None = No
     if rank_hint is not None:
         r = rank_hint
     else:
-        cut = tol if tol is not None else default_rank_tol(m.rows, m.cols, float(s[0]) if s.size else 0.0)
-        r = int(np.sum(s > cut))
+        r = int(np.sum(s > default_rank_tol(m.rows, m.cols, float(s[0]) if s.size else 0.0)))
     return Subspace(Matrix.from_float(u[:, :r]), _validated=True)
 
 

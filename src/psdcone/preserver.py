@@ -26,7 +26,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BackendError, DimensionMismatchError
-from .generators import derive_seed, random_psd, random_semilinear
+from .generators import (
+    derive_seed,
+    random_direction,
+    random_psd,
+    random_scalar,
+    random_semilinear,
+    rank_one,
+)
 from .linalg import (
     DEFAULT_TOL,
     EXACT,
@@ -37,6 +44,7 @@ from .linalg import (
     psd_sqrt,
 )
 from .relations import relation_triple
+from .report import Verdict
 
 KIND_CONGRUENCE = "congruence"
 KIND_FORM_IV = "form_iv"
@@ -53,7 +61,8 @@ def _canonical_bytes(a: PsdOperator) -> bytes:
             tuple(tuple(v.to_strings() for v in row) for row in m.exact_rows)
         ).encode()
     else:
-        payload = np.ascontiguousarray(m.array).tobytes()
+        # adding 0.0 turns -0.0 into 0.0 and leaves every other value alone
+        payload = (np.ascontiguousarray(m.array) + 0.0).tobytes()
     return m.backend.encode() + b"|" + str(m.rows).encode() + b"|" + payload
 
 
@@ -69,6 +78,8 @@ class WeightFamily:
     def __init__(self, seed: int | None = None, constant: Matrix | None = None):
         if (seed is None) == (constant is None):
             raise ValueError("provide exactly one of seed or constant")
+        if seed is not None and seed < 0:
+            raise ValueError("weight seed must be non-negative")
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "_constant", constant)
 
@@ -173,6 +184,10 @@ class PreserverSpec:
             return all(p.exact_capable for p in self.parts)
         return False
 
+    def operand(self, a):
+        """``a`` on the backend the map's images are computed on."""
+        return a if self.exact_capable else a.to_float()
+
     def wild_data(self) -> tuple[Matrix, int]:
         """Derived (V, exponent) of a wild map."""
         if self.kind != KIND_WILD:
@@ -273,7 +288,7 @@ def _apply_wild(a: PsdOperator, v: Matrix, exponent: int) -> PsdOperator:
 
 
 @dataclass(frozen=True)
-class PreservationReport:
+class PreservationReport(Verdict):
     map_kind: str
     dimension: int
     image_backend: str
@@ -284,17 +299,6 @@ class PreservationReport:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "map_kind": self.map_kind,
-            "dimension": self.dimension,
-            "image_backend": self.image_backend,
-            "trials": self.trials,
-            "violations": [dict(v) for v in self.violations],
-            "passed": self.passed,
-            "note": self.note,
-        }
 
 
 def _sampled_pair(dim: int, seed: int, k: int) -> tuple[PsdOperator, PsdOperator]:
@@ -319,16 +323,12 @@ def verify_relation_preservation(
     map supports (exactly for congruence/wild, principal angles at ``tol``
     for spectral maps).
     """
-    exact_images = spec.exact_capable
     violations: list[dict] = []
     names = ("abs_cont_ab", "abs_cont_ba", "singular")
     for k in range(trials):
         a, b = _sampled_pair(spec.dimension, seed, k)
         truth = relation_triple(a, b)
-        if exact_images:
-            fa, fb = apply_map(spec, a), apply_map(spec, b)
-        else:
-            fa, fb = apply_map(spec, a.to_float()), apply_map(spec, b.to_float())
+        fa, fb = apply_map(spec, spec.operand(a)), apply_map(spec, spec.operand(b))
         image = relation_triple(fa, fb, tol)
         if image != truth:
             for name, want, got in zip(names, truth, image):
@@ -339,14 +339,14 @@ def verify_relation_preservation(
     return PreservationReport(
         map_kind=spec.kind,
         dimension=spec.dimension,
-        image_backend=EXACT if exact_images else FLOAT,
+        image_backend=EXACT if spec.exact_capable else FLOAT,
         trials=trials,
         violations=tuple(violations),
     )
 
 
 @dataclass(frozen=True)
-class RangeFormReport:
+class RangeFormReport(Verdict):
     map_kind: str
     dimension: int
     samples: int
@@ -356,16 +356,6 @@ class RangeFormReport:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "map_kind": self.map_kind,
-            "dimension": self.dimension,
-            "samples": self.samples,
-            "violations": [dict(v) for v in self.violations],
-            "passed": self.passed,
-            "note": self.note,
-        }
 
 
 def verify_range_form(
@@ -380,21 +370,15 @@ def verify_range_form(
         raise DimensionMismatchError("witness operator size differs from map dimension")
     n = spec.dimension
     per_rank = max(1, trials // (n + 1))
-    exact_images = spec.exact_capable
+    t = spec.operand(t)
     violations: list[dict] = []
     samples = 0
     for r in range(n + 1):
         for j in range(per_rank):
-            a = random_psd(n, r, derive_seed(seed, 31, r, j))
+            a = spec.operand(random_psd(n, r, derive_seed(seed, 31, r, j)))
             samples += 1
-            if exact_images:
-                image = apply_map(spec, a)
-                expected = t.apply_subspace(a.range())
-            else:
-                af = a.to_float()
-                image = apply_map(spec, af)
-                expected = t.to_float().apply_subspace(af.range())
-            if not image.range().equals(expected, tol):
+            expected = t.apply_subspace(a.range())
+            if not apply_map(spec, a).range().equals(expected, tol):
                 violations.append({"rank": r, "sample": j})
     return RangeFormReport(
         map_kind=spec.kind, dimension=n, samples=samples, violations=tuple(violations)
@@ -402,7 +386,7 @@ def verify_range_form(
 
 
 @dataclass(frozen=True)
-class Dim2Report:
+class Dim2Report(Verdict):
     zero_fixed: bool
     invertibility_preserved: bool
     line_map_well_defined: bool
@@ -417,18 +401,6 @@ class Dim2Report:
     @property
     def passed(self) -> bool:
         return self.first_failure is None
-
-    def to_dict(self) -> dict:
-        return {
-            "zero_fixed": self.zero_fixed,
-            "invertibility_preserved": self.invertibility_preserved,
-            "line_map_well_defined": self.line_map_well_defined,
-            "line_map_injective": self.line_map_injective,
-            "first_failure": self.first_failure,
-            "trials": self.trials,
-            "passed": self.passed,
-            "note": self.note,
-        }
 
 
 def dim2_conditions(
@@ -445,18 +417,14 @@ def dim2_conditions(
     """
     if spec.dimension != 2:
         raise DimensionMismatchError("these conditions are specific to dimension 2")
-    exact_images = spec.exact_capable
 
     def image_of(a: PsdOperator) -> PsdOperator:
-        return apply_map(spec, a if exact_images else a.to_float())
+        return apply_map(spec, spec.operand(a))
 
     failures: list[str] = []
 
-    zero = PsdOperator.zero(2, EXACT)
-    z_img = image_of(zero)
-    zero_fixed = z_img.rank == 0 and (
-        z_img.matrix.is_zero() if z_img.backend == EXACT else z_img.matrix.is_zero(tol)
-    )
+    z_img = image_of(PsdOperator.zero(2, EXACT))
+    zero_fixed = z_img.rank == 0 and z_img.matrix.is_zero(tol)
     if not zero_fixed:
         failures.append("zero_fixed")
 
@@ -475,18 +443,18 @@ def dim2_conditions(
     line_map_injective = True
     rand = random.Random(derive_seed(seed, 43))
     for k in range(trials):
-        f = _nonzero_vector(rand)
-        g = _nonzero_vector(rand)
-        rank_one_image = image_of(_rank_one(f))
+        f = random_direction(2, rand)
+        g = random_direction(2, rand)
+        rank_one_image = image_of(rank_one(f))
         if rank_one_image.rank != 1:
             line_map_well_defined = False
             break
-        scaled = image_of(_rank_one(_scale_vector(f, rand)))
+        scaled = image_of(rank_one(f.scale(random_scalar(rand))))
         if not rank_one_image.range().equals(scaled.range(), tol):
             line_map_well_defined = False
             break
-        if _independent(f, g):
-            other = image_of(_rank_one(g))
+        if Matrix.hstack([f, g]).rank() == 2:
+            other = image_of(rank_one(g))
             if other.rank == 1 and rank_one_image.range().equals(other.range(), tol):
                 line_map_injective = False
                 break
@@ -503,25 +471,3 @@ def dim2_conditions(
         first_failure=failures[0] if failures else None,
         trials=trials,
     )
-
-
-def _nonzero_vector(rand: random.Random) -> Matrix:
-    while True:
-        entries = [(rand.randint(-3, 3), rand.randint(-3, 3)) for _ in range(2)]
-        if any(e != (0, 0) for e in entries):
-            return Matrix.exact([[e] for e in entries])
-
-
-def _scale_vector(f: Matrix, rand: random.Random) -> Matrix:
-    while True:
-        c = (rand.randint(-3, 3), rand.randint(-3, 3))
-        if c != (0, 0):
-            return f.scale(c)
-
-
-def _rank_one(f: Matrix) -> PsdOperator:
-    return PsdOperator.certified(f @ f.H, 1)
-
-
-def _independent(f: Matrix, g: Matrix) -> bool:
-    return Matrix.hstack([f, g]).rank() == 2

@@ -23,17 +23,17 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DimensionMismatchError, LineMapError, NotSemilinearError
-from .generators import derive_seed
+from .generators import derive_seed, random_direction, random_scalar, rank_one
 from .linalg import (
     EXACT,
     FLAVOR_CONJUGATE,
     FLAVOR_LINEAR,
     GaussianRational,
     Matrix,
-    PsdOperator,
     SemilinearOperator,
 )
 from .preserver import PreserverSpec, apply_map
+from .report import Verdict
 
 # Rational reconstruction bounds.  Directions arising here are ratios of
 # Gaussian integers whose squared magnitudes stay in the low thousands, so a
@@ -113,7 +113,7 @@ class LineMap:
             raise LineMapError("projectivizing requires an exact operator")
 
         def fn(line: Line) -> Line:
-            return Line.from_vector(op.apply_vector(line.column()))
+            return Line.from_vector(op.apply_matrix(line.column()))
 
         return cls(op.dim, fn)
 
@@ -144,24 +144,14 @@ def induced_line_map(spec: PreserverSpec) -> LineMap:
     or does not sit at a rational point).
     """
     n = spec.dimension
+    snap = not spec.exact_capable
 
-    if spec.exact_capable:
-
-        def fn(line: Line) -> Line:
-            f = line.column()
-            image = apply_map(spec, PsdOperator.certified(f @ f.H, 1))
-            if image.rank != 1:
-                raise LineMapError("rank-one input mapped to an image of different rank")
-            return Line.from_vector(image.range().basis)
-
-    else:
-
-        def fn(line: Line) -> Line:
-            f = line.column().to_float()
-            image = apply_map(spec, PsdOperator.certified((f @ f.H).hermitize(), 1))
-            if image.rank != 1:
-                raise LineMapError("rank-one input mapped to an image of different rank")
-            return Line(n, _snap_direction(image.range().basis.array[:, 0]))
+    def fn(line: Line) -> Line:
+        image = apply_map(spec, spec.operand(rank_one(line.column())))
+        if image.rank != 1:
+            raise LineMapError("rank-one input mapped to an image of different rank")
+        basis = image.range().basis
+        return Line(n, _snap_direction(basis.array[:, 0])) if snap else Line.from_vector(basis)
 
     return LineMap(n, fn)
 
@@ -258,7 +248,7 @@ def projective_scalar(a: Matrix, b: Matrix):
 
 
 @dataclass(frozen=True)
-class ProjectivityReport:
+class ProjectivityReport(Verdict):
     ambient_dim: int
     coplanar_triples: int
     independent_triples: int
@@ -269,33 +259,9 @@ class ProjectivityReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def to_dict(self) -> dict:
-        return {
-            "ambient_dim": self.ambient_dim,
-            "coplanar_triples": self.coplanar_triples,
-            "independent_triples": self.independent_triples,
-            "failures": [dict(f) for f in self.failures],
-            "passed": self.passed,
-            "note": self.note,
-        }
-
 
 def _stacked_rank(lines) -> int:
     return Matrix.hstack([ln.column() for ln in lines]).rank()
-
-
-def _random_direction(rand: random.Random, n: int) -> Matrix:
-    while True:
-        entries = [(rand.randint(-3, 3), rand.randint(-3, 3)) for _ in range(n)]
-        if any(e != (0, 0) for e in entries):
-            return Matrix.exact([[e] for e in entries])
-
-
-def _nonzero_scalar(rand: random.Random) -> GaussianRational:
-    while True:
-        c = (rand.randint(-3, 3), rand.randint(-3, 3))
-        if c != (0, 0):
-            return GaussianRational.coerce(c)
 
 
 def verify_projectivity(line_map: LineMap, trials: int = 50, seed: int = 0) -> ProjectivityReport:
@@ -342,16 +308,16 @@ def verify_projectivity(line_map: LineMap, trials: int = 50, seed: int = 0) -> P
     rand = random.Random(derive_seed(seed, 51, n))
     made = 0
     while made < trials:
-        u = _random_direction(rand, n)
-        v = _random_direction(rand, n)
+        u = random_direction(n, rand)
+        v = random_direction(n, rand)
         if Matrix.hstack([u, v]).rank() != 2:
             continue
-        combo = u.scale(_nonzero_scalar(rand)) + v.scale(_nonzero_scalar(rand))
+        combo = u.scale(random_scalar(rand)) + v.scale(random_scalar(rand))
         if combo.is_zero():
             continue
         triple = (Line.from_vector(u), Line.from_vector(v), Line.from_vector(combo))
         check("random", f"seeded#{made}", triple, True)
-        x = _random_direction(rand, n)
+        x = random_direction(n, rand)
         if Matrix.hstack([u, v, x]).rank() == 3:
             check("random", f"seeded#{made}/independent", (triple[0], triple[1], Line.from_vector(x)), False)
         made += 1

@@ -79,10 +79,6 @@ def same_range_class(a: PsdOperator, b: PsdOperator, tol: float = DEFAULT_TOL) -
     return _intersection_dim(a, b, tol) == a.rank
 
 
-def is_invertible_positive(a: PsdOperator) -> bool:
-    return a.rank == a.dim
-
-
 def _pinv_sqrt_array(b: PsdOperator) -> np.ndarray:
     """(b^{1/2})^+ using the certified rank to split the spectrum."""
     n = b.dim

@@ -16,16 +16,15 @@ from .generators import (
     random_pair_with_relation,
     random_psd,
     random_semilinear,
+    rank_one,
 )
 from .lebesgue import decompose, verify_decomposition
 from .linalg import (
     DEFAULT_TOL,
-    EXACT,
     FLAVOR_CONJUGATE,
     FLAVOR_LINEAR,
     GaussianRational,
     Matrix,
-    PsdOperator,
     subspace_intersect,
 )
 from .preserver import (
@@ -126,7 +125,7 @@ def _witness_section(dims, trials, seed, sec: _Section) -> None:
             # sit below both operators then stays far inside the 2^60 budget
             pivot = max((f.entry(i, 0) for i in range(f.rows)), key=lambda z: z.norm_sq())
             f = f.scale(GaussianRational.coerce(1) / pivot)
-            c = PsdOperator.certified(f @ f.H, 1)
+            c = rank_one(f)
             sec.record(
                 leq(c, a.scaled(scale)) and leq(c, b.scaled(scale)),
                 f"{tag}: intersection vector fails to witness the common part",

@@ -11,6 +11,7 @@ from psdcone import (
     Matrix,
     PreserverSpec,
     WeightFamily,
+    matrix_to_obj,
     random_psd,
     random_semilinear,
     write_matrix,
@@ -22,9 +23,17 @@ SAMPLES = Path(__file__).resolve().parent.parent / "sample_data"
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argument errors leave through the parser
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_usage_error(code, out, err):
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "error" in err and "Traceback" not in err
 
 
 def test_analyze_matches_packaged_golden_output(capsys):
@@ -179,6 +188,48 @@ def test_reconstruct_bad_spec_file_is_a_usage_error(tmp_path, capsys):
     assert code == 2 and "needs a T matrix" in err
 
 
+def test_map_verify_singular_operator_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "map.json"
+    doc = {"kind": "congruence", "dimension": 2, "T": matrix_to_obj(Matrix.exact([[1, 1], [1, 1]]))}
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "map", "verify", str(path))
+    assert_usage_error(code, out, err)
+    assert "singular" in err
+
+
+def test_map_verify_negative_weight_seed_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "map.json"
+    write_spec(path, PreserverSpec.form_iv(random_semilinear(2, 8), WeightFamily.seeded(5)))
+    doc = json.loads(path.read_text())
+    doc["z_seed"] = -3
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "map", "verify", str(path))
+    assert_usage_error(code, out, err)
+    assert "non-negative" in err
+
+
+@pytest.mark.parametrize("dims", ["0", ",", "0..2"])
+def test_suite_rejects_empty_or_non_positive_dims(capsys, dims):
+    code, out, err = run_cli(capsys, "suite", "--dims", dims, "--trials", "2")
+    assert_usage_error(code, out, err)
+    assert "--dims" in err
+
+
+def test_suite_rejects_zero_trials(capsys):
+    code, out, err = run_cli(capsys, "suite", "--dims", "2", "--trials", "0")
+    assert_usage_error(code, out, err)
+    assert "--trials" in err
+
+
+def test_map_verify_rejects_negative_trials(capsys):
+    # a negative count used to check nothing and still report a pass
+    code, out, err = run_cli(
+        capsys, "map", "verify", str(SAMPLES / "congruence3.json"), "--trials", "-1"
+    )
+    assert_usage_error(code, out, err)
+    assert "--trials" in err
+
+
 def test_suite_stdout_is_deterministic(capsys):
     argv = ("suite", "--dims", "2", "--trials", "12", "--seed", "3")
     code1, out1, err1 = run_cli(capsys, *argv)
@@ -208,6 +259,9 @@ def test_parse_dims_forms():
         _parse_dims("5..2")
     with pytest.raises(argparse.ArgumentTypeError):
         _parse_dims("two")
+    for bad in ("0", ",", "0..2", "-1,2"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _parse_dims(bad)
 
 
 def test_console_entry_point_runs():

@@ -11,7 +11,7 @@ from psdcone.lebesgue import (
     decompose,
     verify_decomposition,
 )
-from psdcone.linalg import Matrix, PsdOperator
+from psdcone.linalg import Matrix, PsdOperator, psd_sqrt
 from psdcone.relations import analyze_pair
 
 
@@ -113,6 +113,24 @@ def test_decompose_requires_float_backend():
     b = random_psd(2, 2, seed=4)
     with pytest.raises(BackendError):
         decompose(a, b)
+
+
+def test_one_square_root_per_split_and_per_check(monkeypatch):
+    import psdcone.lebesgue as lebesgue
+
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return psd_sqrt(a)
+
+    a, b = random_pair_with_relation(3, "singular", seed=5)
+    af, bf = a.to_float(), b.to_float()
+    monkeypatch.setattr(lebesgue, "psd_sqrt", counted)
+    dec = decompose(af, bf)
+    assert len(calls) == 1
+    assert verify_decomposition(dec, af, trials=6, seed=1).passed
+    assert len(calls) == 2
 
 
 def test_check_report_shape():

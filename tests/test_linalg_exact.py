@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from psdcone.errors import DimensionMismatchError
+from psdcone.generators import random_psd
 from psdcone.linalg import EXACT, GaussianRational, Matrix
 from psdcone.linalg.matrix import psd_certify_exact
 
@@ -184,6 +185,22 @@ def test_float_view_rounds_like_fraction():
     ):
         z = Matrix.exact([[(v, -v)]]).array[0, 0]
         assert (z.real, z.imag) == (float(v), float(-v))
+
+
+def test_scaling_accepts_only_nonnegative_reals():
+    # a negative Fraction used to pass the sign check and give a
+    # "certified" operator with a negative diagonal entry
+    a = random_psd(2, 1, seed=4)
+    for c in (-1, Fraction(-1), GaussianRational(-1), (-1, 0), (1, 1), GaussianRational(0, 1)):
+        with pytest.raises(ValueError):
+            a.scaled(c)
+    for c in (-0.5, float("nan"), -1 + 0j, 1j, 2 + 1j):
+        with pytest.raises(ValueError):
+            a.to_float().scaled(c)
+    for c in (Fraction(1, 2), GaussianRational(2), (2, 0), 3):
+        assert a.scaled(c).matrix == a.matrix.scale(c)
+    for zero in (0, Fraction(0), (0, 0), GaussianRational(0)):
+        assert a.scaled(zero).rank == 0 and a.scaled(zero).matrix.is_zero()
 
 
 def test_hermitize_fixes_hermitian_part():

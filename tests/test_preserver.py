@@ -1,5 +1,7 @@
 """Cone maps: application semantics and the sampled preservation verifiers."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,23 @@ def test_weight_family_keyed_on_input():
     assert za1 != zb
     # invertible positive: smallest eigenvalue at least 1 by construction
     assert np.linalg.eigvalsh(za1.array)[0] >= 1.0 - 1e-9
+
+
+def test_weight_family_ignores_signed_zeros():
+    # equal operators must get equal weights, or form_iv is not a function of A
+    plus = PsdOperator.from_matrix(Matrix.from_float([[2.0, 0.0], [0.0, 1.0]]))
+    minus = PsdOperator.certified(Matrix.from_float([[2.0, -0.0], [complex(-0.0, -0.0), 1.0]]), 2)
+    assert np.signbit(minus.matrix.array.real).any() and np.signbit(minus.matrix.array.imag).any()
+    assert plus == minus
+    wf = WeightFamily.seeded(7)
+    assert wf.z_for(plus) == wf.z_for(minus)
+    spec = PreserverSpec.form_iv(random_semilinear(2, 3), wf)
+    assert apply_map(spec, plus) == apply_map(spec, minus)
+
+
+def test_weight_family_rejects_negative_seed():
+    with pytest.raises(ValueError, match="non-negative"):
+        WeightFamily.seeded(-3)
 
 
 def test_weight_family_constant():
@@ -178,6 +197,20 @@ def test_dim2_conditions_positive_and_errors():
     assert wild_ok.passed
     with pytest.raises(DimensionMismatchError):
         dim2_conditions(PreserverSpec.congruence(random_semilinear(3, 1)))
+
+
+def test_reports_serialise_every_field_and_the_verdict():
+    spec = PreserverSpec.congruence(random_semilinear(2, 13))
+    reports = (
+        verify_relation_preservation(spec, trials=4, seed=1),
+        verify_range_form(spec, spec.operator, trials=4, seed=1),
+        dim2_conditions(spec, trials=4, seed=1),
+    )
+    for rep in reports:
+        d = rep.to_dict()
+        assert set(d) == {f.name for f in fields(rep)} | {"passed"}
+        assert d["passed"] is rep.passed is True
+        assert not any(isinstance(v, tuple) for v in d.values())
 
 
 def test_apply_map_dimension_check():
