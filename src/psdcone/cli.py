@@ -254,14 +254,18 @@ def _parse_dims(text: str) -> list[int]:
         ) from None
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-        if value >= 1:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+def _count(least: int):
+    """An argparse type for integers no smaller than ``least``."""
+
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= least:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer of at least {least}, got {text!r}")
+
+    return parse
 
 
 def _cmd_suite(args) -> int:
@@ -309,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("a", help="matrix file for A")
     p.add_argument("b", help="matrix file for the base B")
     p.add_argument("--out-prefix", help="prefix for the two output files")
-    p.add_argument("--trials", type=int, default=200, help="maximality sampling budget")
+    p.add_argument("--trials", type=_count(0), default=200, help="maximality sampling budget")
     p.add_argument("--seed", type=int, default=0)
     _add_tol(p)
     p.set_defaults(func=_cmd_decompose)
@@ -326,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = msub.add_parser("verify", help="check what a map preserves, on seeded samples")
     p.add_argument("spec", help="map description file")
-    p.add_argument("--trials", type=_positive_int, default=200)
+    p.add_argument("--trials", type=_count(1), default=200)
     p.add_argument("--seed", type=int, default=0)
     _add_tol(p)
     p.set_defaults(func=_cmd_map_verify)
@@ -335,13 +339,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "reconstruct", help="recover the operator behind a map's action on lines"
     )
     p.add_argument("spec", help="map description file")
-    p.add_argument("--trials", type=int, default=50, help="random coplanarity triples")
+    p.add_argument("--trials", type=_count(0), default=50, help="random coplanarity triples")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("suite", help="seeded property battery across the package")
     p.add_argument("--dims", type=_parse_dims, default=[2, 3, 4], help="e.g. 3, '2,4' or '2..5'")
-    p.add_argument("--trials", type=_positive_int, default=100)
+    p.add_argument("--trials", type=_count(1), default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--skip-float", action="store_true", help="exact-backend sections only")
     _add_tol(p)

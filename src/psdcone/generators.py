@@ -40,33 +40,34 @@ def derive_seed(seed: int, *salts: int) -> int:
     return h
 
 
-def _gauss_int_matrix(rows: int, cols: int, rand: random.Random) -> Matrix:
-    data = [
-        [
-            (rand.randint(_ENTRY_LO, _ENTRY_HI), rand.randint(_ENTRY_LO, _ENTRY_HI))
-            for _ in range(cols)
-        ]
-        for _ in range(rows)
+def _gauss_ints(count: int, rand: random.Random) -> list[tuple[int, int]]:
+    """``count`` Gaussian integers as (re, im) pairs, drawn re first."""
+    return [
+        (rand.randint(_ENTRY_LO, _ENTRY_HI), rand.randint(_ENTRY_LO, _ENTRY_HI))
+        for _ in range(count)
     ]
-    return Matrix.exact(data)
+
+
+def _gauss_int_matrix(rows: int, cols: int, rand: random.Random) -> Matrix:
+    return Matrix.exact([_gauss_ints(cols, rand) for _ in range(rows)])
+
+
+def _nonzero_gauss_ints(count: int, rand: random.Random) -> list[tuple[int, int]]:
+    """``count`` Gaussian integers, redrawn together until one is nonzero."""
+    while True:
+        entries = _gauss_ints(count, rand)
+        if any(map(any, entries)):
+            return entries
 
 
 def random_direction(n: int, rand: random.Random) -> Matrix:
     """Nonzero Gaussian-integer column vector of length n, redrawn until nonzero."""
-    while True:
-        f = _gauss_int_matrix(n, 1, rand)
-        if not f.is_zero():
-            return f
+    return Matrix.exact([[z] for z in _nonzero_gauss_ints(n, rand)])
 
 
 def random_scalar(rand: random.Random) -> GaussianRational:
     """Nonzero Gaussian-integer scalar, drawn like a direction of length 1."""
-    return random_direction(1, rand).entry(0, 0)
-
-
-def _float_factor(rows: int, cols: int, rng: np.random.Generator) -> Matrix:
-    g = (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2)
-    return Matrix.from_float(g)
+    return GaussianRational(*_nonzero_gauss_ints(1, rand)[0])
 
 
 def random_psd(dim: int, rank: int, seed: int, backend: str = EXACT) -> PsdOperator:
@@ -84,9 +85,10 @@ def random_psd(dim: int, rank: int, seed: int, backend: str = EXACT) -> PsdOpera
         raise GenerationError("could not draw a full-column-rank exact factor")
     rng = np.random.default_rng(derive_seed(seed, 102, dim, rank))
     for _ in range(RETRY_BUDGET):
-        g = _float_factor(dim, rank, rng)
-        s = np.linalg.svd(g.array, compute_uv=False)
+        g = (rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))) / np.sqrt(2)
+        s = np.linalg.svd(g, compute_uv=False)
         if s[-1] / s[0] > 1e-6:
+            g = Matrix.from_float(g)
             return PsdOperator.certified((g @ g.H).hermitize(), rank)
     raise GenerationError("could not draw a well-conditioned float factor")
 
@@ -113,7 +115,7 @@ def random_semilinear(
 
 
 def random_pair_with_relation(
-    dim: int, relation: str, seed: int, backend: str = EXACT
+    dim: int, relation: str, seed: int
 ) -> tuple[PsdOperator, PsdOperator]:
     """Seeded pair (a, b) certified to satisfy the requested relation.
 
@@ -122,11 +124,11 @@ def random_pair_with_relation(
     or neither comparable nor singular (needs dim ≥ 3).
     """
     if relation == "ac":
-        return _pair_ac(dim, seed, backend)
+        return _pair_ac(dim, seed)
     if relation == "singular":
         if dim < 2:
             raise GenerationError("singular pairs with nonzero parts need dim >= 2")
-        return _pair_singular(dim, seed, backend)
+        return _pair_singular(dim, seed)
     if relation == "incomparable":
         if dim < 3:
             raise GenerationError(
@@ -134,44 +136,33 @@ def random_pair_with_relation(
                 "partially overlapping ranges both ranks would have to exceed "
                 "the overlap and still fit in the space"
             )
-        return _pair_incomparable(dim, seed, backend)
+        return _pair_incomparable(dim, seed)
     raise ValueError(f"unknown relation {relation!r}")
 
 
-def _factor(dim: int, rank: int, sub: int, backend: str, attempt: int) -> Matrix:
-    if backend == EXACT:
-        rand = random.Random(derive_seed(sub, attempt))
-        g = _gauss_int_matrix(dim, rank, rand)
-    else:
-        rng = np.random.default_rng(derive_seed(sub, attempt))
-        g = _float_factor(dim, rank, rng)
-    return g
+def _factor(dim: int, rank: int, sub: int, attempt: int) -> Matrix:
+    return _gauss_int_matrix(dim, rank, random.Random(derive_seed(sub, attempt)))
 
 
 def _operator_from_factor(g: Matrix, rank: int) -> PsdOperator | None:
-    if g.backend == EXACT:
-        if g.rank() != rank:
-            return None
-        return PsdOperator.certified(g @ g.H, rank)
-    s = np.linalg.svd(g.array, compute_uv=False)
-    if rank and (s.size < rank or s[0] == 0.0 or s[rank - 1] / s[0] <= 1e-6):
+    if g.rank() != rank:
         return None
-    return PsdOperator.certified((g @ g.H).hermitize(), rank)
+    return PsdOperator.certified(g @ g.H, rank)
 
 
-def _pair_ac(dim: int, seed: int, backend: str) -> tuple[PsdOperator, PsdOperator]:
+def _pair_ac(dim: int, seed: int) -> tuple[PsdOperator, PsdOperator]:
     rand = random.Random(derive_seed(seed, 201, dim))
     for attempt in range(RETRY_BUDGET):
         rb = rand.randint(1, dim)
         equal_range = rand.random() < 0.5
         ra = rb if equal_range else rand.randint(0, rb - 1)
-        h = _factor(dim, rb, derive_seed(seed, 202, dim), backend, attempt)
+        h = _factor(dim, rb, derive_seed(seed, 202, dim), attempt)
         b = _operator_from_factor(h, rb)
         if b is None:
             continue
         if ra == 0:
-            return PsdOperator.zero(dim, backend), b
-        m = _factor(rb, ra, derive_seed(seed, 203, dim), backend, attempt)
+            return PsdOperator.zero(dim), b
+        m = _factor(rb, ra, derive_seed(seed, 203, dim), attempt)
         g = h @ m
         a = _operator_from_factor(g, ra)
         if a is None:
@@ -182,17 +173,17 @@ def _pair_ac(dim: int, seed: int, backend: str) -> tuple[PsdOperator, PsdOperato
     raise GenerationError("exhausted retries building an absolutely continuous pair")
 
 
-def _pair_singular(dim: int, seed: int, backend: str) -> tuple[PsdOperator, PsdOperator]:
+def _pair_singular(dim: int, seed: int) -> tuple[PsdOperator, PsdOperator]:
     rand = random.Random(derive_seed(seed, 301, dim))
     for attempt in range(RETRY_BUDGET):
         ra = rand.randint(0, dim - 1)
         rb = rand.randint(0 if ra else 1, dim - ra)
         a = _operator_from_factor(
-            _factor(dim, ra, derive_seed(seed, 302, dim), backend, attempt), ra
-        ) if ra else PsdOperator.zero(dim, backend)
+            _factor(dim, ra, derive_seed(seed, 302, dim), attempt), ra
+        ) if ra else PsdOperator.zero(dim)
         b = _operator_from_factor(
-            _factor(dim, rb, derive_seed(seed, 303, dim), backend, attempt), rb
-        ) if rb else PsdOperator.zero(dim, backend)
+            _factor(dim, rb, derive_seed(seed, 303, dim), attempt), rb
+        ) if rb else PsdOperator.zero(dim)
         if a is None or b is None:
             continue
         if relation_triple(a, b)[2]:
@@ -200,15 +191,15 @@ def _pair_singular(dim: int, seed: int, backend: str) -> tuple[PsdOperator, PsdO
     raise GenerationError("exhausted retries building a singular pair")
 
 
-def _pair_incomparable(dim: int, seed: int, backend: str) -> tuple[PsdOperator, PsdOperator]:
+def _pair_incomparable(dim: int, seed: int) -> tuple[PsdOperator, PsdOperator]:
     rand = random.Random(derive_seed(seed, 401, dim))
     for attempt in range(RETRY_BUDGET):
         shared = rand.randint(1, dim - 2)
         pa = rand.randint(1, dim - shared - 1)
         pb = rand.randint(1, dim - shared - pa)
-        s = _factor(dim, shared, derive_seed(seed, 402, dim), backend, attempt)
-        xa = _factor(dim, pa, derive_seed(seed, 403, dim), backend, attempt)
-        xb = _factor(dim, pb, derive_seed(seed, 404, dim), backend, attempt)
+        s = _factor(dim, shared, derive_seed(seed, 402, dim), attempt)
+        xa = _factor(dim, pa, derive_seed(seed, 403, dim), attempt)
+        xb = _factor(dim, pb, derive_seed(seed, 404, dim), attempt)
         ga = Matrix.hstack([s, xa])
         gb = Matrix.hstack([s, xb])
         a = _operator_from_factor(ga, shared + pa)

@@ -28,8 +28,8 @@ from .linalg import (
 from .relations import is_singular
 from .report import Verdict
 
-#: eigenvalue/asymmetry slack granted to freshly constructed parts
-_CONSTRUCTION_TOL = 1e-12
+#: eigenvalue slack, relative to ‖a‖, granted to the maximality oracle
+_MAXIMALITY_SLACK = 1e-12
 
 
 def ac_domain(a: PsdOperator, b: PsdOperator, tol: float = DEFAULT_TOL) -> Subspace:
@@ -54,19 +54,25 @@ def decompose(a: PsdOperator, b: PsdOperator, tol: float = DEFAULT_TOL) -> Lebes
     """Split a = ac + singular relative to b.
 
     Both parts are built from the same square root (ac = S P S,
-    singular = S (I-P) S with P the projector onto the a.c. domain), so
-    they are PSD by construction and sum to a up to rounding.
+    singular = S (I-P) S with P the projector onto the a.c. domain M), so
+    they are PSD by construction and sum to a up to rounding.  As ker S ⊆ M,
+    rank ac = dim M − (n − rank a) and rank singular = n − dim M; eigenvalues
+    would mistake a zero part's rounding noise for rank or for negativity.
     """
     _check(a, b)
+    n = a.dim
     root = psd_sqrt(a).matrix
     # ac_domain(a, b, tol), without taking the square root a second time
-    p = subspace_preimage(root, b.range(), tol).projector().array
+    domain = subspace_preimage(root, b.range(), tol)
+    p = domain.projector().array
     s = root.array
-    ac_arr = s @ p @ s
-    sing_arr = s @ (np.eye(a.dim) - p) @ s
-    ac_part = PsdOperator.from_matrix(Matrix.from_float(ac_arr), tol=_CONSTRUCTION_TOL)
-    singular_part = PsdOperator.from_matrix(Matrix.from_float(sing_arr), tol=_CONSTRUCTION_TOL)
-    return LebesgueDecomposition(ac_part=ac_part, singular_part=singular_part, base=b)
+    ac = Matrix.from_float(s @ p @ s).hermitize()
+    singular = Matrix.from_float(s @ (np.eye(n) - p) @ s).hermitize()
+    return LebesgueDecomposition(
+        ac_part=PsdOperator.certified(ac, domain.dim - (n - a.rank)),
+        singular_part=PsdOperator.certified(singular, n - domain.dim),
+        base=b,
+    )
 
 
 @dataclass(frozen=True)
@@ -149,7 +155,7 @@ def verify_decomposition(
             continue
         kept += 1
         gap = float(np.linalg.eigvalsh(cushion - c)[0])
-        if gap < -_CONSTRUCTION_TOL * scale_a:
+        if gap < -_MAXIMALITY_SLACK * scale_a:
             violations += 1
             worst = max(worst, -gap)
     return DecompositionCheck(

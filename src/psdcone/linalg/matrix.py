@@ -177,11 +177,11 @@ class Matrix:
         idx = list(idx)
         return self._map(lambda a: a[idx])
 
-    def column_entries(self, j: int) -> tuple:
-        """Entries of column j as a tuple of scalars."""
-        if self.backend == EXACT:
-            return tuple(map(self._scalar, self._re[:, j].tolist(), self._im[:, j].tolist()))
-        return tuple(complex(v) for v in self._f[:, j])
+    def first_nonzero(self) -> tuple[int, int] | None:
+        """Row-major position of the first nonzero entry (exact backend); None if zero."""
+        self._need(EXACT)
+        k = next((k for k, z in enumerate(zip(self._re.flat, self._im.flat)) if any(z)), None)
+        return None if k is None else divmod(k, self.cols)
 
     def _need(self, backend: str) -> None:
         if self.backend != backend:

@@ -1,10 +1,11 @@
 """Lines, line maps, and reconstruction of the operator behind a line map.
 
-A :class:`Line` is a one-dimensional subspace stored as an exact direction
-normalized so its first nonzero coordinate is 1, which makes projective
-equality plain equality.  A cone map that sends rank-one operators to
-rank-one operators induces a map on lines via Ψ([f]) = ran φ(f f*);
-:func:`induced_line_map` builds it for any :class:`~psdcone.preserver.PreserverSpec`.
+A :class:`Line` is a one-dimensional subspace stored as one exact n×1 matrix,
+scaled once so its first nonzero entry is 1; exact matrices are kept in lowest
+terms, which makes projective equality and hashing plain matrix equality and
+hashing.  A cone map that sends rank-one operators to rank-one operators
+induces a map on lines via Ψ([f]) = ran φ(f f*); :func:`induced_line_map`
+builds it for any :class:`~psdcone.preserver.PreserverSpec`.
 
 :func:`reconstruct_semilinear` inverts the construction: from the values of a
 line map on 2n probes it recovers an operator T (unique up to a scalar) and
@@ -47,38 +48,46 @@ _SNAP_TOL = 1e-11
 _PIVOT_CUT = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Line:
     """A point of projective space: a 1-d subspace with a canonical direction."""
 
-    ambient_dim: int
-    direction: tuple
+    _col: Matrix
 
-    def __post_init__(self):
-        if self.ambient_dim < 1:
+    def __init__(self, ambient_dim: int, entries):
+        if ambient_dim < 1:
             raise ValueError("ambient dimension must be positive")
-        entries = tuple(GaussianRational.coerce(c) for c in self.direction)
-        if len(entries) != self.ambient_dim:
+        entries = tuple(entries)
+        if len(entries) != ambient_dim:
             raise DimensionMismatchError("direction length differs from ambient dimension")
-        pivot = next((c for c in entries if c), None)
-        if pivot is None:
+        self._normalise(Matrix.exact([[c] for c in entries]))
+
+    def _normalise(self, col: Matrix) -> None:
+        at = col.first_nonzero()
+        if at is None:
             raise ValueError("a line needs a nonzero direction")
-        object.__setattr__(self, "direction", tuple(c / pivot for c in entries))
+        object.__setattr__(self, "_col", col.scale(1 / col.entry(*at)))
 
     @classmethod
     def from_vector(cls, v) -> "Line":
-        if isinstance(v, Matrix):
-            if v.cols != 1:
-                raise DimensionMismatchError("expected a column vector")
-            return cls(v.rows, v.column_entries(0))
-        entries = tuple(v)
-        return cls(len(entries), entries)
+        if not isinstance(v, Matrix):
+            entries = tuple(v)
+            return cls(len(entries), entries)
+        if v.cols != 1:
+            raise DimensionMismatchError("expected a column vector")
+        line = cls.__new__(cls)
+        line._normalise(v)
+        return line
+
+    @property
+    def ambient_dim(self) -> int:
+        return self._col.rows
 
     def column(self) -> Matrix:
-        return Matrix.exact([[c] for c in self.direction])
+        return self._col
 
     def __repr__(self) -> str:
-        return f"Line({', '.join(str(c) for c in self.direction)})"
+        return f"Line({', '.join(str(row[0]) for row in self._col.exact_rows)})"
 
 
 def unit_line(n: int, j: int) -> Line:
@@ -165,17 +174,12 @@ def _solve_two(w1: Matrix, wj: Matrix, d: Matrix) -> tuple[GaussianRational, Gau
     """Exact coefficients (α, β) with d = α·w1 + β·wj, or a failure."""
     aug = Matrix.hstack([w1, wj, d])
     reduced, pivots = aug.rref()
+    # a nonzero entry of d below row 2 would have made column 2 a pivot
     if pivots != (0, 1):
         raise NotSemilinearError(
             "image of a diagonal probe leaves the plane spanned by the coordinate images"
         )
-    if any(bool(c) for c in reduced.column_entries(2)[2:]):
-        raise NotSemilinearError(
-            "image of a diagonal probe leaves the plane spanned by the coordinate images"
-        )
-    alpha = reduced.entry(0, 2)
-    beta = reduced.entry(1, 2)
-    return alpha, beta
+    return reduced.entry(0, 2), reduced.entry(1, 2)
 
 
 def reconstruct_semilinear(line_map: LineMap, dim: int | None = None) -> SemilinearOperator:
@@ -212,9 +216,8 @@ def reconstruct_semilinear(line_map: LineMap, dim: int | None = None) -> Semilin
 
     probe = Line(n, ((1, 0), (0, 1)) + ((0, 0),) * (n - 2))
     image = line_map(probe)
-    i_unit = GaussianRational.coerce((0, 1))
-    linear_target = Line.from_vector(cols[0] + cols[1].scale(i_unit))
-    conjugate_target = Line.from_vector(cols[0] - cols[1].scale(i_unit))
+    linear_target = Line.from_vector(cols[0] + cols[1].scale((0, 1)))
+    conjugate_target = Line.from_vector(cols[0] - cols[1].scale((0, 1)))
     if image == linear_target:
         flavor = FLAVOR_LINEAR
     elif image == conjugate_target:
@@ -228,14 +231,7 @@ def projective_scalar(a: Matrix, b: Matrix):
     """The scalar λ with a = λ·b when the exact matrices are proportional, else None."""
     if a.backend != EXACT or b.backend != EXACT or a.shape != b.shape:
         return None
-    pivot = None
-    for i in range(b.rows):
-        for j in range(b.cols):
-            if b.entry(i, j):
-                pivot = (i, j)
-                break
-        if pivot:
-            break
+    pivot = b.first_nonzero()
     if pivot is None:
         return GaussianRational.coerce(1) if a.is_zero() else None
     lam = a.entry(*pivot) / b.entry(*pivot)
@@ -260,10 +256,6 @@ class ProjectivityReport(Verdict):
         return not self.failures
 
 
-def _stacked_rank(lines) -> int:
-    return Matrix.hstack([ln.column() for ln in lines]).rank()
-
-
 def verify_projectivity(line_map: LineMap, trials: int = 50, seed: int = 0) -> ProjectivityReport:
     """Check that coplanar triples stay coplanar and independent triples stay
     independent — the geometric prerequisite for a line map to come from an
@@ -280,8 +272,7 @@ def verify_projectivity(line_map: LineMap, trials: int = 50, seed: int = 0) -> P
 
     def check(kind: str, label, triple, want_rank_two: bool):
         nonlocal coplanar, independent
-        images = [line_map(ln) for ln in triple]
-        got = _stacked_rank(images)
+        got = Matrix.hstack([line_map(ln).column() for ln in triple]).rank()
         if want_rank_two:
             coplanar += 1
             if got > 2:

@@ -230,6 +230,33 @@ def test_map_verify_rejects_negative_trials(capsys):
     assert "--trials" in err
 
 
+@pytest.mark.parametrize("command", ["decompose", "reconstruct"])
+def test_negative_trials_are_a_usage_error_and_zero_is_legal(tmp_path, capsys, command):
+    # a negative count used to skip the sampled checks and, for decompose,
+    # be reported back as the number of samples taken
+    argv = {
+        "decompose": (
+            str(SAMPLES / "diag10.json"),
+            str(SAMPLES / "diag11.json"),
+            "--out-prefix",
+            str(tmp_path / "split"),
+        ),
+        "reconstruct": (str(SAMPLES / "congruence3.json"),),
+    }[command]
+    code, out, err = run_cli(capsys, command, *argv, "--trials", "-5")
+    assert_usage_error(code, out, err)
+    assert "--trials" in err
+    # zero samples still leave the deterministic checks to run
+    code, out, _ = run_cli(capsys, command, *argv, "--trials", "0")
+    assert code == 0 and json.loads(out)
+
+
+def test_reconstruct_matches_packaged_golden_output(capsys):
+    code, out, _ = run_cli(capsys, "reconstruct", str(SAMPLES / "congruence3.json"))
+    assert code == 0
+    assert out == (SAMPLES / "reconstruct_congruence3.json").read_text()
+
+
 def test_suite_stdout_is_deterministic(capsys):
     argv = ("suite", "--dims", "2", "--trials", "12", "--seed", "3")
     code1, out1, err1 = run_cli(capsys, *argv)

@@ -83,6 +83,18 @@ def test_invariants_on_generated_pairs():
         assert check.passed, check.to_dict()
 
 
+@pytest.mark.parametrize("seed, k", [(5, 3), (6, 6), (12, 9), (26, 3)])
+def test_dominated_pair_with_a_large_a_has_no_singular_part(seed, k):
+    # a << b with ‖a‖ ~ 1e3: S (I - P) S is rounding noise of ~1e-12, which
+    # used to read as a negative eigenvalue or as a rank-one singular part
+    a, b = random_pair_with_relation(4, "ac", derive_seed(seed, 16, 4, k))
+    af, bf = a.to_float(), b.to_float()
+    dec = decompose(af, bf)
+    assert dec.singular_part.rank == 0
+    assert dec.ac_part.rank == a.rank
+    assert verify_decomposition(dec, af, trials=30, seed=k).passed
+
+
 def test_verify_flags_a_wrong_split():
     # swapping the parts of a genuine mixed split keeps the sum property but
     # breaks both one-sided conditions

@@ -25,6 +25,30 @@ def test_line_normalization_and_equality():
     assert Line.from_vector([0, 5]) == unit_line(2, 1)
 
 
+def test_a_line_divides_once_and_keeps_its_column(monkeypatch):
+    # a line normalises its column with one scalar division, not one per
+    # entry, and hands that column back without rebuilding it
+    from psdcone.linalg import GaussianRational
+
+    v = Matrix.exact([[0], [(0, 2)], [4], [(1, -3)]])
+    divisions = []
+    divide = GaussianRational.__truediv__
+    monkeypatch.setattr(
+        GaussianRational, "__truediv__", lambda a, b: divisions.append(b) or divide(a, b)
+    )
+    line = Line.from_vector(v)
+    assert len(divisions) == 1
+
+    def rebuild(*args):
+        raise AssertionError("a line rebuilt its column from scalars")
+
+    monkeypatch.setattr(Matrix, "exact", rebuild)
+    assert line.column() is line.column()
+    assert line.column() == v.scale(divide(GaussianRational.coerce(1), v.entry(1, 0)))
+    assert line == Line.from_vector(v.scale(7)) and hash(line) == hash(Line.from_vector(v.scale(7)))
+    assert line.ambient_dim == 4
+
+
 def test_line_rejects_zero_and_mismatch():
     with pytest.raises(ValueError):
         Line.from_vector([0, 0])
