@@ -362,7 +362,7 @@ def main(argv=None) -> int:
     except MatrixFileError as exc:
         _note(f"error: {exc}")
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing, unreadable or unwritable path
         _note(f"error: {exc}")
         return 2
     except (BackendError, DimensionMismatchError) as exc:

@@ -148,9 +148,16 @@ def loads_matrix(text: str) -> Matrix:
     return matrix_from_obj(obj)
 
 
-def read_matrix(path) -> Matrix:
+def _read_json(path):
     with open(path, encoding="utf-8") as fh:
-        return loads_matrix(fh.read())
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, runaway nesting
+            raise MatrixFileError(f"invalid JSON: {exc}") from None
+
+
+def read_matrix(path) -> Matrix:
+    return matrix_from_obj(_read_json(path))
 
 
 def write_matrix(path, m: Matrix) -> None:
@@ -233,12 +240,7 @@ def _spec_from_obj(obj) -> PreserverSpec:
 
 
 def read_spec(path) -> PreserverSpec:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MatrixFileError(f"invalid JSON: {exc}") from None
-    return spec_from_obj(obj)
+    return spec_from_obj(_read_json(path))
 
 
 def write_spec(path, spec: PreserverSpec) -> None:

@@ -102,7 +102,12 @@ def min_domination_constant(
     af, bf = a.to_float(), b.to_float()
     if not is_abs_continuous(af, bf, tol):
         return None
-    if a.rank == 0:
+    return _domination_constant(af, bf)
+
+
+def _domination_constant(af: PsdOperator, bf: PsdOperator) -> float:
+    """The constant of :func:`min_domination_constant` once a ≪ b is decided."""
+    if af.rank == 0:
         return 0.0
     p = _pinv_sqrt_array(bf)
     mid = p @ af.matrix.array @ p
@@ -160,6 +165,6 @@ def analyze_pair(a: PsdOperator, b: PsdOperator, tol: float = DEFAULT_TOL) -> Re
         dim_range_sum=ra + rb - inter,
         dim_range_intersection=inter,
         min_domination_constant=(
-            min_domination_constant(a, b, tol) if ac_ab else None
+            _domination_constant(a.to_float(), b.to_float()) if ac_ab else None
         ),
     )

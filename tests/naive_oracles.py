@@ -127,3 +127,69 @@ def min_constant_bisect(a, b, *, bits: int = 40, cap: int = 2**60):
         else:
             lo = mid
     return (lo + hi) / 2
+
+
+def per_trial_decomposition_check(dec, a, trials, seed, tol):
+    """``verify_decomposition`` drawing and testing one contraction at a time.
+
+    The package samples its maximality oracle in stacks; this loop is the
+    reference those stacks must reproduce field for field: the same random
+    stream, the same candidates kept and the same violations.  Returns the
+    report as a dict.
+    """
+    import numpy as np
+
+    from psdcone.generators import derive_seed
+    from psdcone.lebesgue import _MAXIMALITY_SLACK, DecompositionCheck
+    from psdcone.linalg import psd_sqrt, subspace_preimage
+    from psdcone.relations import is_singular
+
+    def dominated_residual(c, p_base):
+        q = np.eye(n) - p_base
+        r = q @ c @ q
+        scale = max(1.0, float(np.linalg.norm(c, 2)))
+        return float(np.linalg.norm(r, 2)) / scale
+
+    n = a.dim
+    ac = dec.ac_part.matrix.array
+    sing = dec.singular_part.matrix.array
+    total = ac + sing - a.matrix.array
+    scale_a = max(1.0, float(np.linalg.norm(a.matrix.array, 2)))
+    sum_ok = float(np.linalg.norm(total, 2)) <= tol * scale_a
+    p_base = dec.base.range().projector().array
+    ac_ok = dominated_residual(ac, p_base) <= tol
+    singular_ok = is_singular(dec.singular_part, dec.base, tol)
+
+    root = psd_sqrt(a).matrix
+    p_dom = subspace_preimage(root, dec.base.range(), tol).projector().array
+    s = root.array
+    rng = np.random.default_rng(derive_seed(seed, 71, n))
+    kept = 0
+    violations = 0
+    worst = 0.0
+    cushion = ac + tol * np.eye(n)
+    for k in range(trials):
+        w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        w = (w + w.conj().T) / 2.0
+        top = float(np.linalg.norm(w, 2)) or 1.0
+        r = (np.eye(n) + w / top) / 2.0
+        if k % 2 == 1:
+            r = p_dom @ r @ p_dom
+        c = s @ r @ s
+        c = (c + c.conj().T) / 2.0
+        if dominated_residual(c, p_base) > tol:
+            continue
+        kept += 1
+        gap = float(np.linalg.eigvalsh(cushion - c)[0])
+        if gap < -_MAXIMALITY_SLACK * scale_a:
+            violations += 1
+            worst = max(worst, -gap)
+    return DecompositionCheck(
+        sum_ok=sum_ok,
+        ac_ok=ac_ok,
+        singular_ok=singular_ok,
+        maximality_sampled=trials,
+        maximality_kept=kept,
+        maximality_violations=violations,
+        worst_excess=worst,
+    ).to_dict()

@@ -1,11 +1,16 @@
 """Command-line behaviour: exit codes, stdout stability, file outputs."""
 
+import argparse
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psdcone import (
     Matrix,
@@ -17,7 +22,9 @@ from psdcone import (
     write_matrix,
     write_spec,
 )
-from psdcone.cli import _parse_dims, main
+from psdcone.cli import _count, _parse_dims, main
+from psdcone.io import matrix_from_obj, spec_from_obj
+from psdcone.preserver import KINDS
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_data"
 
@@ -249,6 +256,170 @@ def test_negative_trials_are_a_usage_error_and_zero_is_legal(tmp_path, capsys, c
     # zero samples still leave the deterministic checks to run
     code, out, _ = run_cli(capsys, command, *argv, "--trials", "0")
     assert code == 0 and json.loads(out)
+
+
+# ----------------------------------------------------------------------
+# exit-code contract: malformed input ends with exit 2, empty stdout and one
+# stderr line, never exit 1 or a traceback
+# ----------------------------------------------------------------------
+
+
+def call_main(argv):
+    """``main`` in-process with its output captured (usable under hypothesis)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def rejected_by(parse):
+    def rejected(text):
+        try:
+            parse(text)
+        except (argparse.ArgumentTypeError, ValueError):
+            return True
+        return False
+
+    return rejected
+
+
+WORDS = st.text(alphabet="0123456789+-.,eEx ", max_size=8)
+CONG3 = str(SAMPLES / "congruence3.json")
+DIAG10 = str(SAMPLES / "diag10.json")
+DIAG11 = str(SAMPLES / "diag11.json")
+# command words before the numeric options, and the least legal --trials
+COMMANDS = {
+    "decompose": (["decompose", DIAG10, DIAG11], 0),
+    "reconstruct": (["reconstruct", CONG3], 0),
+    "map verify": (["map", "verify", CONG3], 1),
+    "suite": (["suite", "--dims", "2"], 1),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_malformed_numbers_are_usage_errors(tmp_path_factory, command, data):
+    words, least = COMMANDS[command]
+    prefix = ["--out-prefix", str(tmp_path_factory.getbasetemp() / "split")]
+    option, bad = data.draw(
+        st.one_of(
+            st.tuples(st.just("--trials"), WORDS.filter(rejected_by(_count(least)))),
+            st.tuples(st.just("--seed"), WORDS.filter(rejected_by(int))),
+        )
+    )
+    argv = words + (prefix if command == "decompose" else []) + [f"{option}={bad}"]
+    code, out, err = call_main(argv)
+    assert_usage_error(code, out, err)
+    assert option in err
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=WORDS.filter(rejected_by(_parse_dims)))
+def test_malformed_dims_are_usage_errors(dims):
+    code, out, err = call_main(["suite", f"--dims={dims}", "--trials", "1"])
+    assert_usage_error(code, out, err)
+    assert "--dims" in err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+MATRIX_DOCS = st.fixed_dictionaries(
+    {},
+    optional={
+        "backend": st.sampled_from(["exact", "float"]) | JSON_VALUES,
+        "rows": st.integers(0, 2) | JSON_VALUES,
+        "cols": st.integers(0, 2) | JSON_VALUES,
+        "data": JSON_VALUES,
+    },
+)
+SPEC_DOCS = st.fixed_dictionaries(
+    {"kind": st.sampled_from(KINDS) | JSON_VALUES},
+    optional={
+        "dimension": st.integers(0, 3) | JSON_VALUES,
+        "T": MATRIX_DOCS,
+        "flavor": st.sampled_from(["linear", "conjugate"]) | JSON_VALUES,
+        "z_seed": JSON_VALUES,
+        "seed": JSON_VALUES,
+        "parts": st.lists(JSON_VALUES, max_size=2),
+    },
+)
+
+
+def file_bytes(docs):
+    """Raw bytes, JSON values and near-miss documents of one format."""
+    return st.one_of(
+        st.binary(max_size=24),
+        JSON_VALUES.map(json.dumps).map(str.encode),
+        docs.map(json.dumps).map(str.encode),
+    )
+
+
+def rejected_file(reader):
+    def rejected(raw):
+        try:
+            reader(json.loads(raw.decode("utf-8")))
+        except Exception:  # the file cannot be read as one
+            return True
+        return False
+
+    return rejected
+
+
+SPEC_COMMANDS = [
+    ["map", "verify", "{}", "--trials", "2"],
+    ["map", "apply", "{}", DIAG10],
+    ["reconstruct", "{}", "--trials", "2"],
+]
+MATRIX_COMMANDS = [
+    ["analyze", "{}", DIAG11],
+    ["decompose", DIAG10, "{}", "--trials", "2"],
+    ["map", "apply", CONG3, "{}"],
+]
+
+
+@pytest.mark.parametrize("template", SPEC_COMMANDS, ids=["map verify", "map apply", "reconstruct"])
+@settings(max_examples=30, deadline=None)
+@given(raw=file_bytes(SPEC_DOCS).filter(rejected_file(spec_from_obj)))
+def test_malformed_spec_files_are_usage_errors(tmp_path_factory, template, raw):
+    path = tmp_path_factory.getbasetemp() / "spec.json"
+    path.write_bytes(raw)
+    code, out, err = call_main([str(path) if w == "{}" else w for w in template])
+    assert_usage_error(code, out, err)
+
+
+@pytest.mark.parametrize("template", MATRIX_COMMANDS, ids=["analyze", "decompose", "map apply"])
+@settings(max_examples=30, deadline=None)
+@given(raw=file_bytes(MATRIX_DOCS).filter(rejected_file(matrix_from_obj)))
+def test_malformed_matrix_files_are_usage_errors(tmp_path_factory, template, raw):
+    path = tmp_path_factory.getbasetemp() / "matrix.json"
+    path.write_bytes(raw)
+    code, out, err = call_main([str(path) if w == "{}" else w for w in template])
+    assert_usage_error(code, out, err)
+
+
+@pytest.mark.parametrize("command", ["analyze", "map verify"])
+@pytest.mark.parametrize("content", ["directory", "latin-1", "deep nesting"])
+def test_unreadable_input_files_are_usage_errors(tmp_path, capsys, command, content):
+    # each of these used to end in a traceback: IsADirectoryError,
+    # UnicodeDecodeError and RecursionError escaped the reader
+    path = tmp_path / "input.json"
+    if content == "directory":
+        path.mkdir()
+    elif content == "latin-1":
+        path.write_bytes('{"kind": "wild", "dimension": 2, "seed": 1, "n": "é"}'.encode("latin-1"))
+    else:
+        path.write_text("[" * 100_000)
+    argv = {"analyze": ["analyze", str(path), DIAG11], "map verify": ["map", "verify", str(path)]}
+    code, out, err = run_cli(capsys, *argv[command])
+    assert_usage_error(code, out, err)
 
 
 def test_reconstruct_matches_packaged_golden_output(capsys):

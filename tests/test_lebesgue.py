@@ -6,13 +6,16 @@ import pytest
 from psdcone.errors import BackendError
 from psdcone.generators import derive_seed, random_pair_with_relation, random_psd
 from psdcone.lebesgue import (
+    _ORACLE_BLOCK,
     LebesgueDecomposition,
     ac_domain,
     decompose,
     verify_decomposition,
 )
-from psdcone.linalg import Matrix, PsdOperator, psd_sqrt
+from psdcone.linalg import DEFAULT_TOL, Matrix, PsdOperator, psd_sqrt
 from psdcone.relations import analyze_pair
+
+from naive_oracles import per_trial_decomposition_check
 
 
 def _fop(rows):
@@ -95,29 +98,68 @@ def test_dominated_pair_with_a_large_a_has_no_singular_part(seed, k):
     assert verify_decomposition(dec, af, trials=30, seed=k).passed
 
 
-def test_verify_flags_a_wrong_split():
+def _swapped_split():
     # swapping the parts of a genuine mixed split keeps the sum property but
     # breaks both one-sided conditions
     a = _fop([[1.0, 0, 0], [0, 0, 0], [0, 0, 1.0]])
     b = _fop([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 0]])
     good = decompose(a, b)
-    bad = LebesgueDecomposition(
+    return LebesgueDecomposition(
         ac_part=good.singular_part, singular_part=good.ac_part, base=b
-    )
+    ), a
+
+
+def _understated_split():
+    # claiming nothing is dominated when the base is invertible fails the
+    # maximality sampling: plenty of dominated candidates exceed zero
+    a = _fop([[2.0, 0.0], [0.0, 1.0]])
+    b = _fop([[1.0, 0.0], [0.0, 1.0]])
+    zero = PsdOperator.zero(2, "float")
+    return LebesgueDecomposition(ac_part=zero, singular_part=a, base=b), a
+
+
+def test_verify_flags_a_wrong_split():
+    bad, a = _swapped_split()
     check = verify_decomposition(bad, a, trials=40, seed=0)
     assert not check.passed
     assert not check.ac_ok or not check.singular_ok
 
 
 def test_verify_flags_understated_dominated_part():
-    # claiming nothing is dominated when the base is invertible fails the
-    # maximality sampling: plenty of dominated candidates exceed zero
-    a = _fop([[2.0, 0.0], [0.0, 1.0]])
-    b = _fop([[1.0, 0.0], [0.0, 1.0]])
-    zero = PsdOperator.zero(2, "float")
-    bad = LebesgueDecomposition(ac_part=zero, singular_part=a, base=b)
+    bad, a = _understated_split()
     check = verify_decomposition(bad, a, trials=80, seed=1)
     assert not check.passed
+    assert check.maximality_violations and check.worst_excess > 0
+
+
+def _seeded_splits():
+    for dim in (2, 3, 4, 5):
+        for k, kind in enumerate(("ac", "singular", "incomparable")):
+            if kind == "incomparable" and dim < 3:
+                continue
+            a, b = random_pair_with_relation(dim, kind, derive_seed(88, dim, k))
+            af, bf = a.to_float(), b.to_float()
+            yield f"{kind}{dim}", decompose(af, bf), af
+        # violations whose excess is a generic float, not an exact small number
+        zero = PsdOperator.zero(dim, "float")
+        yield f"understated{dim}", LebesgueDecomposition(zero, af, bf), af
+
+
+@pytest.mark.parametrize("trials", [0, 1, 37, _ORACLE_BLOCK + 45])
+def test_stacked_oracle_matches_the_per_trial_reference(trials):
+    # the maximality oracle samples in stacks of _ORACLE_BLOCK draws; every
+    # field of the report must equal the one drawn one contraction at a time
+    cases = list(_seeded_splits())
+    cases += [("swapped", *_swapped_split()), ("understated", *_understated_split())]
+    worst = 0.0
+    for name, dec, a in cases:
+        for seed in (0, 1):
+            got = verify_decomposition(dec, a, trials=trials, seed=seed).to_dict()
+            want = per_trial_decomposition_check(dec, a, trials, seed, DEFAULT_TOL)
+            assert got == want, (name, seed)
+            worst = max(worst, want["worst_excess"])
+    if trials >= 37:
+        assert worst > 0  # reports with violations were among those compared
 
 
 def test_decompose_requires_float_backend():

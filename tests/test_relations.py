@@ -137,6 +137,20 @@ def test_zero_operator_relations():
     assert rep.abs_cont_ab and rep.singular and rep.min_domination_constant == 0.0
 
 
+def test_report_constant_follows_its_own_domination_decision():
+    # ran a ⊆ ran b exactly, but b = v v* + w w* with v = (1, 1e9, 0) is so
+    # ill-conditioned that a float re-check of the inclusion fails: the report
+    # used to say abs_cont_ab with a constant of None ("no constant exists")
+    f = Matrix.exact([[1], [0], [0]])
+    v = Matrix.exact([[1], [10**9], [0]])
+    w = Matrix.exact([[0], [1], [0]])
+    a = PsdOperator.from_matrix(f @ f.H)
+    b = PsdOperator.from_matrix(v @ v.H + w @ w.H)
+    rep = analyze_pair(a, b)
+    assert rep.abs_cont_ab
+    assert rep.min_domination_constant is not None
+
+
 def test_float_report_matches_exact_on_integer_data():
     rand = random.Random(21)
     for k in range(25):
