@@ -12,6 +12,7 @@ tables and timing go to stderr, so stdout is stable enough to diff.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -283,12 +284,40 @@ def _cmd_suite(args) -> int:
 # ----------------------------------------------------------------------
 
 
+def _tolerance(text: str) -> float:
+    """An argparse type for a finite positive float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isfinite(value) and value > 0:
+        return value
+    raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text!r}")
+
+
 def _add_tol(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="float-backend tolerance")
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="float-backend tolerance")
+
+
+class _StoreOne(argparse.Action):
+    """The default store action, refusing an option whose value argparse dropped.
+
+    Python 3.11 argparse strips a lone ``--`` from ``--opt=--`` and would
+    store the empty list it leaves without running the option's type.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values == [] and self.nargs is None:
+            raise argparse.ArgumentError(self, "expected one argument")
+        setattr(namespace, self.dest, values)
 
 
 class _Parser(argparse.ArgumentParser):
     """Reports malformed arguments as one line on stderr, with exit code 2."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _StoreOne)
 
     def error(self, message):
         self.exit(2, f"{self.prog}: error: {message}\n")

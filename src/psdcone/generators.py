@@ -27,6 +27,8 @@ from .relations import relation_triple
 RETRY_BUDGET = 64
 
 _ENTRY_LO, _ENTRY_HI = -3, 3
+_ENTRY_WIDTH = _ENTRY_HI - _ENTRY_LO + 1
+_ENTRY_BITS = _ENTRY_WIDTH.bit_length()
 _MIX = 0x9E3779B97F4A7C15
 _MASK = (1 << 63) - 1
 
@@ -41,15 +43,29 @@ def derive_seed(seed: int, *salts: int) -> int:
 
 
 def _gauss_ints(count: int, rand: random.Random) -> list[tuple[int, int]]:
-    """``count`` Gaussian integers as (re, im) pairs, drawn re first."""
-    return [
-        (rand.randint(_ENTRY_LO, _ENTRY_HI), rand.randint(_ENTRY_LO, _ENTRY_HI))
-        for _ in range(count)
-    ]
+    """``count`` Gaussian integers as (re, im) pairs, drawn re first.
+
+    Each part is ``rand.randint(_ENTRY_LO, _ENTRY_HI)`` drawn the way
+    ``randint`` draws it, without its call overhead: ``_ENTRY_BITS`` random
+    bits, redrawn while they reach the width of the range.
+    """
+    bits = rand.getrandbits
+    parts = []
+    for _ in range(2 * count):
+        r = bits(_ENTRY_BITS)
+        while r >= _ENTRY_WIDTH:
+            r = bits(_ENTRY_BITS)
+        parts.append(r + _ENTRY_LO)
+    return list(zip(parts[::2], parts[1::2]))
+
+
+def _int_matrix(entries: list[tuple[int, int]], rows: int, cols: int) -> Matrix:
+    """The exact rows × cols matrix of Gaussian integers given row by row."""
+    return Matrix.from_gaussian_ints(np.array(entries, dtype=object).reshape(rows, cols, 2))
 
 
 def _gauss_int_matrix(rows: int, cols: int, rand: random.Random) -> Matrix:
-    return Matrix.exact([_gauss_ints(cols, rand) for _ in range(rows)])
+    return _int_matrix(_gauss_ints(rows * cols, rand), rows, cols)
 
 
 def _nonzero_gauss_ints(count: int, rand: random.Random) -> list[tuple[int, int]]:
@@ -62,7 +78,7 @@ def _nonzero_gauss_ints(count: int, rand: random.Random) -> list[tuple[int, int]
 
 def random_direction(n: int, rand: random.Random) -> Matrix:
     """Nonzero Gaussian-integer column vector of length n, redrawn until nonzero."""
-    return Matrix.exact([[z] for z in _nonzero_gauss_ints(n, rand)])
+    return _int_matrix(_nonzero_gauss_ints(n, rand), n, 1)
 
 
 def random_scalar(rand: random.Random) -> GaussianRational:
@@ -71,7 +87,7 @@ def random_scalar(rand: random.Random) -> GaussianRational:
 
 
 def random_psd(dim: int, rank: int, seed: int, backend: str = EXACT) -> PsdOperator:
-    """Seeded PSD operator of certified rank, built as G G*."""
+    """Seeded PSD operator of certified rank, built as G G*; exact ones keep G."""
     if not 0 <= rank <= dim:
         raise ValueError(f"rank {rank} out of range for dimension {dim}")
     if rank == 0:
@@ -81,7 +97,7 @@ def random_psd(dim: int, rank: int, seed: int, backend: str = EXACT) -> PsdOpera
         for _ in range(RETRY_BUDGET):
             g = _gauss_int_matrix(dim, rank, rand)
             if g.rank() == rank:
-                return PsdOperator.certified(g @ g.H, rank)
+                return PsdOperator.from_factor(g)
         raise GenerationError("could not draw a full-column-rank exact factor")
     rng = np.random.default_rng(derive_seed(seed, 102, dim, rank))
     for _ in range(RETRY_BUDGET):
@@ -94,11 +110,13 @@ def random_psd(dim: int, rank: int, seed: int, backend: str = EXACT) -> PsdOpera
 
 
 def rank_one(f: Matrix) -> PsdOperator:
-    """f f* for a nonzero column vector f."""
+    """f f* for a nonzero column vector f; an exact f is kept as the factor."""
     if f.cols != 1:
         raise ValueError("expected a column vector")
     if f.is_zero():
         raise ValueError("zero vector spans no line")
+    if f.backend == EXACT:
+        return PsdOperator.from_factor(f)
     return PsdOperator.certified(f @ f.H, 1)
 
 
@@ -147,7 +165,7 @@ def _factor(dim: int, rank: int, sub: int, attempt: int) -> Matrix:
 def _operator_from_factor(g: Matrix, rank: int) -> PsdOperator | None:
     if g.rank() != rank:
         return None
-    return PsdOperator.certified(g @ g.H, rank)
+    return PsdOperator.from_factor(g)
 
 
 def _pair_ac(dim: int, seed: int) -> tuple[PsdOperator, PsdOperator]:

@@ -84,6 +84,11 @@ class Matrix:
         return _exact(re, im, den)
 
     @classmethod
+    def from_gaussian_ints(cls, parts: np.ndarray) -> "Matrix":
+        """Exact matrix from a rows × cols × 2 object array of Python ints (re, im)."""
+        return _exact(parts[..., 0], parts[..., 1])
+
+    @classmethod
     def from_float(cls, data) -> "Matrix":
         arr = np.array(data, dtype=np.complex128, order="C")
         if arr.ndim == 1:
@@ -182,6 +187,11 @@ class Matrix:
         self._need(EXACT)
         k = next((k for k, z in enumerate(zip(self._re.flat, self._im.flat)) if any(z)), None)
         return None if k is None else divmod(k, self.cols)
+
+    def over_entry(self, i: int, j: int) -> "Matrix":
+        """This exact matrix divided by its nonzero (i, j) entry, in integers only."""
+        self._need(EXACT)
+        return _divide(self._re, self._im, self._re[i, j], self._im[i, j])
 
     def _need(self, backend: str) -> None:
         if self.backend != backend:
@@ -510,9 +520,15 @@ def _rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form: the Gauss–Jordan grid divided by its last pivot d."""
     re, im = m._re.tolist(), m._im.tolist()
     pivots, (dr, di), _ = _sweep(re, im, m.rows, m.cols, True)
-    re, im = np.array(re, dtype=object), np.array(im, dtype=object)
-    # x / d = x·conj(d) / |d|^2 keeps the denominator a positive integer
-    return _exact(re * dr + im * di, im * dr - re * di, dr * dr + di * di), tuple(pivots)
+    return _divide(np.array(re, dtype=object), np.array(im, dtype=object), dr, di), tuple(pivots)
+
+
+def _divide(re: np.ndarray, im: np.ndarray, dr: int, di: int) -> Matrix:
+    """(re + i·im) / (dr + i·di) for a nonzero Gaussian integer divisor.
+
+    x / d = x·conj(d) / |d|^2 keeps the denominator a positive integer.
+    """
+    return _exact(re * dr + im * di, im * dr - re * di, dr * dr + di * di)
 
 
 def psd_certify_exact(m: Matrix) -> tuple[bool, int]:

@@ -4,6 +4,17 @@ Exact backend: PSD-ness and rank come from a fraction-free pivoted LDL*
 elimination, so both are certificates, not numerical guesses.  Float
 backend: eigendecomposition with the standard cutoff; operators built by
 generators or congruences can carry an exactly known rank instead.
+
+Factored operators: an exact operator built from a factor G of full column
+rank (A = G G*) keeps G.  Its rank is the column count of G and its range
+is spanned by G's columns (ran G G* = ran G), so neither needs elimination;
+the matrix G G* is formed only when something first reads it.  Factors are
+born where a generator has just checked G's rank (``random_psd``, the pair
+builders, ``rank_one``) and are carried through the exact map images that
+keep them: T G under a congruence (T conj(G) for the conjugate flavor), and
+V G or V (G*)^-1 on the invertible operands of a wild map with exponent +1
+or -1.  Every other exact operator is unfactored, and its range is
+eliminated and checked against its certified rank.
 """
 
 from __future__ import annotations
@@ -19,18 +30,33 @@ from .subspace import DEFAULT_TOL, Subspace, column_space
 
 
 class PsdOperator:
-    """A PSD matrix together with its (certified) rank and cached range."""
+    """A PSD matrix together with its (certified) rank and cached range.
 
-    __slots__ = ("matrix", "rank", "_range")
+    ``factor`` is an exact G of full column rank with A = G G*, or None.
+    """
 
-    def __init__(self, matrix: Matrix, rank: int, *, _trusted: bool = False):
-        if not matrix.is_square:
+    __slots__ = ("dim", "backend", "rank", "factor", "_matrix", "_range")
+
+    def __init__(
+        self,
+        matrix: Matrix | None,
+        rank: int,
+        *,
+        factor: Matrix | None = None,
+        _trusted: bool = False,
+    ):
+        if matrix is not None and not matrix.is_square:
             raise DimensionMismatchError("PSD operators are square")
         if not _trusted:
             raise ValueError("use PsdOperator.from_matrix or a generator")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "_range", None)
+        shape = factor if matrix is None else matrix
+        put = object.__setattr__
+        put(self, "dim", shape.rows)
+        put(self, "backend", shape.backend)
+        put(self, "rank", rank)
+        put(self, "factor", factor)
+        put(self, "_matrix", matrix)
+        put(self, "_range", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PsdOperator is immutable")
@@ -64,18 +90,24 @@ class PsdOperator:
         return cls(m, rank, _trusted=True)
 
     @classmethod
+    def from_factor(cls, g: Matrix) -> "PsdOperator":
+        """G G* for an exact nonempty G whose full column rank the caller has checked."""
+        if g.backend != EXACT:
+            raise BackendError("factored operators are exact")
+        return cls(None, g.cols, factor=g, _trusted=True)
+
+    @classmethod
     def zero(cls, dim: int, backend: str = EXACT) -> "PsdOperator":
         return cls(Matrix.zeros(dim, dim, backend), 0, _trusted=True)
 
     # ------------------------------------------------------------------
 
     @property
-    def dim(self) -> int:
-        return self.matrix.rows
-
-    @property
-    def backend(self) -> str:
-        return self.matrix.backend
+    def matrix(self) -> Matrix:
+        if self._matrix is None:
+            g = self.factor
+            object.__setattr__(self, "_matrix", g @ g.H)
+        return self._matrix
 
     @property
     def is_invertible(self) -> bool:
@@ -84,7 +116,9 @@ class PsdOperator:
     def range(self) -> Subspace:
         """Range (column space) of the operator; computed once and cached."""
         if self._range is None:
-            if self.backend == EXACT:
+            if self.factor is not None:
+                sub = Subspace(self.factor, _validated=True)
+            elif self.backend == EXACT:
                 sub = column_space(self.matrix)
                 if sub.dim != self.rank:
                     raise ArithmeticError("certified rank disagrees with elimination")

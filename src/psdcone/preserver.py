@@ -216,7 +216,9 @@ def apply_map(spec: PreserverSpec, a: PsdOperator) -> PsdOperator:
 
     Images keep a certified rank: congruences with invertible T preserve
     rank, the weight sandwich preserves the rank of S, and wild maps fix or
-    invert.  form_iv requires the float backend (spectral square root).
+    invert.  Exact congruence and wild images of a factored operand are
+    factored too (see :mod:`psdcone.linalg.psd`).  form_iv requires the
+    float backend (spectral square root).
     """
     if a.dim != spec.dimension:
         raise DimensionMismatchError("operator size differs from map dimension")
@@ -249,6 +251,8 @@ def _apply_congruence(op: SemilinearOperator, a: PsdOperator) -> PsdOperator:
         op = op.to_float()
     elif op.backend == FLOAT:
         raise BackendError("float operator cannot act on an exact operand; convert it")
+    if a.factor is not None:
+        return PsdOperator.from_factor(op.apply_matrix(a.factor))
     t = op.t
     m = t @ _congruence_arg(op, a) @ t.H
     if m.backend == FLOAT:
@@ -270,6 +274,9 @@ def _apply_wild(a: PsdOperator, v: Matrix, exponent: int) -> PsdOperator:
     """V A^{±1} V* on invertibles, identity elsewhere (both backends)."""
     if not a.is_invertible:
         return a
+    if a.factor is not None:
+        g = a.factor if exponent == 1 else a.factor.H.inverse()
+        return PsdOperator.from_factor(v @ g)
     if exponent == 1:
         core = a.matrix
     elif a.backend == EXACT:

@@ -66,7 +66,7 @@ class Line:
         at = col.first_nonzero()
         if at is None:
             raise ValueError("a line needs a nonzero direction")
-        object.__setattr__(self, "_col", col.scale(1 / col.entry(*at)))
+        object.__setattr__(self, "_col", col.over_entry(*at))
 
     @classmethod
     def from_vector(cls, v) -> "Line":

@@ -193,3 +193,8 @@ def per_trial_decomposition_check(dec, a, trials, seed, tol):
         maximality_violations=violations,
         worst_excess=worst,
     ).to_dict()
+
+
+def naive_gauss_ints(count, rand, lo=-3, hi=3):
+    """``count`` (re, im) pairs drawn with ``random.Random.randint``, re first."""
+    return [(rand.randint(lo, hi), rand.randint(lo, hi)) for _ in range(count)]

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from psdcone import (
@@ -22,7 +22,7 @@ from psdcone import (
     write_matrix,
     write_spec,
 )
-from psdcone.cli import _count, _parse_dims, main
+from psdcone.cli import _count, _parse_dims, _tolerance, main
 from psdcone.io import matrix_from_obj, spec_from_obj
 from psdcone.preserver import KINDS
 
@@ -290,35 +290,75 @@ WORDS = st.text(alphabet="0123456789+-.,eEx ", max_size=8)
 CONG3 = str(SAMPLES / "congruence3.json")
 DIAG10 = str(SAMPLES / "diag10.json")
 DIAG11 = str(SAMPLES / "diag11.json")
-# command words before the numeric options, and the least legal --trials
+# command words before the numeric options, and the parser of each option
 COMMANDS = {
-    "decompose": (["decompose", DIAG10, DIAG11], 0),
-    "reconstruct": (["reconstruct", CONG3], 0),
-    "map verify": (["map", "verify", CONG3], 1),
-    "suite": (["suite", "--dims", "2"], 1),
+    "analyze": (["analyze", DIAG10, DIAG11], {"--tol": _tolerance}),
+    "decompose": (
+        ["decompose", DIAG10, DIAG11],
+        {"--trials": _count(0), "--seed": int, "--tol": _tolerance},
+    ),
+    "reconstruct": (["reconstruct", CONG3], {"--trials": _count(0), "--seed": int}),
+    "map verify": (
+        ["map", "verify", CONG3],
+        {"--trials": _count(1), "--seed": int, "--tol": _tolerance},
+    ),
+    "suite": (
+        ["suite", "--dims", "2"],
+        {"--trials": _count(1), "--seed": int, "--tol": _tolerance},
+    ),
 }
+# Python 3.11 argparse turns "--opt=--" into an empty list and skips the type
+BAD_WORDS = ("--", "nan", "inf", "-inf", "0", "-1", "")
+
+
+def numeric_argv(tmp_path_factory, command, option, bad):
+    words = COMMANDS[command][0]
+    prefix = ["--out-prefix", str(tmp_path_factory.getbasetemp() / "split")]
+    return words + (prefix if command == "decompose" else []) + [f"{option}={bad}"]
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 @settings(max_examples=25, deadline=None)
-@given(data=st.data())
-def test_malformed_numbers_are_usage_errors(tmp_path_factory, command, data):
-    words, least = COMMANDS[command]
-    prefix = ["--out-prefix", str(tmp_path_factory.getbasetemp() / "split")]
-    option, bad = data.draw(
-        st.one_of(
-            st.tuples(st.just("--trials"), WORDS.filter(rejected_by(_count(least)))),
-            st.tuples(st.just("--seed"), WORDS.filter(rejected_by(int))),
-        )
-    )
-    argv = words + (prefix if command == "decompose" else []) + [f"{option}={bad}"]
-    code, out, err = call_main(argv)
+@given(pick=st.integers(0, 2), bad=WORDS)
+@example(pick=0, bad="--").via("a dropped value")
+@example(pick=1, bad="--").via("a dropped value")
+@example(pick=2, bad="--").via("a dropped value")
+@example(pick=2, bad="nan").via("a non-finite tolerance")
+def test_malformed_numbers_are_usage_errors(tmp_path_factory, command, pick, bad):
+    options = COMMANDS[command][1]
+    option = sorted(options)[pick % len(options)]
+    assume(rejected_by(options[option])(bad))
+    code, out, err = call_main(numeric_argv(tmp_path_factory, command, option, bad))
     assert_usage_error(code, out, err)
     assert option in err
 
 
+NUMERIC_CASES = [
+    (command, option, bad)
+    for command, (_, options) in sorted(COMMANDS.items())
+    for option in sorted(options)
+    for bad in BAD_WORDS
+    if rejected_by(options[option])(bad)
+]
+
+
+@pytest.mark.parametrize("command,option,bad", NUMERIC_CASES)
+def test_dropped_and_out_of_range_numbers_are_usage_errors(tmp_path_factory, command, option, bad):
+    code, out, err = call_main(numeric_argv(tmp_path_factory, command, option, bad))
+    assert_usage_error(code, out, err)
+    assert option in err
+
+
+def test_tolerance_type_accepts_only_finite_positive_floats():
+    assert _tolerance("1e-6") == 1e-6 and _tolerance(" 2 ") == 2.0
+    for bad in ("nan", "inf", "-inf", "0", "-0.0", "-1", "", "--", "x"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _tolerance(bad)
+
+
 @settings(max_examples=40, deadline=None)
 @given(dims=WORDS.filter(rejected_by(_parse_dims)))
+@example(dims="--").via("a dropped value")
 def test_malformed_dims_are_usage_errors(dims):
     code, out, err = call_main(["suite", f"--dims={dims}", "--trials", "1"])
     assert_usage_error(code, out, err)

@@ -6,6 +6,7 @@ import pytest
 
 from psdcone.errors import GenerationError
 from psdcone.generators import (
+    _gauss_ints,
     derive_seed,
     random_direction,
     random_pair_with_relation,
@@ -17,7 +18,7 @@ from psdcone.generators import (
 from psdcone.linalg import EXACT, FLOAT, Matrix
 from psdcone.relations import analyze_pair
 
-from naive_oracles import grid_of, naive_det, CZERO
+from naive_oracles import grid_of, naive_det, naive_gauss_ints, CZERO
 
 
 def test_derive_seed_is_stable_and_salt_sensitive():
@@ -74,6 +75,16 @@ def test_direction_and_scalar_samplers_keep_the_stream():
         assert random_scalar(ours) == reference_direction(theirs, 1).entry(0, 0)
         assert ours.random() == theirs.random()
     assert all(random_scalar(random.Random(s)) for s in range(200))
+
+
+def test_gauss_ints_replay_the_randint_stream():
+    # drawing the parts through getrandbits keeps randint's rejection rule,
+    # so every seeded operator, pair and report replays unchanged
+    for seed in range(200):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for count in (1, 4, 25):
+            assert _gauss_ints(count, ours) == naive_gauss_ints(count, theirs)
+        assert ours.random() == theirs.random()
 
 
 def test_random_semilinear_invertible_by_independent_determinant():
