@@ -7,7 +7,9 @@ split is float-backend work (square roots are spectral); its defining
 invariants plus a sampled maximality oracle live in
 :func:`verify_decomposition`, which draws and checks its contractions as
 stacked arrays in fixed blocks, from the same random stream as one draw at a
-time.
+time.  Its range filter is decided by Frobenius bounds on the spectral
+residual, wide enough that it keeps and drops exactly the draws the spectral
+norms would; only a draw the bounds leave open pays for those norms.
 """
 
 from __future__ import annotations
@@ -114,6 +116,26 @@ def _dominated_residual(c: np.ndarray, p_base: np.ndarray) -> np.ndarray:
     return np.linalg.norm(r, 2, axis=(-2, -1)) / scale
 
 
+def _dominated(c: np.ndarray, p_base: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of ``_dominated_residual(c, p_base) <= tol`` over a (m, n, n) stack.
+
+    With R = (I-P) C (I-P) and ‖X‖₂ ≤ ‖X‖_F ≤ √n‖X‖₂: ‖R‖_F ≤ tol/2 puts the
+    residual at most tol/2 (its scale is ≥ 1), and
+    ‖R‖_F > 2·tol·√n·max(1, ‖C‖_F) puts it above 2·tol.  Rounding moves
+    either norm by far less than that factor of 2, so both decisions are the
+    spectral ones; only the draws in between take the spectral norms.
+    """
+    n = p_base.shape[-1]
+    q = np.eye(n) - p_base
+    fro_r = np.linalg.norm(q @ c @ q, axis=(-2, -1))
+    keep = fro_r <= tol / 2
+    scale = np.maximum(1.0, np.linalg.norm(c, axis=(-2, -1)))
+    undecided = ~keep & (fro_r <= 2.0 * tol * np.sqrt(n) * scale)
+    if undecided.any():
+        keep[undecided] = _dominated_residual(c[undecided], p_base) <= tol
+    return keep
+
+
 def verify_decomposition(
     dec: LebesgueDecomposition,
     a: PsdOperator,
@@ -131,9 +153,24 @@ def verify_decomposition(
     ``_ORACLE_BLOCK`` matrices: the random stream, and so every count, is
     the one drawn one contraction at a time, while memory stays
     O(block·n²) for any number of trials.
+
+    The range filter asks ‖(I-P) C (I-P)‖₂ / max(1, ‖C‖₂) ≤ tol, P
+    projecting onto ran base.  Frobenius norms, one reduction each instead
+    of an SVD, settle it (:func:`_dominated`): as ‖X‖₂ ≤ ‖X‖_F ≤ √n‖X‖₂,
+    they bound that residual from both sides with a factor of 2 to spare,
+    so every draw they keep or drop is one the spectral norms keep or drop.
+    Only draws between the bounds, in practice almost none, take the
+    spectral norms.
+
+    ``trials=0`` checks only the invariants; a negative count raises
+    ``ValueError``, and ``a`` must act on the decomposition's space.
     """
     if a.backend != FLOAT:
         raise BackendError("verification runs on the float backend")
+    if a.dim != dec.dim:
+        raise DimensionMismatchError("operators act on different spaces")
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     n = a.dim
     ac = dec.ac_part.matrix.array
     sing = dec.singular_part.matrix.array
@@ -162,7 +199,7 @@ def verify_decomposition(
         r[1::2] = p_dom @ r[1::2] @ p_dom  # still 0 ≤ R ≤ I, on the domain
         c = s @ r @ s
         c = (c + c.conj().swapaxes(-1, -2)) / 2.0
-        c = c[_dominated_residual(c, p_base) <= tol]
+        c = c[_dominated(c, p_base, tol)]
         kept += len(c)
         gaps = np.linalg.eigvalsh(cushion - c)[:, 0]
         excess = -gaps[gaps < -_MAXIMALITY_SLACK * scale_a]

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from psdcone.errors import BackendError
+from psdcone.errors import BackendError, DimensionMismatchError
 from psdcone.generators import derive_seed, random_pair_with_relation, random_psd
 from psdcone.lebesgue import (
     _ORACLE_BLOCK,
     LebesgueDecomposition,
+    _dominated,
+    _dominated_residual,
     ac_domain,
     decompose,
     verify_decomposition,
@@ -160,6 +162,68 @@ def test_stacked_oracle_matches_the_per_trial_reference(trials):
             worst = max(worst, want["worst_excess"])
     if trials >= 37:
         assert worst > 0  # reports with violations were among those compared
+
+
+def _band_stack(n, rng):
+    # C = α·(PSD on ran P) + ε·(PSD on ker P) + a Hermitian cross term, so that
+    # ‖(I-P) C (I-P)‖₂ = ε exactly in exact arithmetic while ‖C‖₂ ~ α; ε sweeps
+    # 1e-3·tol..1e3·tol relative to max(1, α), across the spectral threshold
+    # and the whole band the Frobenius bounds leave open
+    u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    k = int(rng.integers(1, n))
+    base, rest = u[:, :k], u[:, k:]
+    p_base = base @ base.conj().T
+    stack = []
+    for alpha in (1e-3, 0.5, 1.0, 2.0, 30.0):
+        for eps in np.logspace(-3, 3, 61) * DEFAULT_TOL * max(1.0, alpha):
+            top = np.diag(rng.uniform(0.2, 1.0, k))
+            top[0, 0] = 1.0
+            # equal eigenvalues on ker P make ‖R‖_F = √(n-k)·‖R‖₂, the loosest case
+            bottom = np.eye(n - k) if rng.random() < 0.5 else np.diag(rng.uniform(0.1, 1.0, n - k))
+            bottom /= bottom.max()
+            cross = rng.standard_normal((k, n - k)) * 1e-2 * alpha
+            c = alpha * base @ top @ base.conj().T + eps * rest @ bottom @ rest.conj().T
+            c += base @ cross @ rest.conj().T
+            c += rest @ cross.conj().T @ base.conj().T
+            stack.append(c)
+    return np.array(stack), p_base
+
+
+def test_frobenius_filter_decides_as_the_spectral_norms(monkeypatch):
+    import psdcone.lebesgue as lebesgue
+
+    rng = np.random.default_rng(derive_seed(7, 71))
+    stacks = [_band_stack(n, rng) for n in range(2, 7) for _ in range(3)]
+    wants = [_dominated_residual(c, p_base) <= DEFAULT_TOL for c, p_base in stacks]
+    reached = []
+
+    def counted(c, p_base):
+        reached.append(len(c))
+        return _dominated_residual(c, p_base)
+
+    monkeypatch.setattr(lebesgue, "_dominated_residual", counted)
+    for (c, p_base), want in zip(stacks, wants):
+        assert want.any() and not want.all()
+        assert np.array_equal(_dominated(c, p_base, DEFAULT_TOL), want), c.shape
+    # the band between the Frobenius bounds was reached, yet most draws were
+    # settled without the spectral norms
+    assert 0 < sum(reached) < sum(len(c) for c, _ in stacks) / 2
+
+
+def test_verify_rejects_an_operand_of_another_dimension():
+    a = _fop(np.eye(3))
+    dec = decompose(_fop(np.eye(4)), _fop(np.eye(4)))
+    with pytest.raises(DimensionMismatchError):
+        verify_decomposition(dec, a, trials=5)
+
+
+def test_verify_rejects_negative_trials():
+    a = _fop([[2.0, 0.0], [0.0, 1.0]])
+    dec = decompose(a, a)
+    with pytest.raises(ValueError):
+        verify_decomposition(dec, a, trials=-1)
+    check = verify_decomposition(dec, a, trials=0)
+    assert check.passed and check.maximality_sampled == 0
 
 
 def test_decompose_requires_float_backend():
