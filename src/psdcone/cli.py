@@ -60,6 +60,14 @@ def _convert(m: Matrix, backend: str) -> Matrix:
     return m.to_exact() if backend == EXACT else m.to_float()
 
 
+def _operand(m: Matrix, tol: float, where: str = "") -> PsdOperator:
+    """``m`` as a PSD operator; a matrix that is not PSD is a file error."""
+    try:
+        return PsdOperator.from_matrix(m, tol)
+    except ValueError as exc:
+        raise MatrixFileError(f"{where}{exc}") from None
+
+
 # ----------------------------------------------------------------------
 # analyze
 # ----------------------------------------------------------------------
@@ -74,11 +82,7 @@ def _cmd_analyze(args) -> int:
         raise BackendError(
             "inputs use different backends; pass --backend exact|float to convert"
         )
-    try:
-        pa = PsdOperator.from_matrix(a, args.tol)
-        pb = PsdOperator.from_matrix(b, args.tol)
-    except ValueError as exc:
-        raise MatrixFileError(str(exc)) from None
+    pa, pb = _operand(a, args.tol), _operand(b, args.tol)
     report = analyze_pair(pa, pb, args.tol)
     _emit(report.to_dict())
     rows = [
@@ -110,13 +114,9 @@ def _cmd_analyze(args) -> int:
 def _cmd_decompose(args) -> int:
     a = read_matrix(args.a)
     b = read_matrix(args.b)
+    pa, pb = _operand(a.to_float(), args.tol), _operand(b.to_float(), args.tol)
     if a.backend == EXACT or b.backend == EXACT:
         _note("note: converted exact input to the float backend for the decomposition")
-    try:
-        pa = PsdOperator.from_matrix(a.to_float(), args.tol)
-        pb = PsdOperator.from_matrix(b.to_float(), args.tol)
-    except ValueError as exc:
-        raise MatrixFileError(str(exc)) from None
     dec = decompose(pa, pb, args.tol)
     check = verify_decomposition(dec, pa, trials=args.trials, seed=args.seed, tol=args.tol)
     prefix = args.out_prefix or os.path.splitext(args.a)[0]
@@ -143,13 +143,10 @@ def _cmd_decompose(args) -> int:
 def _cmd_map_apply(args) -> int:
     spec = read_spec(args.spec)
     m = read_matrix(args.operand)
-    if m.backend == EXACT and not spec.exact_capable:
+    spectral = m.backend == EXACT and not spec.exact_capable
+    a = _operand(m.to_float() if spectral else m, args.tol, f"{args.operand}: ")
+    if spectral:
         _note("note: converted exact input to the float backend for a spectral map")
-        m = m.to_float()
-    try:
-        a = PsdOperator.from_matrix(m, args.tol)
-    except ValueError as exc:
-        raise MatrixFileError(f"{args.operand}: {exc}") from None
     image = apply_map(spec, a)
     _note(f"image rank {image.rank} on the {image.backend} backend")
     doc = matrix_to_obj(image.matrix)
@@ -388,13 +385,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MatrixFileError as exc:
-        _note(f"error: {exc}")
-        return 2
-    except OSError as exc:  # a missing, unreadable or unwritable path
-        _note(f"error: {exc}")
-        return 2
-    except (BackendError, DimensionMismatchError) as exc:
+    # OSError: a missing, unreadable or unwritable path
+    except (MatrixFileError, OSError, BackendError, DimensionMismatchError) as exc:
         _note(f"error: {exc}")
         return 2
     except (NotSemilinearError, LineMapError, GenerationError) as exc:

@@ -42,8 +42,13 @@ _ORACLE_BLOCK = 256
 def ac_domain(a: PsdOperator, b: PsdOperator, tol: float = DEFAULT_TOL) -> Subspace:
     """The subspace {x : a^{1/2} x ∈ ran b} (float backend)."""
     _check(a, b)
-    root = psd_sqrt(a)
-    return subspace_preimage(root.matrix, b.range(), tol)
+    return _root_and_domain(a, b, tol)[1]
+
+
+def _root_and_domain(a: PsdOperator, b: PsdOperator, tol: float) -> tuple[Matrix, Subspace]:
+    """a^{1/2} and the a.c. domain {x : a^{1/2} x ∈ ran b}, from one square root."""
+    root = psd_sqrt(a).matrix
+    return root, subspace_preimage(root, b.range(), tol)
 
 
 @dataclass(frozen=True)
@@ -68,9 +73,7 @@ def decompose(a: PsdOperator, b: PsdOperator, tol: float = DEFAULT_TOL) -> Lebes
     """
     _check(a, b)
     n = a.dim
-    root = psd_sqrt(a).matrix
-    # ac_domain(a, b, tol), without taking the square root a second time
-    domain = subspace_preimage(root, b.range(), tol)
+    root, domain = _root_and_domain(a, b, tol)
     p = domain.projector().array
     s = root.array
     ac = Matrix.from_float(s @ p @ s).hermitize()
@@ -182,8 +185,8 @@ def verify_decomposition(
     ac_ok = bool(_dominated_residual(ac, p_base) <= tol)
     singular_ok = is_singular(dec.singular_part, dec.base, tol)
 
-    root = psd_sqrt(a).matrix
-    p_dom = subspace_preimage(root, dec.base.range(), tol).projector().array
+    root, domain = _root_and_domain(a, dec.base, tol)
+    p_dom = domain.projector().array
     s = root.array
     rng = np.random.default_rng(derive_seed(seed, 71, n))
     cushion = ac + tol * np.eye(n)

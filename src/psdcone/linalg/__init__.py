@@ -10,6 +10,7 @@ from .subspace import (
     DEFAULT_TOL,
     Subspace,
     column_space,
+    common_dim,
     principal_sines,
     subspace_intersect,
     subspace_preimage,
@@ -42,6 +43,7 @@ __all__ = [
     "rank",
     "pinv",
     "column_space",
+    "common_dim",
     "subspace_sum",
     "subspace_intersect",
     "subspace_preimage",

@@ -12,7 +12,8 @@ fraction-free LDL*, and ``rref`` fraction-free Gauss–Jordan elimination, all
 on rows of Python ints and with no rounding.  Single entries are handed out
 as reduced :class:`~psdcone.linalg.scalar.GaussianRational` scalars.  The
 ``float`` backend stores complex128 arrays and relies on numpy's SVD/eigh
-with the usual ``max(m, n) * eps * sigma_max`` rank cutoff.
+with the usual ``max(m, n) * eps * sigma_max`` rank cutoff, applied by
+:func:`numerical_rank` alone.
 """
 
 from __future__ import annotations
@@ -35,6 +36,19 @@ _EPS = float(np.finfo(np.float64).eps)
 def default_rank_tol(rows: int, cols: int, smax: float) -> float:
     """Singular-value cutoff for numerical rank: max(m, n) * eps * sigma_max."""
     return max(rows, cols, 1) * _EPS * smax
+
+
+def numerical_rank(s: np.ndarray, rows: int, cols: int, tol: float | None = None) -> int:
+    """How many singular values ``s`` (descending) of a rows × cols matrix exceed
+    ``tol``, or :func:`default_rank_tol` when ``tol`` is None.
+
+    The one float rank cutoff: matrix rank and kernels, column spaces and
+    subspace bases all count through it.
+    """
+    if not s.size:
+        return 0
+    cut = tol if tol is not None else default_rank_tol(rows, cols, float(s[0]))
+    return int(np.sum(s > cut))
 
 
 class Matrix:
@@ -144,13 +158,17 @@ class Matrix:
         """Read-only complex128 view (converting when exact).
 
         Exact entries are rounded once, like ``float(Fraction)``: Python's
-        int true division rounds the exact quotient correctly.
+        int true division rounds the exact quotient correctly.  An entry
+        beyond the double range raises :class:`BackendError`.
         """
         if self.backend == FLOAT:
             return self._f
         arr = np.empty(self.shape, dtype=np.complex128)
-        arr.real = self._re / self._den
-        arr.imag = self._im / self._den
+        try:
+            arr.real = self._re / self._den
+            arr.imag = self._im / self._den
+        except OverflowError:
+            raise BackendError("an exact entry is too large for the float backend") from None
         arr.flags.writeable = False
         return arr
 
@@ -363,7 +381,7 @@ class Matrix:
             return 0
         if self.backend == EXACT:
             return len(_bareiss(self)[0])
-        return _float_rank(self._f, tol)
+        return numerical_rank(np.linalg.svd(self._f, compute_uv=False), *self.shape, tol)
 
     def pivot_columns(self) -> tuple[int, ...]:
         """Column indices where exact elimination places pivots."""
@@ -394,12 +412,8 @@ class Matrix:
             raise DimensionMismatchError("kernel of a zero-column matrix is degenerate")
         if self.backend == EXACT:
             return _exact_null_space(self)
-        a = self._f
-        u, s, vh = np.linalg.svd(a)
-        cut = tol if tol is not None else default_rank_tol(self.rows, self.cols, s[0] if s.size else 0.0)
-        r = int(np.sum(s > cut)) if s.size else 0
-        basis = vh[r:].conj().T
-        return Matrix.from_float(basis)
+        _, s, vh = np.linalg.svd(self._f)
+        return Matrix.from_float(vh[numerical_rank(s, *self.shape, tol) :].conj().T)
 
     def inverse(self) -> "Matrix":
         if not self.is_square:
@@ -586,18 +600,3 @@ def _exact_null_space(m: Matrix) -> Matrix:
     re[rows] = -red._re[: len(rows)][:, free]
     im[rows] = -red._im[: len(rows)][:, free]
     return _exact(re, im, red._den)
-
-
-# ----------------------------------------------------------------------
-# float kernels
-# ----------------------------------------------------------------------
-
-
-def _float_rank(a: np.ndarray, tol: float | None) -> int:
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    cut = tol if tol is not None else default_rank_tol(a.shape[0], a.shape[1], float(s[0]))
-    return int(np.sum(s > cut))

@@ -28,6 +28,9 @@ from .matrix import EXACT, FLOAT, Matrix, default_rank_tol, psd_certify_exact
 from .scalar import GaussianRational
 from .subspace import DEFAULT_TOL, Subspace, column_space
 
+#: entries up to this size hermitize, as (A + A*) / 2, without overflow
+_HERMITIZABLE = float(np.finfo(np.float64).max) / 2
+
 
 class PsdOperator:
     """A PSD matrix together with its (certified) rank and cached range.
@@ -66,23 +69,13 @@ class PsdOperator:
         """Validate PSD-ness and compute the rank.
 
         Exact input is certified; float input is checked against
-        ``max(m,n)*eps*scale`` (or ``tol``) and stored hermitized.
+        ``max(m,n)*eps*scale`` (or ``tol``) and stored hermitized.  Raises
+        ``ValueError`` naming why ``m`` is not PSD.
         """
-        if m.backend == EXACT:
-            ok, rank = psd_certify_exact(m)
-            if not ok:
-                raise ValueError("matrix is not positive semidefinite")
-            return cls(m, rank, _trusted=True)
-        scale = max(1.0, m.max_abs())
-        cut = tol if tol is not None else default_rank_tol(m.rows, m.cols, scale)
-        if not m.is_hermitian(tol=cut):
-            raise ValueError("matrix is not Hermitian within tolerance")
-        h = m.hermitize()
-        eig = np.linalg.eigvalsh(h.array)
-        if eig.size and float(eig[0]) < -cut * scale:
-            raise ValueError("matrix has a negative eigenvalue beyond tolerance")
-        rank = int(np.sum(eig > cut * scale))
-        return cls(h, rank, _trusted=True)
+        reason, stored, rank = _psd_test(m, tol)
+        if reason is not None:
+            raise ValueError(reason)
+        return cls(stored, rank, _trusted=True)
 
     @classmethod
     def certified(cls, m: Matrix, rank: int) -> "PsdOperator":
@@ -171,23 +164,39 @@ def _float_psd_range(m: Matrix, rank: int) -> Subspace:
     return Subspace(Matrix.from_float(basis), _validated=True)
 
 
+def _psd_test(m: Matrix, tol: float | None) -> tuple[str | None, Matrix, int]:
+    """The one PSD test: (why ``m`` is not PSD or None, the matrix to store, its rank).
+
+    Exact: the LDL* certificate of :func:`psd_certify_exact` decides, with
+    no tolerance.  Float: with scale = max(1, max |m_ij|) and cut = ``tol``
+    or max(m,n)·eps·scale, ``m`` must be Hermitian within cut (relative to
+    scale), and its hermitized form, which is what gets stored, may dip no
+    lower than −cut·scale; eigenvalues above cut·scale count toward the rank.
+    Float entries too large to hermitize raise ``ValueError``.
+    """
+    if m.backend == EXACT:
+        ok, rank = psd_certify_exact(m)
+        return (None if ok else "matrix is not positive semidefinite"), m, rank
+    scale = max(1.0, m.max_abs())
+    if scale > _HERMITIZABLE:
+        raise ValueError("float entries beyond half the double range overflow when hermitized")
+    cut = tol if tol is not None else default_rank_tol(m.rows, m.cols, scale)
+    if not m.is_hermitian(tol=cut):
+        return "matrix is not Hermitian within tolerance", m, 0
+    h = m.hermitize()
+    eig = np.linalg.eigvalsh(h.array)
+    if float(eig[0]) < -cut * scale:
+        return "matrix has a negative eigenvalue beyond tolerance", h, 0
+    return None, h, int(np.sum(eig > cut * scale))
+
+
 def psd_check(m: Matrix, tol: float | None = None) -> bool:
-    """Whether ``m`` is PSD.  Exact certification or eigenvalue test.
+    """Whether ``m`` is PSD, by the test :meth:`PsdOperator.from_matrix` applies.
 
     Non-Hermitian input answers False rather than raising.  For the float
     backend ``tol`` scales the permitted asymmetry and eigenvalue dip.
     """
-    if m.backend == EXACT:
-        ok, _ = psd_certify_exact(m)
-        return ok
-    if not m.is_square:
-        return False
-    scale = max(1.0, m.max_abs())
-    cut = tol if tol is not None else default_rank_tol(m.rows, m.cols, scale)
-    if not m.is_hermitian(tol=cut):
-        return False
-    eig = np.linalg.eigvalsh(m.hermitize().array)
-    return bool(eig.size == 0 or float(eig[0]) >= -cut * scale)
+    return _psd_test(m, tol)[0] is None
 
 
 def psd_sqrt(a: PsdOperator) -> PsdOperator:

@@ -21,11 +21,9 @@ class SemilinearOperator:
             raise ValueError(f"unknown flavor {flavor!r}")
         if not t.is_square:
             raise DimensionMismatchError("semilinear operators are square")
-        if t.backend == EXACT:
-            if t.rank() != t.rows:
-                raise ValueError("operator matrix is singular")
-        elif t.rank() != t.rows:
-            raise ValueError("operator matrix is numerically singular")
+        if t.rank() != t.rows:
+            kind = "singular" if t.backend == EXACT else "numerically singular"
+            raise ValueError(f"operator matrix is {kind}")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "flavor", flavor)
         object.__setattr__(self, "_float", None)

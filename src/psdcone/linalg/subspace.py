@@ -1,10 +1,13 @@
 """Subspaces of C^n and the lattice operations on them.
 
-Exact backend: bases are pivot columns of the generating matrix and every
-predicate reduces to an exact rank computation (equality and inclusion are
-mutual-inclusion rank tests).  Float backend: bases are kept orthonormal and
-predicates are decided through principal angles; the tolerance is an angle
-in radians (a direction counts as common when its sine is below ``tol``).
+Exact backend: bases are pivot columns of the generating matrix.  Float
+backend: bases are kept orthonormal, cut at the rank of
+:func:`~psdcone.linalg.matrix.numerical_rank`.  Every range comparison in
+the package (inclusion, equality, intersection dimension, and through them
+absolute continuity and singularity) is decided by :func:`common_dim`: an
+exact rank on the exact backend, a count of principal angles on the float
+one, where the tolerance is an angle in radians (a direction counts as
+common when its sine is at most ``tol``).
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import BackendError, DimensionMismatchError
-from .matrix import EXACT, FLOAT, Matrix, default_rank_tol
+from .matrix import EXACT, FLOAT, Matrix, numerical_rank
 
 #: default angle tolerance (radians) for float subspace decisions
 DEFAULT_TOL = 1e-8
@@ -32,8 +35,10 @@ class Subspace:
                 if basis.rank() != basis.cols:
                     raise ValueError("basis columns are not linearly independent")
             else:
-                q = _orthonormalize(basis.array, basis.cols)
-                object.__setattr__(self, "basis", Matrix.from_float(q))
+                span = column_space(basis)
+                if span.dim != basis.cols:
+                    raise ValueError("basis columns are not numerically independent")
+                object.__setattr__(self, "basis", span.basis)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -73,14 +78,7 @@ class Subspace:
     def contains(self, other: "Subspace", tol: float = DEFAULT_TOL) -> bool:
         """Whether ``other`` is included in this subspace."""
         _check_pair(self, other)
-        if other.dim == 0:
-            return True
-        if other.dim > self.dim:
-            return False
-        if self.backend == EXACT:
-            joint = Matrix.hstack([self.basis, other.basis])
-            return joint.rank() == self.dim
-        return float(np.max(principal_sines(other, self))) <= tol
+        return other.dim <= self.dim and common_dim(other, self, tol) == other.dim
 
     def equals(self, other: "Subspace", tol: float = DEFAULT_TOL) -> bool:
         _check_pair(self, other)
@@ -105,15 +103,6 @@ def _check_pair(u: Subspace, v: Subspace) -> None:
         raise BackendError("mixed-backend subspace operation; convert first")
 
 
-def _orthonormalize(arr: np.ndarray, expected_dim: int) -> np.ndarray:
-    u, s, _ = np.linalg.svd(arr, full_matrices=False)
-    cut = default_rank_tol(arr.shape[0], arr.shape[1], float(s[0]) if s.size else 0.0)
-    r = int(np.sum(s > cut))
-    if r != expected_dim:
-        raise ValueError("basis columns are not numerically independent")
-    return u[:, :expected_dim]
-
-
 def principal_sines(u: Subspace, v: Subspace) -> np.ndarray:
     """Sines of the principal angles of every direction of ``u`` against ``v``.
 
@@ -134,6 +123,22 @@ def principal_sines(u: Subspace, v: Subspace) -> np.ndarray:
     return np.clip(s, 0.0, 1.0)
 
 
+def common_dim(u: Subspace, v: Subspace, tol: float = DEFAULT_TOL) -> int:
+    """dim(u ∩ v), the one place a range intersection is decided.
+
+    Exact: u.dim + v.dim − rank [U | V], with no tolerance.  Float: the
+    number of directions of ``u`` whose principal-angle sine against ``v``
+    is at most ``tol``; not symmetric in u and v beyond rounding, so
+    inclusion of u in v reads it with u first.
+    """
+    _check_pair(u, v)
+    if u.dim == 0 or v.dim == 0:
+        return 0
+    if u.backend == EXACT:
+        return u.dim + v.dim - Matrix.hstack([u.basis, v.basis]).rank()
+    return int(np.sum(principal_sines(u, v) <= tol))
+
+
 def column_space(m: Matrix, rank_hint: int | None = None) -> Subspace:
     """Range of ``m`` as a subspace.
 
@@ -148,10 +153,7 @@ def column_space(m: Matrix, rank_hint: int | None = None) -> Subspace:
     if a.size == 0:
         return Subspace.zero(m.rows, FLOAT)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if rank_hint is not None:
-        r = rank_hint
-    else:
-        r = int(np.sum(s > default_rank_tol(m.rows, m.cols, float(s[0]) if s.size else 0.0)))
+    r = rank_hint if rank_hint is not None else numerical_rank(s, *m.shape)
     return Subspace(Matrix.from_float(u[:, :r]), _validated=True)
 
 
@@ -167,7 +169,7 @@ def subspace_sum(u: Subspace, v: Subspace, tol: float = DEFAULT_TOL) -> Subspace
     ub, vb = u.basis.array, v.basis.array
     w = vb - ub @ (ub.conj().T @ vb)
     uw, s, _ = np.linalg.svd(w, full_matrices=False)
-    k = int(np.sum(s > tol))
+    k = numerical_rank(s, *w.shape, tol)
     basis = np.hstack([ub, uw[:, :k]])
     return Subspace(Matrix.from_float(basis), _validated=True)
 
@@ -177,7 +179,8 @@ def subspace_intersect(u: Subspace, v: Subspace, tol: float = DEFAULT_TOL) -> Su
 
     Exact: solve [U | -V] (x; y) = 0 and collect the points U x (the x-parts
     of a kernel basis are independent because V has independent columns).
-    Float: principal directions whose angle sine is below ``tol``.
+    Float: the leading principal directions of u against v, as many as
+    :func:`common_dim` counts.
     """
     _check_pair(u, v)
     if u.dim == 0 or v.dim == 0:
@@ -188,9 +191,7 @@ def subspace_intersect(u: Subspace, v: Subspace, tol: float = DEFAULT_TOL) -> Su
         if kern.cols == 0:
             return Subspace.zero(u.ambient_dim, EXACT)
         return Subspace(u.basis @ kern.take_rows(range(u.dim)))
-    sines = principal_sines(u, v)
-    k = int(np.sum(sines <= tol))
-    k = min(k, v.dim)
+    k = min(common_dim(u, v, tol), v.dim)
     if k == 0:
         return Subspace.zero(u.ambient_dim, FLOAT)
     ub, vb = u.basis.array, v.basis.array

@@ -54,15 +54,10 @@ KINDS = (KIND_CONGRUENCE, KIND_FORM_IV, KIND_WILD, KIND_COMPOSITE)
 
 
 def _canonical_bytes(a: PsdOperator) -> bytes:
-    """Stable serialization of an operator for keying weight families."""
+    """Stable serialization of a float operator for keying weight families."""
     m = a.matrix
-    if m.backend == EXACT:
-        payload = repr(
-            tuple(tuple(v.to_strings() for v in row) for row in m.exact_rows)
-        ).encode()
-    else:
-        # adding 0.0 turns -0.0 into 0.0 and leaves every other value alone
-        payload = (np.ascontiguousarray(m.array) + 0.0).tobytes()
+    # adding 0.0 turns -0.0 into 0.0 and leaves every other value alone
+    payload = (np.ascontiguousarray(m.array) + 0.0).tobytes()
     return m.backend.encode() + b"|" + str(m.rows).encode() + b"|" + payload
 
 
@@ -242,10 +237,6 @@ def apply_map(spec: PreserverSpec, a: PsdOperator) -> PsdOperator:
     return out
 
 
-def _congruence_arg(op: SemilinearOperator, a: PsdOperator) -> Matrix:
-    return a.matrix.conj() if op.is_conjugate else a.matrix
-
-
 def _apply_congruence(op: SemilinearOperator, a: PsdOperator) -> PsdOperator:
     if a.backend == FLOAT:
         op = op.to_float()
@@ -253,18 +244,14 @@ def _apply_congruence(op: SemilinearOperator, a: PsdOperator) -> PsdOperator:
         raise BackendError("float operator cannot act on an exact operand; convert it")
     if a.factor is not None:
         return PsdOperator.from_factor(op.apply_matrix(a.factor))
-    t = op.t
-    m = t @ _congruence_arg(op, a) @ t.H
+    m = op.apply_matrix(a.matrix) @ op.t.H
     if m.backend == FLOAT:
         m = m.hermitize()
     return PsdOperator.certified(m, a.rank)
 
 
 def _apply_form_iv(op: SemilinearOperator, weights: WeightFamily, a: PsdOperator) -> PsdOperator:
-    op = op.to_float()
-    t = op.t
-    s = (t @ _congruence_arg(op, a) @ t.H).hermitize()
-    root = psd_sqrt(PsdOperator.certified(s, a.rank)).matrix
+    root = psd_sqrt(_apply_congruence(op, a)).matrix
     z = weights.z_for(a)
     out = (root @ z @ root).hermitize()
     return PsdOperator.certified(out, a.rank)

@@ -1,11 +1,14 @@
 """Order and range relations between PSD operators.
 
-On the exact backend every predicate is decided with exact rank /
-elimination arguments.  On the float backend range comparisons go through
-principal angles (tolerance = angle in radians) and order comparisons
-through eigenvalue bounds.  In finite dimension absolute continuity is
-plain range inclusion and singularity is trivial range intersection, which
-is what these predicates compute.
+In finite dimension absolute continuity is range inclusion and singularity
+is trivial range intersection, so both come down to one number,
+dim(ran a ∩ ran b): a ≪ b iff it equals rank a, a ⊥ b iff it is 0.  That
+number is decided by :func:`~psdcone.linalg.subspace.common_dim` (exact
+rank, or principal angles at ``tol`` radians on the float backend), and
+every range predicate here reads it through :func:`relation_triple` or
+:func:`analyze_pair`.  The Loewner order is decided by
+:func:`~psdcone.linalg.psd.psd_check`.  Nothing in this module forks on the
+backend.
 """
 
 from __future__ import annotations
@@ -15,14 +18,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import BackendError, DimensionMismatchError
-from .linalg import (
-    DEFAULT_TOL,
-    EXACT,
-    Matrix,
-    PsdOperator,
-    principal_sines,
-    psd_check,
-)
+from .linalg import DEFAULT_TOL, PsdOperator, common_dim, psd_check
 
 
 def _check_pair(a: PsdOperator, b: PsdOperator) -> None:
@@ -33,15 +29,10 @@ def _check_pair(a: PsdOperator, b: PsdOperator) -> None:
 
 
 def _intersection_dim(a: PsdOperator, b: PsdOperator, tol: float) -> int:
-    """dim(ran a ∩ ran b), decided per backend."""
-    ra, rb = a.rank, b.rank
-    if ra == 0 or rb == 0:
+    """dim(ran a ∩ ran b), without forming a range when either operator is zero."""
+    if a.rank == 0 or b.rank == 0:
         return 0
-    if a.backend == EXACT:
-        joint = Matrix.hstack([a.range().basis, b.range().basis])
-        return ra + rb - joint.rank()
-    sines = principal_sines(a.range(), b.range())
-    return int(np.sum(sines <= tol))
+    return common_dim(a.range(), b.range(), tol)
 
 
 def relation_triple(
@@ -61,22 +52,18 @@ def leq(a: PsdOperator, b: PsdOperator, tol: float | None = None) -> bool:
 
 def is_singular(a: PsdOperator, b: PsdOperator, tol: float = DEFAULT_TOL) -> bool:
     """Mutual singularity: ranges intersect only in 0."""
-    _check_pair(a, b)
-    return _intersection_dim(a, b, tol) == 0
+    return relation_triple(a, b, tol)[2]
 
 
 def is_abs_continuous(a: PsdOperator, b: PsdOperator, tol: float = DEFAULT_TOL) -> bool:
     """Absolute continuity of a with respect to b: ran a ⊆ ran b."""
-    _check_pair(a, b)
-    return _intersection_dim(a, b, tol) == a.rank
+    return relation_triple(a, b, tol)[0]
 
 
 def same_range_class(a: PsdOperator, b: PsdOperator, tol: float = DEFAULT_TOL) -> bool:
     """Mutual absolute continuity, i.e. equal ranges."""
-    _check_pair(a, b)
-    if a.rank != b.rank:
-        return False
-    return _intersection_dim(a, b, tol) == a.rank
+    ab, ba, _ = relation_triple(a, b, tol)
+    return ab and ba
 
 
 def _pinv_sqrt_array(b: PsdOperator) -> np.ndarray:
@@ -95,14 +82,14 @@ def min_domination_constant(
 ) -> float | None:
     """Least c ≥ 0 with a ≤ c·b, or None when no constant exists.
 
-    Computed on the float backend as the top eigenvalue of
-    (b^{1/2})^+ a (b^{1/2})^+; exact inputs are converted first.
+    Whether one exists (a ≪ b) is decided on the operands' own backend, as
+    :func:`analyze_pair` decides it, so the two always agree.  The value is
+    then computed on float copies as the top eigenvalue of
+    (b^{1/2})^+ a (b^{1/2})^+.
     """
-    _check_pair(a, b)
-    af, bf = a.to_float(), b.to_float()
-    if not is_abs_continuous(af, bf, tol):
+    if not is_abs_continuous(a, b, tol):
         return None
-    return _domination_constant(af, bf)
+    return _domination_constant(a.to_float(), b.to_float())
 
 
 def _domination_constant(af: PsdOperator, bf: PsdOperator) -> float:

@@ -67,22 +67,32 @@ class _Section:
             if len(self.notes) < 8:
                 self.notes.append(label)
 
-    def to_dict(self) -> dict:
+    def result(self) -> tuple[dict, int]:
+        """The section's report entry and its failure count."""
         out = {"checks": self.checks, "failures": self.failures}
         if self.notes:
             out["first_failures"] = list(self.notes)
-        return out
+        return out, self.failures
 
 
-def _relations_section(dims, trials, seed, sec: _Section) -> None:
+def _pairs(dim: int, count: int, seed: int, stream: int):
+    """``count`` seeded pairs with a requested relation, cycling through the kinds.
+
+    Yields (a, b, kind, tag); ``stream`` keeps each section's draws apart.
+    """
+    kinds = _relation_kinds(dim)
+    for k in range(count):
+        kind = kinds[k % len(kinds)]
+        a, b = random_pair_with_relation(dim, kind, derive_seed(seed, stream, dim, k))
+        yield a, b, kind, f"dim={dim} k={k} kind={kind}"
+
+
+def _relations_section(dims, trials, seed, skip_float, tol):
+    sec = _Section()
     scale = 2**_DOMINATION_EXPONENT
     for dim in dims:
-        kinds = _relation_kinds(dim)
-        for k in range(trials):
-            kind = kinds[k % len(kinds)]
-            a, b = random_pair_with_relation(dim, kind, derive_seed(seed, 1, dim, k))
+        for a, b, kind, tag in _pairs(dim, trials, seed, 1):
             rep = analyze_pair(a, b)
-            tag = f"dim={dim} k={k} kind={kind}"
             wanted = {
                 "ac": rep.abs_cont_ab,
                 "singular": rep.singular,
@@ -103,17 +113,15 @@ def _relations_section(dims, trials, seed, sec: _Section) -> None:
                 rep.singular == (rep.dim_range_intersection == 0),
                 f"{tag}: singularity flag out of step with intersection",
             )
+    return sec.result()
 
 
-def _witness_section(dims, trials, seed, sec: _Section) -> None:
+def _witness_section(dims, trials, seed, skip_float, tol):
+    sec = _Section()
     scale = 2**_DOMINATION_EXPONENT
     for dim in dims:
-        kinds = _relation_kinds(dim)
-        for k in range(max(1, trials // 4)):
-            kind = kinds[k % len(kinds)]
-            a, b = random_pair_with_relation(dim, kind, derive_seed(seed, 2, dim, k))
+        for a, b, _, tag in _pairs(dim, max(1, trials // 4), seed, 2):
             inter = subspace_intersect(a.range(), b.range())
-            tag = f"dim={dim} k={k} kind={kind}"
             if inter.dim == 0:
                 sec.record(
                     analyze_pair(a, b).singular,
@@ -130,9 +138,11 @@ def _witness_section(dims, trials, seed, sec: _Section) -> None:
                 leq(c, a.scaled(scale)) and leq(c, b.scaled(scale)),
                 f"{tag}: intersection vector fails to witness the common part",
             )
+    return sec.result()
 
 
-def _maps_section(dims, trials, seed, skip_float, tol, out: dict) -> int:
+def _maps_section(dims, trials, seed, skip_float, tol):
+    out: dict = {}
     failures = 0
     map_trials = max(10, trials // 2)
     for name in ("congruence", "form_iv", "wild"):
@@ -159,10 +169,11 @@ def _maps_section(dims, trials, seed, skip_float, tol, out: dict) -> int:
             }
             failures += len(rep.violations)
         out[name] = per_dim
-    return failures
+    return out, failures
 
 
-def _range_form_section(dims, trials, seed, skip_float, tol, sec: _Section) -> None:
+def _range_form_section(dims, trials, seed, skip_float, tol):
+    sec = _Section()
     samples = max(8, trials // 8)
     for dim in dims:
         t = random_semilinear(dim, derive_seed(seed, 8, dim))
@@ -176,9 +187,11 @@ def _range_form_section(dims, trials, seed, skip_float, tol, sec: _Section) -> N
                 spec, t, trials=samples, seed=derive_seed(seed, 11, dim), tol=tol
             )
             sec.record(rep_f.passed, f"dim={dim}: weighted-map range covariance broken")
+    return sec.result()
 
 
-def _projective_section(dims, trials, seed, skip_float, sec: _Section) -> None:
+def _projective_section(dims, trials, seed, skip_float, tol):
+    sec = _Section()
     proj_trials = min(trials, 40)
     for dim in dims:
         if dim < 3:
@@ -207,20 +220,19 @@ def _projective_section(dims, trials, seed, skip_float, sec: _Section) -> None:
             swap_counterexample_line_map(dim), trials=0, seed=0
         ).passed
         sec.record(detected, f"dim={dim}: swap counterexample slipped through")
+    return sec.result()
 
 
-def _lebesgue_section(dims, trials, seed, tol, sec: _Section) -> None:
+def _lebesgue_section(dims, trials, seed, skip_float, tol):
+    sec = _Section()
     check_trials = min(60, max(10, trials // 4))
     for dim in dims:
-        for k in range(max(2, trials // 20)):
-            kind = _relation_kinds(dim)[k % len(_relation_kinds(dim))]
-            a, b = random_pair_with_relation(dim, kind, derive_seed(seed, 16, dim, k))
+        for k, (a, b, _, tag) in enumerate(_pairs(dim, max(2, trials // 20), seed, 16)):
             af, bf = a.to_float(), b.to_float()
             dec = decompose(af, bf, tol)
             chk = verify_decomposition(
                 dec, af, trials=check_trials, seed=derive_seed(seed, 17, dim, k) % 2**32, tol=tol
             )
-            tag = f"dim={dim} k={k} kind={kind}"
             sec.record(chk.passed, f"{tag}: decomposition check failed")
             if dec.ac_part.rank:
                 sec.record(
@@ -242,14 +254,13 @@ def _lebesgue_section(dims, trials, seed, tol, sec: _Section) -> None:
             and dec.ac_part.matrix.allclose(any_a.matrix, tol),
             f"dim={dim}: invertible base must absorb everything",
         )
+    return sec.result()
 
 
-def _agreement_section(dims, trials, seed, tol, sec: _Section) -> None:
+def _agreement_section(dims, trials, seed, skip_float, tol):
+    sec = _Section()
     for dim in dims:
-        kinds = _relation_kinds(dim)
-        for k in range(max(4, trials // 4)):
-            kind = kinds[k % len(kinds)]
-            a, b = random_pair_with_relation(dim, kind, derive_seed(seed, 21, dim, k))
+        for a, b, _, tag in _pairs(dim, max(4, trials // 4), seed, 21):
             exact_rep = analyze_pair(a, b)
             float_rep = analyze_pair(a.to_float(), b.to_float(), tol)
             same = (
@@ -259,10 +270,12 @@ def _agreement_section(dims, trials, seed, tol, sec: _Section) -> None:
                 and exact_rep.leq_ab == float_rep.leq_ab
                 and exact_rep.dim_range_intersection == float_rep.dim_range_intersection
             )
-            sec.record(same, f"dim={dim} k={k} kind={kind}: backends disagree")
+            sec.record(same, f"{tag}: backends disagree")
+    return sec.result()
 
 
-def _pinv_section(dims, trials, seed, skip_float, sec: _Section) -> None:
+def _pinv_section(dims, trials, seed, skip_float, tol):
+    sec = _Section()
     for dim in dims:
         for k in range(max(3, trials // 20)):
             rand = random.Random(derive_seed(seed, 22, dim, k))
@@ -293,6 +306,22 @@ def _pinv_section(dims, trials, seed, skip_float, sec: _Section) -> None:
                     and pf.rank() == m.rank()
                 )
                 sec.record(okf, f"{tag}: float pseudoinverse identities broken")
+    return sec.result()
+
+
+#: (report key, section, whether the section needs the float backend), in
+#: running order; every section takes (dims, trials, seed, skip_float, tol)
+#: and returns its report entry and failure count
+_SECTIONS = (
+    ("relations", _relations_section, False),
+    ("witnesses", _witness_section, False),
+    ("maps", _maps_section, False),
+    ("range_form", _range_form_section, False),
+    ("projective", _projective_section, False),
+    ("lebesgue", _lebesgue_section, True),
+    ("backend_agreement", _agreement_section, True),
+    ("pinv", _pinv_section, False),
+)
 
 
 def run_suite(
@@ -311,48 +340,12 @@ def run_suite(
 
     sections: dict[str, dict] = {}
     failures = 0
-
-    relations = _Section()
-    _relations_section(dims, trials, seed, relations)
-    sections["relations"] = relations.to_dict()
-    failures += relations.failures
-
-    witnesses = _Section()
-    _witness_section(dims, trials, seed, witnesses)
-    sections["witnesses"] = witnesses.to_dict()
-    failures += witnesses.failures
-
-    maps_out: dict = {}
-    failures += _maps_section(dims, trials, seed, skip_float, tol, maps_out)
-    sections["maps"] = maps_out
-
-    range_form = _Section()
-    _range_form_section(dims, trials, seed, skip_float, tol, range_form)
-    sections["range_form"] = range_form.to_dict()
-    failures += range_form.failures
-
-    projective = _Section()
-    _projective_section(dims, trials, seed, skip_float, projective)
-    sections["projective"] = projective.to_dict()
-    failures += projective.failures
-
-    if skip_float:
-        sections["lebesgue"] = {"skipped": True}
-        sections["backend_agreement"] = {"skipped": True}
-    else:
-        lebesgue = _Section()
-        _lebesgue_section(dims, trials, seed, tol, lebesgue)
-        sections["lebesgue"] = lebesgue.to_dict()
-        failures += lebesgue.failures
-        agreement = _Section()
-        _agreement_section(dims, trials, seed, tol, agreement)
-        sections["backend_agreement"] = agreement.to_dict()
-        failures += agreement.failures
-
-    pinv = _Section()
-    _pinv_section(dims, trials, seed, skip_float, pinv)
-    sections["pinv"] = pinv.to_dict()
-    failures += pinv.failures
+    for name, section, float_only in _SECTIONS:
+        if float_only and skip_float:
+            sections[name] = {"skipped": True}
+            continue
+        sections[name], failed = section(dims, trials, seed, skip_float, tol)
+        failures += failed
 
     return {
         "dims": dims,

@@ -462,10 +462,44 @@ def test_unreadable_input_files_are_usage_errors(tmp_path, capsys, command, cont
     assert_usage_error(code, out, err)
 
 
+@pytest.mark.parametrize(
+    "entry, argv",
+    [
+        ("exact", ["analyze", "{}", "{}"]),
+        ("exact", ["analyze", "{}", "{}", "--backend", "float"]),
+        ("exact", ["decompose", "{}", DIAG10]),
+        ("float", ["analyze", "{}", "{}"]),
+        ("float", ["decompose", "{}", DIAG10]),
+    ],
+)
+def test_entries_beyond_double_range_are_usage_errors(tmp_path, capsys, entry, argv):
+    # an exact 10^400 used to escape the exact-to-float conversion as an
+    # OverflowError traceback with exit 1; a finite 1e308 overflows when
+    # hermitized, and used to print numpy warnings and blame a non-finite entry
+    path = tmp_path / "huge.json"
+    if entry == "exact":
+        write_matrix(path, Matrix.exact([[10**400, 0], [0, 0]]))
+    else:
+        write_matrix(path, Matrix.from_float([[1e308, 1e308], [1e308, 1e308]]))
+    argv = [str(path) if w == "{}" else w for w in argv]
+    if argv[0] == "decompose":
+        argv += ["--out-prefix", str(tmp_path / "split")]
+    code, out, err = run_cli(capsys, *argv)
+    assert_usage_error(code, out, err)
+    assert ("too large" if entry == "exact" else "overflow") in err
+
+
 def test_reconstruct_matches_packaged_golden_output(capsys):
     code, out, _ = run_cli(capsys, "reconstruct", str(SAMPLES / "congruence3.json"))
     assert code == 0
     assert out == (SAMPLES / "reconstruct_congruence3.json").read_text()
+
+
+def test_suite_matches_packaged_golden_output(capsys):
+    # the report of this exact invocation is pinned byte for byte
+    code, out, _ = run_cli(capsys, "suite", "--dims", "2..4", "--trials", "200", "--seed", "7")
+    assert code == 0
+    assert out == (SAMPLES / "suite_dims2-4_trials200_seed7.txt").read_text()
 
 
 def test_suite_stdout_is_deterministic(capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from psdcone.errors import BackendError
 from psdcone.linalg import (
+    EXACT,
     FLOAT,
     Matrix,
     PsdOperator,
@@ -53,6 +54,36 @@ def test_psd_check_tolerance_semantics():
     assert psd_check(wiggle)
     assert not psd_check(Matrix.from_float([[1.0, 0.0], [0.0, -1e-3]]))
     assert not psd_check(Matrix.from_float([[0.0, 1.0], [0.0, 0.0]]))  # not Hermitian
+
+
+def _accepted(m):
+    try:
+        PsdOperator.from_matrix(m)
+    except ValueError:
+        return False
+    return True
+
+
+def test_psd_check_is_from_matrix_success():
+    rng = np.random.default_rng(29)
+    verdicts = set()
+    for k in range(60):
+        n = int(rng.integers(1, 5))
+        g = rng.integers(-3, 4, size=(n, n)) + 1j * rng.integers(-3, 4, size=(n, n))
+        if k % 3 == 0:
+            data = g @ g.conj().T  # Hermitian PSD, often rank deficient
+        elif k % 3 == 1:
+            data = g + g.conj().T  # Hermitian, usually indefinite
+        else:
+            data = g  # usually not Hermitian
+        for m in (
+            Matrix.from_float(data),
+            Matrix.exact([[(int(z.real), int(z.imag)) for z in row] for row in data]),
+        ):
+            verdict = psd_check(m)
+            assert verdict == _accepted(m), (k, m.backend)
+            verdicts.add((m.backend, verdict))
+    assert verdicts == {(b, v) for b in (EXACT, FLOAT) for v in (True, False)}
 
 
 def test_psd_sqrt_frozen_values():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from psdcone.generators import derive_seed, random_pair_with_relation, random_psd
-from psdcone.linalg import EXACT, FLOAT, Matrix, PsdOperator
+from psdcone.linalg import EXACT, FLOAT, Matrix, PsdOperator, common_dim, subspace_intersect
 from psdcone.relations import (
     analyze_pair,
     is_abs_continuous,
@@ -110,15 +110,34 @@ def test_leq_basics():
     assert leq(a, a)
 
 
+def _sweep_pairs():
+    """Seeded exact pairs over dims 1-5 and every rank pair, zero operators
+    included, each also against a + b (which dominates a); then their float copies."""
+    pairs = []
+    for dim in range(1, 6):
+        for ra in range(dim + 1):
+            for rb in range(dim + 1):
+                a = random_psd(dim, ra, derive_seed(13, dim, ra, rb, 0))
+                b = random_psd(dim, rb, derive_seed(13, dim, ra, rb, 1))
+                pairs += [(a, b), (a, PsdOperator.from_matrix(a.matrix + b.matrix))]
+    return pairs + [(a.to_float(), b.to_float()) for a, b in pairs]
+
+
 def test_relation_triple_consistent_with_analyze():
-    rand = random.Random(13)
-    for k in range(40):
-        dim = rand.randint(2, 4)
-        a = random_psd(dim, rand.randint(0, dim), derive_seed(13, k, 0))
-        b = random_psd(dim, rand.randint(0, dim), derive_seed(13, k, 1))
-        triple = relation_triple(a, b)
+    for a, b in _sweep_pairs():
         rep = analyze_pair(a, b)
-        assert triple == (rep.abs_cont_ab, rep.abs_cont_ba, rep.singular)
+        assert relation_triple(a, b) == (rep.abs_cont_ab, rep.abs_cont_ba, rep.singular)
+        assert is_abs_continuous(a, b) == rep.abs_cont_ab
+        assert is_abs_continuous(b, a) == rep.abs_cont_ba
+        assert is_singular(a, b) == rep.singular
+        assert same_range_class(a, b) == rep.same_range_class
+        assert min_domination_constant(a, b) == rep.min_domination_constant
+        u, v = a.range(), b.range()
+        inter = common_dim(u, v)
+        assert inter == rep.dim_range_intersection
+        assert subspace_intersect(u, v).dim == inter
+        assert v.contains(u) == (inter == u.dim)
+        assert u.contains(v) == (common_dim(v, u) == v.dim)
 
 
 def test_same_range_class():
@@ -149,6 +168,8 @@ def test_report_constant_follows_its_own_domination_decision():
     rep = analyze_pair(a, b)
     assert rep.abs_cont_ab
     assert rep.min_domination_constant is not None
+    # the public function decides on the same backend, so it names the same constant
+    assert min_domination_constant(a, b) == rep.min_domination_constant
 
 
 def test_float_report_matches_exact_on_integer_data():
