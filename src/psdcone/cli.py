@@ -242,12 +242,12 @@ def _parse_dims(text: str) -> list[int]:
             dims = list(range(int(lo_s), int(hi_s) + 1))
         else:
             dims = [int(part) for part in text.split(",") if part.strip()]
-        if not dims or min(dims) < 1:
+        if not dims or min(dims) < 2:
             raise ValueError
         return dims
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"cannot read dimension list {text!r}; use positive dimensions in "
+            f"cannot read dimension list {text!r}; use dimensions of at least 2 in "
             "forms like '3', '2,4,5' or '2..5'"
         ) from None
 

@@ -176,8 +176,6 @@ def spec_to_obj(spec: PreserverSpec) -> dict:
         out["T"] = matrix_to_obj(spec.operator.t)
         out["flavor"] = spec.operator.flavor
     if spec.kind == KIND_FORM_IV:
-        if not spec.weights.is_seeded:
-            raise ValueError("only seeded weight families can be serialized")
         out["z_seed"] = spec.weights.seed
     if spec.kind == KIND_WILD:
         out["seed"] = spec.wild_seed

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .matrix import EXACT, FLOAT, Matrix, default_rank_tol, psd_certify_exact
-from .psd import PsdOperator, douglas_factor, psd_check, psd_sqrt
+from .psd import PsdOperator, douglas_factor, psd_check, psd_sqrt, spectral_root
 from .scalar import GaussianRational
 from .semilinear import FLAVOR_CONJUGATE, FLAVOR_LINEAR, FLAVORS, SemilinearOperator
 from .subspace import (
@@ -50,6 +50,7 @@ __all__ = [
     "principal_sines",
     "psd_check",
     "psd_sqrt",
+    "spectral_root",
     "douglas_factor",
     "default_rank_tol",
     "psd_certify_exact",

@@ -15,6 +15,10 @@ keep them: T G under a congruence (T conj(G) for the conjugate flavor), and
 V G or V (G*)^-1 on the invertible operands of a wild map with exponent +1
 or -1.  Every other exact operator is unfactored, and its range is
 eliminated and checked against its certified rank.
+
+Float operators keep their eigendecomposition the way exact ones keep G,
+computed once when first read: the range (the top ``rank`` eigenvectors),
+the square root and the pseudo-inverse root all read that one copy.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ class PsdOperator:
     ``factor`` is an exact G of full column rank with A = G G*, or None.
     """
 
-    __slots__ = ("dim", "backend", "rank", "factor", "_matrix", "_range")
+    __slots__ = ("dim", "backend", "rank", "factor", "_matrix", "_range", "_eigh")
 
     def __init__(
         self,
@@ -60,6 +64,7 @@ class PsdOperator:
         put(self, "factor", factor)
         put(self, "_matrix", matrix)
         put(self, "_range", None)
+        put(self, "_eigh", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PsdOperator is immutable")
@@ -115,10 +120,25 @@ class PsdOperator:
                 sub = column_space(self.matrix)
                 if sub.dim != self.rank:
                     raise ArithmeticError("certified rank disagrees with elimination")
+            elif self.rank == 0:
+                sub = Subspace.zero(self.dim, FLOAT)
             else:
-                sub = _float_psd_range(self.matrix, self.rank)
+                basis = self.eigh()[1][:, self.dim - self.rank :]
+                sub = Subspace(Matrix.from_float(basis), _validated=True)
             object.__setattr__(self, "_range", sub)
         return self._range
+
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ascending eigenvalues and eigenvectors (float); computed once."""
+        if self._eigh is None:
+            if self.backend != FLOAT:
+                raise BackendError("eigendecompositions are float work; convert first")
+            eigval, eigvec = np.linalg.eigh(self.matrix.array)
+            if not np.isfinite(eigval).all():
+                raise BackendError("eigenvalues overflow the double range")
+            eigval.flags.writeable = eigvec.flags.writeable = False
+            object.__setattr__(self, "_eigh", (eigval, eigvec))
+        return self._eigh
 
     def to_float(self) -> "PsdOperator":
         if self.backend == FLOAT:
@@ -156,14 +176,6 @@ def _real_value(c):
     return None if z.im else z.re
 
 
-def _float_psd_range(m: Matrix, rank: int) -> Subspace:
-    if rank == 0:
-        return Subspace.zero(m.rows, FLOAT)
-    eigval, eigvec = np.linalg.eigh(m.array)
-    basis = eigvec[:, m.rows - rank :]
-    return Subspace(Matrix.from_float(basis), _validated=True)
-
-
 def _psd_test(m: Matrix, tol: float | None) -> tuple[str | None, Matrix, int]:
     """The one PSD test: (why ``m`` is not PSD or None, the matrix to store, its rank).
 
@@ -172,7 +184,8 @@ def _psd_test(m: Matrix, tol: float | None) -> tuple[str | None, Matrix, int]:
     or max(m,n)·eps·scale, ``m`` must be Hermitian within cut (relative to
     scale), and its hermitized form, which is what gets stored, may dip no
     lower than −cut·scale; eigenvalues above cut·scale count toward the rank.
-    Float entries too large to hermitize raise ``ValueError``.
+    Float entries too large to hermitize, or a spectrum beyond the double
+    range, raise ``ValueError``.
     """
     if m.backend == EXACT:
         ok, rank = psd_certify_exact(m)
@@ -185,6 +198,8 @@ def _psd_test(m: Matrix, tol: float | None) -> tuple[str | None, Matrix, int]:
         return "matrix is not Hermitian within tolerance", m, 0
     h = m.hermitize()
     eig = np.linalg.eigvalsh(h.array)
+    if not np.isfinite(eig).all():
+        raise ValueError("eigenvalues overflow the double range")
     if float(eig[0]) < -cut * scale:
         return "matrix has a negative eigenvalue beyond tolerance", h, 0
     return None, h, int(np.sum(eig > cut * scale))
@@ -199,19 +214,25 @@ def psd_check(m: Matrix, tol: float | None = None) -> bool:
     return _psd_test(m, tol)[0] is None
 
 
-def psd_sqrt(a: PsdOperator) -> PsdOperator:
-    """The PSD square root (float backend only).
+def spectral_root(a: PsdOperator, inverse: bool = False) -> np.ndarray:
+    """a^{1/2}, or (a^{1/2})^+ when ``inverse`` (float backend only).
 
-    Eigenvalues below the certified rank are zeroed, so the root has exactly
-    the rank (and hence the range) of the input.
+    Eigenvalues below the certified rank count as zero, so either root has
+    exactly the rank (and hence the range) of ``a``.
     """
-    if a.backend != FLOAT:
-        raise BackendError("psd_sqrt requires the float backend; convert first")
-    n = a.dim
-    eigval, eigvec = np.linalg.eigh(a.matrix.array)
-    lam = np.clip(eigval, 0.0, None)
-    lam[: n - a.rank] = 0.0
-    root = (eigvec * np.sqrt(lam)) @ eigvec.conj().T
+    eigval, eigvec = a.eigh()
+    kept = eigval[a.dim - a.rank :]
+    power = np.zeros(a.dim)
+    if inverse:
+        power[a.dim - a.rank :] = 1.0 / np.sqrt(np.maximum(kept, np.finfo(float).tiny))
+    else:
+        power[a.dim - a.rank :] = np.sqrt(np.clip(kept, 0.0, None))
+    return (eigvec * power) @ eigvec.conj().T
+
+
+def psd_sqrt(a: PsdOperator) -> PsdOperator:
+    """The PSD square root (float backend only), of exactly the rank of ``a``."""
+    root = spectral_root(a)
     root = (root + root.conj().T) / 2.0
     return PsdOperator(Matrix.from_float(root), a.rank, _trusted=True)
 

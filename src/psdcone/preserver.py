@@ -64,40 +64,24 @@ def _canonical_bytes(a: PsdOperator) -> bytes:
 class WeightFamily:
     """Deterministic family A ↦ Z_A of invertible positive float weights.
 
-    Seeded families hash (seed, A) to draw Z_A = G G* + I; a constant family
-    returns one fixed matrix for every input (handy in tests).
+    The family hashes (seed, A) to draw Z_A = G G* + I.
     """
 
-    __slots__ = ("seed", "_constant")
+    __slots__ = ("seed",)
 
-    def __init__(self, seed: int | None = None, constant: Matrix | None = None):
-        if (seed is None) == (constant is None):
-            raise ValueError("provide exactly one of seed or constant")
-        if seed is not None and seed < 0:
+    def __init__(self, seed: int):
+        if seed < 0:
             raise ValueError("weight seed must be non-negative")
         object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "_constant", constant)
 
     def __setattr__(self, name, value):
         raise AttributeError("WeightFamily is immutable")
 
     @classmethod
     def seeded(cls, seed: int) -> "WeightFamily":
-        return cls(seed=seed)
-
-    @classmethod
-    def constant(cls, m: Matrix) -> "WeightFamily":
-        return cls(constant=m.to_float())
-
-    @property
-    def is_seeded(self) -> bool:
-        return self._constant is None
+        return cls(seed)
 
     def z_for(self, a: PsdOperator) -> Matrix:
-        if self._constant is not None:
-            if self._constant.rows != a.dim:
-                raise DimensionMismatchError("constant weight has the wrong size")
-            return self._constant
         digest = hashlib.sha256(_canonical_bytes(a)).digest()
         key = int.from_bytes(digest[:8], "big")
         rng = np.random.default_rng((self.seed, key))

@@ -197,7 +197,7 @@ def reconstruct_semilinear(line_map: LineMap, dim: int | None = None) -> Semilin
     if n != line_map.ambient_dim:
         raise DimensionMismatchError("requested dimension differs from the map's")
     if n < 2:
-        raise ValueError("reconstruction needs ambient dimension at least 2")
+        raise DimensionMismatchError("reconstruction needs ambient dimension at least 2")
 
     w = [line_map(unit_line(n, j)).column() for j in range(n)]
     if Matrix.hstack(w).rank() != n:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import BackendError, DimensionMismatchError
-from .linalg import DEFAULT_TOL, PsdOperator, common_dim, psd_check
+from .linalg import DEFAULT_TOL, PsdOperator, common_dim, psd_check, spectral_root
 
 
 def _check_pair(a: PsdOperator, b: PsdOperator) -> None:
@@ -66,17 +66,6 @@ def same_range_class(a: PsdOperator, b: PsdOperator, tol: float = DEFAULT_TOL) -
     return ab and ba
 
 
-def _pinv_sqrt_array(b: PsdOperator) -> np.ndarray:
-    """(b^{1/2})^+ using the certified rank to split the spectrum."""
-    n = b.dim
-    eigval, eigvec = np.linalg.eigh(b.matrix.array)
-    inv_root = np.zeros(n)
-    if b.rank:
-        kept = np.maximum(eigval[n - b.rank :], np.finfo(float).tiny)
-        inv_root[n - b.rank :] = 1.0 / np.sqrt(kept)
-    return (eigvec * inv_root) @ eigvec.conj().T
-
-
 def min_domination_constant(
     a: PsdOperator, b: PsdOperator, tol: float = DEFAULT_TOL
 ) -> float | None:
@@ -96,7 +85,7 @@ def _domination_constant(af: PsdOperator, bf: PsdOperator) -> float:
     """The constant of :func:`min_domination_constant` once a ≪ b is decided."""
     if af.rank == 0:
         return 0.0
-    p = _pinv_sqrt_array(bf)
+    p = spectral_root(bf, inverse=True)
     mid = p @ af.matrix.array @ p
     mid = (mid + mid.conj().T) / 2.0
     top = float(np.linalg.eigvalsh(mid)[-1])

@@ -333,8 +333,8 @@ def run_suite(
 ) -> dict:
     """Run every section and return the deterministic report dictionary."""
     dims = sorted(set(int(d) for d in dims))
-    if not dims or dims[0] < 1:
-        raise ValueError("dims must be positive integers")
+    if not dims or dims[0] < 2:
+        raise ValueError("dims must be integers of at least 2")
     if trials < 1:
         raise ValueError("trials must be positive")
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -43,15 +44,6 @@ def assert_usage_error(code, out, err):
     assert err.count("\n") == 1 and "error" in err and "Traceback" not in err
 
 
-def test_analyze_matches_packaged_golden_output(capsys):
-    code, out, err = run_cli(
-        capsys, "analyze", str(SAMPLES / "diag10.json"), str(SAMPLES / "diag11.json")
-    )
-    assert code == 0
-    assert out == (SAMPLES / "analyze_diag10_diag11.json").read_text()
-    assert "min c with A <= c B" in err
-
-
 def test_analyze_mixed_backends_need_a_flag(tmp_path, capsys):
     exact = tmp_path / "e.json"
     floaty = tmp_path / "f.json"
@@ -59,9 +51,10 @@ def test_analyze_mixed_backends_need_a_flag(tmp_path, capsys):
     write_matrix(floaty, Matrix.exact([[2, 0], [0, 2]]).to_float())
     code, out, err = run_cli(capsys, "analyze", str(exact), str(floaty))
     assert code == 2 and out == "" and "--backend" in err
-    code, out, _ = run_cli(capsys, "analyze", str(exact), str(floaty), "--backend", "float")
+    code, out, err = run_cli(capsys, "analyze", str(exact), str(floaty), "--backend", "float")
     assert code == 0
     assert json.loads(out)["leq_ab"] is True
+    assert "min c with A <= c B" in err
 
 
 def test_analyze_missing_file_is_a_usage_error(capsys):
@@ -188,6 +181,15 @@ def test_reconstruct_notes_the_dim2_limitation(tmp_path, capsys):
     assert "dimension 2" in doc["note"]
 
 
+def test_reconstruct_in_dimension_one_is_a_usage_error(tmp_path, capsys):
+    # a line map on a one-dimensional space used to end in a ValueError traceback
+    path = tmp_path / "wild1.json"
+    path.write_text(json.dumps({"kind": "wild", "dimension": 1, "seed": 3}))
+    code, out, err = run_cli(capsys, "reconstruct", str(path))
+    assert_usage_error(code, out, err)
+    assert "dimension" in err
+
+
 def test_reconstruct_bad_spec_file_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "map.json"
     path.write_text('{"kind": "congruence", "dimension": 2}\n')
@@ -215,7 +217,7 @@ def test_map_verify_negative_weight_seed_is_a_usage_error(tmp_path, capsys):
     assert "non-negative" in err
 
 
-@pytest.mark.parametrize("dims", ["0", ",", "0..2"])
+@pytest.mark.parametrize("dims", ["0", ",", "0..2", "1"])
 def test_suite_rejects_empty_or_non_positive_dims(capsys, dims):
     code, out, err = run_cli(capsys, "suite", "--dims", dims, "--trials", "2")
     assert_usage_error(code, out, err)
@@ -470,18 +472,29 @@ def test_unreadable_input_files_are_usage_errors(tmp_path, capsys, command, cont
         ("exact", ["decompose", "{}", DIAG10]),
         ("float", ["analyze", "{}", "{}"]),
         ("float", ["decompose", "{}", DIAG10]),
+        ("float", ["analyze", "{}", "{}", "--backend", "exact"]),
+        ("float3", ["analyze", "{}", "{}"]),
+        ("float3", ["decompose", "{}", "{d3}"]),
     ],
 )
 def test_entries_beyond_double_range_are_usage_errors(tmp_path, capsys, entry, argv):
     # an exact 10^400 used to escape the exact-to-float conversion as an
     # OverflowError traceback with exit 1; a finite 1e308 overflows when
-    # hermitized, and used to print numpy warnings and blame a non-finite entry
+    # hermitized, and used to print numpy warnings and blame a non-finite entry.
+    # Entries that hermitize fine can still have a top eigenvalue beyond the
+    # double range: 1e308 read exactly, then converted for the domination
+    # constant, used to report a constant of 0.0 where A = B; 8e307 filling a
+    # 3x3 matrix did the same in float, and ended a decompose in a traceback.
     path = tmp_path / "huge.json"
     if entry == "exact":
         write_matrix(path, Matrix.exact([[10**400, 0], [0, 0]]))
-    else:
+    elif entry == "float":
         write_matrix(path, Matrix.from_float([[1e308, 1e308], [1e308, 1e308]]))
-    argv = [str(path) if w == "{}" else w for w in argv]
+    else:
+        write_matrix(path, Matrix.from_float(np.full((3, 3), 8e307)))
+    d3 = tmp_path / "d3.json"
+    write_matrix(d3, Matrix.from_float(8e307 * np.eye(3)))
+    argv = [{"{}": str(path), "{d3}": str(d3)}.get(w, w) for w in argv]
     if argv[0] == "decompose":
         argv += ["--out-prefix", str(tmp_path / "split")]
     code, out, err = run_cli(capsys, *argv)
@@ -489,17 +502,42 @@ def test_entries_beyond_double_range_are_usage_errors(tmp_path, capsys, entry, a
     assert ("too large" if entry == "exact" else "overflow") in err
 
 
-def test_reconstruct_matches_packaged_golden_output(capsys):
-    code, out, _ = run_cli(capsys, "reconstruct", str(SAMPLES / "congruence3.json"))
-    assert code == 0
-    assert out == (SAMPLES / "reconstruct_congruence3.json").read_text()
+FORM_IV3 = str(SAMPLES / "form_iv3.json")
+FLOAT3_FULL = str(SAMPLES / "float3_full.json")
+FLOAT3_RANK2 = str(SAMPLES / "float3_rank2.json")
+SPLIT3 = "decompose_float3_full_float3_rank2"
 
 
-def test_suite_matches_packaged_golden_output(capsys):
-    # the report of this exact invocation is pinned byte for byte
-    code, out, _ = run_cli(capsys, "suite", "--dims", "2..4", "--trials", "200", "--seed", "7")
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["analyze", DIAG10, DIAG11], {"-": "analyze_diag10_diag11.json"}),
+        (["reconstruct", CONG3], {"-": "reconstruct_congruence3.json"}),
+        (
+            ["suite", "--dims", "2..4", "--trials", "200", "--seed", "7"],
+            {"-": "suite_dims2-4_trials200_seed7.txt"},
+        ),
+        (["map", "apply", FORM_IV3, FLOAT3_RANK2], {"-": "map_apply_form_iv3_float3_rank2.json"}),
+        (
+            ["decompose", FLOAT3_FULL, FLOAT3_RANK2, "--out-prefix", "split"],
+            {
+                "-": f"{SPLIT3}.json",
+                "split.ac.json": f"{SPLIT3}_ac.json",
+                "split.sing.json": f"{SPLIT3}_sing.json",
+            },
+        ),
+    ],
+    ids=["analyze", "reconstruct", "suite", "map-apply", "decompose"],
+)
+def test_cli_output_matches_packaged_golden(tmp_path, monkeypatch, capsys, argv, golden):
+    # stdout ("-") and every file these invocations write are pinned byte for
+    # byte; the float goldens pin the bits of square roots and ranges too
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert out == (SAMPLES / "suite_dims2-4_trials200_seed7.txt").read_text()
+    for name, sample in golden.items():
+        got = out if name == "-" else (tmp_path / name).read_text()
+        assert got == (SAMPLES / sample).read_text(), name
 
 
 def test_suite_stdout_is_deterministic(capsys):
@@ -531,7 +569,7 @@ def test_parse_dims_forms():
         _parse_dims("5..2")
     with pytest.raises(argparse.ArgumentTypeError):
         _parse_dims("two")
-    for bad in ("0", ",", "0..2", "-1,2"):
+    for bad in ("0", ",", "0..2", "-1,2", "1", "1..3"):
         with pytest.raises(argparse.ArgumentTypeError):
             _parse_dims(bad)
 

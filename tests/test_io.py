@@ -160,13 +160,6 @@ def test_wild_and_composite_round_trip(tmp_path):
     assert again.kind == "composite" and again.parts[1].wild_seed == 77
 
 
-def test_constant_weight_families_cannot_be_serialized():
-    z = Matrix.exact([[2, 0], [0, 2]]).to_float()
-    spec = PreserverSpec.form_iv(random_semilinear(2, 9), WeightFamily.constant(z))
-    with pytest.raises(ValueError, match="seeded"):
-        spec_to_obj(spec)
-
-
 def test_flavor_defaults_to_linear():
     spec = PreserverSpec.congruence(random_semilinear(2, 3))
     obj = spec_to_obj(spec)

@@ -251,6 +251,24 @@ def test_one_square_root_per_split_and_per_check(monkeypatch):
     assert len(calls) == 2
 
 
+def test_each_float_operand_is_eigendecomposed_once(monkeypatch):
+    # the split, its check and the relation report all read one cached
+    # eigendecomposition per operand, where they used to take 3 of a and 2 of b
+    seen = []
+    eigh = np.linalg.eigh
+
+    def counted(m, *args, **kwargs):
+        seen.append(m)
+        return eigh(m, *args, **kwargs)
+
+    a, b = (op.to_float() for op in random_pair_with_relation(3, "ac", seed=4))
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    dec = decompose(a, b)
+    assert verify_decomposition(dec, a, trials=6, seed=1).passed
+    assert analyze_pair(a, b).min_domination_constant is not None
+    assert [sum(m is op.matrix.array for m in seen) for op in (a, b)] == [1, 1]
+
+
 def test_check_report_shape():
     a = _fop([[1.0, 0.0], [0.0, 1.0]])
     dec = decompose(a, a)

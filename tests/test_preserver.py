@@ -92,16 +92,6 @@ def test_weight_family_rejects_negative_seed():
         WeightFamily.seeded(-3)
 
 
-def test_weight_family_constant():
-    z = Matrix.from_float([[2.0, 0.0], [0.0, 3.0]])
-    wf = WeightFamily.constant(z)
-    assert wf.z_for(random_psd(2, 1, seed=5).to_float()) == z
-    with pytest.raises(ValueError):
-        WeightFamily()
-    with pytest.raises(ValueError):
-        WeightFamily(seed=1, constant=z)
-
-
 def test_wild_frozen_example():
     # V = I with inversion sends diag(1,2) to diag(1, 1/2) and fixes
     # anything singular
