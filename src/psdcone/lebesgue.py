@@ -27,6 +27,7 @@ from .linalg import (
     PsdOperator,
     Subspace,
     psd_sqrt,
+    spectral_norm,
     subspace_preimage,
 )
 from .relations import is_singular
@@ -76,8 +77,8 @@ def decompose(a: PsdOperator, b: PsdOperator, tol: float = DEFAULT_TOL) -> Lebes
     root, domain = _root_and_domain(a, b, tol)
     p = domain.projector().array
     s = root.array
-    ac = Matrix.from_float(s @ p @ s).hermitize()
-    singular = Matrix.from_float(s @ (np.eye(n) - p) @ s).hermitize()
+    ac = Matrix._trusted(s @ p @ s).hermitize()
+    singular = Matrix._trusted(s @ (np.eye(n) - p) @ s).hermitize()
     return LebesgueDecomposition(
         ac_part=PsdOperator.certified(ac, domain.dim - (n - a.rank)),
         singular_part=PsdOperator.certified(singular, n - domain.dim),
@@ -115,8 +116,7 @@ def _dominated_residual(c: np.ndarray, p_base: np.ndarray) -> np.ndarray:
     """
     q = np.eye(p_base.shape[-1]) - p_base
     r = q @ c @ q
-    scale = np.maximum(1.0, np.linalg.norm(c, 2, axis=(-2, -1)))
-    return np.linalg.norm(r, 2, axis=(-2, -1)) / scale
+    return spectral_norm(r) / np.maximum(1.0, spectral_norm(c))
 
 
 def _dominated(c: np.ndarray, p_base: np.ndarray, tol: float) -> np.ndarray:
@@ -130,9 +130,12 @@ def _dominated(c: np.ndarray, p_base: np.ndarray, tol: float) -> np.ndarray:
     """
     n = p_base.shape[-1]
     q = np.eye(n) - p_base
-    fro_r = np.linalg.norm(q @ c @ q, axis=(-2, -1))
+    # near the double range these norms overflow to inf; as ‖R‖_F ≤ ‖C‖_F
+    # that leaves the draw to the spectral norms, so the warning is moot
+    with np.errstate(over="ignore"):
+        fro_r = np.linalg.norm(q @ c @ q, axis=(-2, -1))
+        scale = np.maximum(1.0, np.linalg.norm(c, axis=(-2, -1)))
     keep = fro_r <= tol / 2
-    scale = np.maximum(1.0, np.linalg.norm(c, axis=(-2, -1)))
     undecided = ~keep & (fro_r <= 2.0 * tol * np.sqrt(n) * scale)
     if undecided.any():
         keep[undecided] = _dominated_residual(c[undecided], p_base) <= tol
@@ -178,8 +181,8 @@ def verify_decomposition(
     ac = dec.ac_part.matrix.array
     sing = dec.singular_part.matrix.array
     total = ac + sing - a.matrix.array
-    scale_a = max(1.0, float(np.linalg.norm(a.matrix.array, 2)))
-    sum_ok = float(np.linalg.norm(total, 2)) <= tol * scale_a
+    scale_a = max(1.0, float(spectral_norm(a.matrix.array)))
+    sum_ok = float(spectral_norm(total)) <= tol * scale_a
 
     p_base = dec.base.range().projector().array
     ac_ok = bool(_dominated_residual(ac, p_base) <= tol)
@@ -196,7 +199,7 @@ def verify_decomposition(
         z = rng.standard_normal((min(_ORACLE_BLOCK, trials - start), 2, n, n))
         w = z[:, 0] + 1j * z[:, 1]
         w = (w + w.conj().swapaxes(-1, -2)) / 2.0
-        top = np.linalg.norm(w, 2, axis=(-2, -1))
+        top = spectral_norm(w)
         top[top == 0.0] = 1.0
         r = (np.eye(n) + w / top[:, None, None]) / 2.0  # eigenvalues in [0, 1]
         r[1::2] = p_dom @ r[1::2] @ p_dom  # still 0 ≤ R ≤ I, on the domain

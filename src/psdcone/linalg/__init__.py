@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .matrix import EXACT, FLOAT, Matrix, default_rank_tol, psd_certify_exact
+from .matrix import EXACT, FLOAT, Matrix, default_rank_tol, psd_certify_exact, spectral_norm
 from .psd import PsdOperator, douglas_factor, psd_check, psd_sqrt, spectral_root
 from .scalar import GaussianRational
 from .semilinear import FLAVOR_CONJUGATE, FLAVOR_LINEAR, FLAVORS, SemilinearOperator
@@ -54,4 +54,5 @@ __all__ = [
     "douglas_factor",
     "default_rank_tol",
     "psd_certify_exact",
+    "spectral_norm",
 ]

@@ -13,7 +13,10 @@ on rows of Python ints and with no rounding.  Single entries are handed out
 as reduced :class:`~psdcone.linalg.scalar.GaussianRational` scalars.  The
 ``float`` backend stores complex128 arrays and relies on numpy's SVD/eigh
 with the usual ``max(m, n) * eps * sigma_max`` rank cutoff, applied by
-:func:`numerical_rank` alone.
+:func:`numerical_rank` alone.  Float input is copied and checked for
+finiteness where it enters (:meth:`Matrix.from_float`); results computed
+from matrices already held are wrapped as they are, with no copy and no
+second check, so code whose arithmetic can overflow checks its own result.
 """
 
 from __future__ import annotations
@@ -36,6 +39,15 @@ _EPS = float(np.finfo(np.float64).eps)
 def default_rank_tol(rows: int, cols: int, smax: float) -> float:
     """Singular-value cutoff for numerical rank: max(m, n) * eps * sigma_max."""
     return max(rows, cols, 1) * _EPS * smax
+
+
+def spectral_norm(x: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix of a (..., m, n) stack.
+
+    One LAPACK call, and the value ``np.linalg.norm(x, 2, axis=(-2, -1))``
+    takes from the same SVD.
+    """
+    return np.linalg.svd(x, compute_uv=False)[..., 0]
 
 
 def numerical_rank(s: np.ndarray, rows: int, cols: int, tol: float | None = None) -> int:
@@ -115,17 +127,24 @@ class Matrix:
         return cls(FLOAT, _f=arr)
 
     @classmethod
+    def _trusted(cls, arr: np.ndarray) -> "Matrix":
+        """The float matrix holding ``arr`` itself, a 2-d complex128 array computed
+        from matrices already held: no copy and no finiteness check."""
+        arr.flags.writeable = False
+        return cls(FLOAT, _f=arr)
+
+    @classmethod
     def zeros(cls, rows: int, cols: int, backend: str = EXACT) -> "Matrix":
         if backend == EXACT:
             zero = np.zeros((rows, cols), dtype=object)
             return _exact(zero, zero)
-        return cls.from_float(np.zeros((rows, cols), dtype=np.complex128))
+        return cls._trusted(np.zeros((rows, cols), dtype=np.complex128))
 
     @classmethod
     def identity(cls, n: int, backend: str = EXACT) -> "Matrix":
         if backend == EXACT:
             return _exact(np.eye(n, dtype=object), np.zeros((n, n), dtype=object))
-        return cls.from_float(np.eye(n, dtype=np.complex128))
+        return cls._trusted(np.eye(n, dtype=np.complex128))
 
     @classmethod
     def hstack(cls, parts: Sequence["Matrix"]) -> "Matrix":
@@ -136,7 +155,7 @@ class Matrix:
         if any(p.backend != backend or p.rows != rows for p in parts):
             raise DimensionMismatchError("hstack needs matching backends and row counts")
         if backend == FLOAT:
-            return cls.from_float(np.hstack([p._f for p in parts]))
+            return cls._trusted(np.hstack([p._f for p in parts]))
         den = math.lcm(*(p._den for p in parts))
         re, im = zip(*(p._over(den) for p in parts))
         return _exact(np.hstack(re), np.hstack(im), den)
@@ -218,7 +237,7 @@ class Matrix:
     def _map(self, fn) -> "Matrix":
         """Apply an array map that commutes with real scaling (a slice, a transpose, a sign)."""
         if self.backend == FLOAT:
-            return Matrix.from_float(fn(self._f))
+            return Matrix._trusted(fn(self._f))
         return _exact(fn(self._re), fn(self._im), self._den)
 
     def _over(self, den: int) -> tuple[np.ndarray, np.ndarray]:
@@ -235,7 +254,7 @@ class Matrix:
     def to_float(self) -> "Matrix":
         if self.backend == FLOAT:
             return self
-        return Matrix.from_float(self.array)
+        return Matrix._trusted(self.array)
 
     def to_exact(self) -> "Matrix":
         if self.backend == EXACT:
@@ -256,7 +275,7 @@ class Matrix:
         if self.shape != other.shape:
             raise DimensionMismatchError(f"shape {self.shape} vs {other.shape}")
         if self.backend == FLOAT:
-            return Matrix.from_float(op(self._f, other._f))
+            return Matrix._trusted(op(self._f, other._f))
         den = math.lcm(self._den, other._den)
         (ar, ai), (br, bi) = self._over(den), other._over(den)
         return _exact(op(ar, br), op(ai, bi), den)
@@ -292,21 +311,21 @@ class Matrix:
                 f"cannot multiply {self.shape} by {other.shape}"
             )
         if self.backend == FLOAT:
-            return Matrix.from_float(self._f @ other._f)
+            return Matrix._trusted(self._f @ other._f)
         ar, ai, br, bi = self._re, self._im, other._re, other._im
         return _exact(ar @ br - ai @ bi, ar @ bi + ai @ br, self._den * other._den)
 
     def conj(self) -> "Matrix":
         """Entrywise complex conjugate."""
         if self.backend == FLOAT:
-            return Matrix.from_float(np.conj(self._f))
+            return Matrix._trusted(np.conj(self._f))
         return _exact(self._re, -self._im, self._den)
 
     @property
     def H(self) -> "Matrix":
         """Conjugate transpose."""
         if self.backend == FLOAT:
-            return Matrix.from_float(self._f.conj().T)
+            return Matrix._trusted(self._f.conj().T)
         if self.cols == 0:
             raise ValueError("cannot transpose a zero-column matrix into zero rows")
         return _exact(self._re.T, -self._im.T, self._den)
@@ -345,7 +364,7 @@ class Matrix:
         a = self.array
         if a.size == 0:
             return 0.0
-        return float(np.linalg.norm(a, 2))
+        return float(spectral_norm(a))
 
     def max_abs(self) -> float:
         a = self.array
@@ -370,7 +389,7 @@ class Matrix:
         """(A + A*) / 2 — useful to scrub float asymmetry."""
         if self.backend == EXACT:
             return (self + self.H).scale(Fraction(1, 2))
-        return Matrix.from_float((self._f + self._f.conj().T) / 2.0)
+        return Matrix._trusted((self._f + self._f.conj().T) / 2.0)
 
     # ------------------------------------------------------------------
     # rank / elimination
@@ -413,7 +432,7 @@ class Matrix:
         if self.backend == EXACT:
             return _exact_null_space(self)
         _, s, vh = np.linalg.svd(self._f)
-        return Matrix.from_float(vh[numerical_rank(s, *self.shape, tol) :].conj().T)
+        return Matrix._trusted(vh[numerical_rank(s, *self.shape, tol) :].conj().T)
 
     def inverse(self) -> "Matrix":
         if not self.is_square:
@@ -436,8 +455,8 @@ class Matrix:
         if self.backend == FLOAT:
             a = self._f
             if a.size == 0 or not a.any():
-                return Matrix.from_float(np.zeros((self.cols, self.rows), dtype=np.complex128))
-            smax = float(np.linalg.norm(a, 2))
+                return Matrix.zeros(self.cols, self.rows, FLOAT)
+            smax = float(spectral_norm(a))
             cut = tol if tol is not None else default_rank_tol(self.rows, self.cols, smax)
             return Matrix.from_float(np.linalg.pinv(a, rcond=cut / smax if smax else 0.0))
         if self.cols == 0:

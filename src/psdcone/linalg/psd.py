@@ -124,7 +124,7 @@ class PsdOperator:
                 sub = Subspace.zero(self.dim, FLOAT)
             else:
                 basis = self.eigh()[1][:, self.dim - self.rank :]
-                sub = Subspace(Matrix.from_float(basis), _validated=True)
+                sub = Subspace(Matrix._trusted(basis), _validated=True)
             object.__setattr__(self, "_range", sub)
         return self._range
 
@@ -185,21 +185,21 @@ def _psd_test(m: Matrix, tol: float | None) -> tuple[str | None, Matrix, int]:
     scale), and its hermitized form, which is what gets stored, may dip no
     lower than −cut·scale; eigenvalues above cut·scale count toward the rank.
     Float entries too large to hermitize, or a spectrum beyond the double
-    range, raise ``ValueError``.
+    range, raise :class:`BackendError`.
     """
     if m.backend == EXACT:
         ok, rank = psd_certify_exact(m)
         return (None if ok else "matrix is not positive semidefinite"), m, rank
     scale = max(1.0, m.max_abs())
     if scale > _HERMITIZABLE:
-        raise ValueError("float entries beyond half the double range overflow when hermitized")
+        raise BackendError("float entries beyond half the double range overflow when hermitized")
     cut = tol if tol is not None else default_rank_tol(m.rows, m.cols, scale)
     if not m.is_hermitian(tol=cut):
         return "matrix is not Hermitian within tolerance", m, 0
     h = m.hermitize()
     eig = np.linalg.eigvalsh(h.array)
     if not np.isfinite(eig).all():
-        raise ValueError("eigenvalues overflow the double range")
+        raise BackendError("eigenvalues overflow the double range")
     if float(eig[0]) < -cut * scale:
         return "matrix has a negative eigenvalue beyond tolerance", h, 0
     return None, h, int(np.sum(eig > cut * scale))
@@ -234,7 +234,7 @@ def psd_sqrt(a: PsdOperator) -> PsdOperator:
     """The PSD square root (float backend only), of exactly the rank of ``a``."""
     root = spectral_root(a)
     root = (root + root.conj().T) / 2.0
-    return PsdOperator(Matrix.from_float(root), a.rank, _trusted=True)
+    return PsdOperator(Matrix._trusted(root), a.rank, _trusted=True)
 
 
 def douglas_factor(a: PsdOperator, b: PsdOperator, tol: float = DEFAULT_TOL) -> Matrix:

@@ -71,7 +71,7 @@ class Subspace:
         if self.dim == 0:
             return Matrix.zeros(self.ambient_dim, self.ambient_dim, FLOAT)
         b = self.basis.array
-        return Matrix.from_float(b @ b.conj().T)
+        return Matrix._trusted(b @ b.conj().T)
 
     # -- predicates ------------------------------------------------------
 
@@ -154,7 +154,7 @@ def column_space(m: Matrix, rank_hint: int | None = None) -> Subspace:
         return Subspace.zero(m.rows, FLOAT)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     r = rank_hint if rank_hint is not None else numerical_rank(s, *m.shape)
-    return Subspace(Matrix.from_float(u[:, :r]), _validated=True)
+    return Subspace(Matrix._trusted(u[:, :r]), _validated=True)
 
 
 def subspace_sum(u: Subspace, v: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
@@ -171,7 +171,7 @@ def subspace_sum(u: Subspace, v: Subspace, tol: float = DEFAULT_TOL) -> Subspace
     uw, s, _ = np.linalg.svd(w, full_matrices=False)
     k = numerical_rank(s, *w.shape, tol)
     basis = np.hstack([ub, uw[:, :k]])
-    return Subspace(Matrix.from_float(basis), _validated=True)
+    return Subspace(Matrix._trusted(basis), _validated=True)
 
 
 def subspace_intersect(u: Subspace, v: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
@@ -197,7 +197,7 @@ def subspace_intersect(u: Subspace, v: Subspace, tol: float = DEFAULT_TOL) -> Su
     ub, vb = u.basis.array, v.basis.array
     p, _, _ = np.linalg.svd(ub.conj().T @ vb)
     basis = ub @ p[:, :k]
-    return Subspace(Matrix.from_float(basis), _validated=True)
+    return Subspace(Matrix._trusted(basis), _validated=True)
 
 
 def subspace_preimage(m: Matrix, v: Subspace, tol: float = DEFAULT_TOL) -> Subspace:

@@ -86,9 +86,10 @@ class WeightFamily:
         key = int.from_bytes(digest[:8], "big")
         rng = np.random.default_rng((self.seed, key))
         n = a.dim
-        g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+        re, im = rng.standard_normal((2, n, n))
+        g = (re + 1j * im) / np.sqrt(2)
         z = g @ g.conj().T + np.eye(n)
-        return Matrix.from_float((z + z.conj().T) / 2.0)
+        return Matrix._trusted((z + z.conj().T) / 2.0)
 
 
 class PreserverSpec:
@@ -197,28 +198,38 @@ def apply_map(spec: PreserverSpec, a: PsdOperator) -> PsdOperator:
     rank, the weight sandwich preserves the rank of S, and wild maps fix or
     invert.  Exact congruence and wild images of a factored operand are
     factored too (see :mod:`psdcone.linalg.psd`).  form_iv requires the
-    float backend (spectral square root).
+    float backend (spectral square root).  A float image that overflows the
+    double range raises :class:`BackendError`.
     """
     if a.dim != spec.dimension:
         raise DimensionMismatchError("operator size differs from map dimension")
+    if spec.kind == KIND_COMPOSITE:
+        out = a
+        for part in spec.parts:
+            out = apply_map(part, out)
+        return out
+    if spec.kind == KIND_FORM_IV and a.backend != FLOAT:
+        raise BackendError(
+            "form_iv images need a spectral square root; convert the operand "
+            "to the float backend first"
+        )
+    if a.backend == EXACT:
+        return _apply_simple(spec, a)
+    # every float image is checked by ``_finite``, so overflow needs no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _apply_simple(spec, a)
+
+
+def _apply_simple(spec: PreserverSpec, a: PsdOperator) -> PsdOperator:
+    """Image of ``a`` under a congruence, form_iv or wild map."""
     if spec.kind == KIND_CONGRUENCE:
         return _apply_congruence(spec.operator, a)
     if spec.kind == KIND_FORM_IV:
-        if a.backend != FLOAT:
-            raise BackendError(
-                "form_iv images need a spectral square root; convert the operand "
-                "to the float backend first"
-            )
         return _apply_form_iv(spec.operator, spec.weights, a)
-    if spec.kind == KIND_WILD:
-        v, exponent = spec.wild_data()
-        if a.backend == FLOAT:
-            v = v.to_float()
-        return _apply_wild(a, v, exponent)
-    out = a
-    for part in spec.parts:
-        out = apply_map(part, out)
-    return out
+    v, exponent = spec.wild_data()
+    if a.backend == FLOAT:
+        v = v.to_float()
+    return _apply_wild(a, v, exponent)
 
 
 def _apply_congruence(op: SemilinearOperator, a: PsdOperator) -> PsdOperator:
@@ -230,14 +241,14 @@ def _apply_congruence(op: SemilinearOperator, a: PsdOperator) -> PsdOperator:
         return PsdOperator.from_factor(op.apply_matrix(a.factor))
     m = op.apply_matrix(a.matrix) @ op.t.H
     if m.backend == FLOAT:
-        m = m.hermitize()
+        m = _finite(m.hermitize())
     return PsdOperator.certified(m, a.rank)
 
 
 def _apply_form_iv(op: SemilinearOperator, weights: WeightFamily, a: PsdOperator) -> PsdOperator:
     root = psd_sqrt(_apply_congruence(op, a)).matrix
     z = weights.z_for(a)
-    out = (root @ z @ root).hermitize()
+    out = _finite((root @ z @ root).hermitize())
     return PsdOperator.certified(out, a.rank)
 
 
@@ -253,11 +264,18 @@ def _apply_wild(a: PsdOperator, v: Matrix, exponent: int) -> PsdOperator:
     elif a.backend == EXACT:
         core = a.matrix.inverse()
     else:
-        core = Matrix.from_float(np.linalg.inv(a.matrix.array)).hermitize()
+        core = Matrix._trusted(np.linalg.inv(a.matrix.array)).hermitize()
     m = v @ core @ v.H
     if m.backend == FLOAT:
-        m = m.hermitize()
+        m = _finite(m.hermitize())
     return PsdOperator.certified(m, a.dim)
+
+
+def _finite(m: Matrix) -> Matrix:
+    """The float image ``m``, checked once: products of finite operands can overflow."""
+    if not np.isfinite(m.array).all():
+        raise BackendError("the map's image overflows the double range")
+    return m
 
 
 # ----------------------------------------------------------------------

@@ -269,6 +269,7 @@ def verify_projectivity(line_map: LineMap, trials: int = 50, seed: int = 0) -> P
     failures: list[dict] = []
     coplanar = 0
     independent = 0
+    units = [unit_line(n, i) for i in range(n)]
 
     def check(kind: str, label, triple, want_rank_two: bool):
         nonlocal coplanar, independent
@@ -285,16 +286,11 @@ def verify_projectivity(line_map: LineMap, trials: int = 50, seed: int = 0) -> P
     for i in range(n):
         for j in range(i + 1, n):
             mixed = Line(n, tuple(1 if k in (i, j) else 0 for k in range(n)))
-            check("canonical", f"e{i},e{j},e{i}+e{j}", (unit_line(n, i), unit_line(n, j), mixed), True)
+            check("canonical", f"e{i},e{j},e{i}+e{j}", (units[i], units[j], mixed), True)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                check(
-                    "canonical",
-                    f"e{i},e{j},e{k}",
-                    (unit_line(n, i), unit_line(n, j), unit_line(n, k)),
-                    False,
-                )
+                check("canonical", f"e{i},e{j},e{k}", (units[i], units[j], units[k]), False)
 
     rand = random.Random(derive_seed(seed, 51, n))
     made = 0

@@ -6,6 +6,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -500,6 +501,55 @@ def test_entries_beyond_double_range_are_usage_errors(tmp_path, capsys, entry, a
     code, out, err = run_cli(capsys, *argv)
     assert_usage_error(code, out, err)
     assert ("too large" if entry == "exact" else "overflow") in err
+
+
+@pytest.mark.parametrize("spec", ["congruence3.json", "form_iv3.json"])
+def test_map_image_beyond_double_range_is_a_usage_error(tmp_path, capsys, spec):
+    # 8e306·I is a valid operand, but its image under either sample map
+    # overflows; that used to end in a ValueError traceback with exit 1
+    big = tmp_path / "big.json"
+    write_matrix(big, Matrix.from_float(8e306 * np.eye(3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "map", "apply", str(SAMPLES / spec), str(big))
+    assert_usage_error(code, out, err)
+    assert "overflows the double range" in err
+
+
+def test_loewner_difference_beyond_half_the_double_range_is_a_usage_error(tmp_path, capsys):
+    # both operands hermitize fine, but B - A has entries of 1.6e308; the
+    # Loewner test used to end in a ValueError traceback with exit 1
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    write_matrix(a, Matrix.from_float(8e307 * np.array([[1.0, 1.0], [1.0, 1.0]])))
+    write_matrix(b, Matrix.from_float(8e307 * np.array([[1.0, -1.0], [-1.0, 1.0]])))
+    code, out, err = run_cli(capsys, "analyze", str(a), str(b))
+    assert_usage_error(code, out, err)
+    assert "overflow" in err
+
+
+def test_decompose_near_the_double_range_warns_nothing(tmp_path, capsys):
+    # the oracle's Frobenius norms overflow here and used to print a numpy
+    # RuntimeWarning; the spectral fallback decides those draws unchanged
+    big = tmp_path / "big.json"
+    write_matrix(big, Matrix.from_float(8e306 * np.eye(3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "decompose", str(big), str(big), "--out-prefix", str(tmp_path / "split")
+        )
+    assert code == 0 and err == ""
+    assert json.loads(out)["check"]["passed"]
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity"])
+def test_non_finite_float_file_is_a_usage_error(tmp_path, capsys, token):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        '{"backend": "float", "rows": 1, "cols": 1, "data": [[[%s, 0.0]]]}' % token
+    )
+    code, out, err = run_cli(capsys, "analyze", str(path), str(path))
+    assert_usage_error(code, out, err)
+    assert "non-finite" in err
 
 
 FORM_IV3 = str(SAMPLES / "form_iv3.json")

@@ -12,6 +12,7 @@ from psdcone.linalg import (
     douglas_factor,
     psd_check,
     psd_sqrt,
+    spectral_norm,
 )
 
 
@@ -20,6 +21,35 @@ def test_from_float_rejects_non_finite():
         Matrix.from_float([[np.nan, 0.0]])
     with pytest.raises(ValueError):
         Matrix.from_float([[np.inf, 0.0]])
+
+
+def test_from_float_copies_its_input():
+    data = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.complex128)
+    m = Matrix.from_float(data)
+    assert data.flags.writeable and not m.array.flags.writeable
+    data[0, 0] = 99.0
+    assert m.entry(0, 0) == 1.0
+
+
+def test_computed_float_results_are_read_only():
+    # results wrapped without a copy must still be immutable
+    m = Matrix.from_float([[1.0, 2j], [0.5, 3.0]])
+    for r in (m @ m, m + m, m - m, -m, m.conj(), m.H, m.hermitize(), m.column(1),
+              Matrix.hstack([m, m]), m.null_space(), Matrix.identity(2, FLOAT)):
+        assert not r.array.flags.writeable
+
+
+def test_spectral_norm_is_the_two_norm_bit_for_bit():
+    rng = np.random.default_rng(20231)
+    for n in range(1, 8):
+        for count in (1, 7, 256):
+            for scale in (1e-5, 1.0, 1e5):
+                x = scale * (rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n)))
+                x[::5] = 0.0  # zero matrices included
+                want = np.linalg.norm(x, 2, axis=(-2, -1))
+                assert np.array_equal(spectral_norm(x), want)
+                assert spectral_norm(x[0]) == np.linalg.norm(x[0], 2)
+    assert spectral_norm(np.zeros((3, 3))) == 0.0
 
 
 def test_from_float_accepts_transposed_views():

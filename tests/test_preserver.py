@@ -1,5 +1,7 @@
 """Cone maps: application semantics and the sampled preservation verifiers."""
 
+import hashlib
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -7,11 +9,12 @@ import pytest
 
 from psdcone.errors import BackendError, DimensionMismatchError
 from psdcone.generators import derive_seed, random_psd, random_semilinear
-from psdcone.linalg import EXACT, FLOAT, Matrix, PsdOperator
+from psdcone.linalg import DEFAULT_TOL, EXACT, FLOAT, Matrix, PsdOperator
 from psdcone.preserver import (
     PreserverSpec,
     WeightFamily,
     _apply_wild,
+    _canonical_bytes,
     apply_map,
     dim2_conditions,
     make_wild_map,
@@ -73,6 +76,16 @@ def test_weight_family_keyed_on_input():
     assert za1 != zb
     # invertible positive: smallest eigenvalue at least 1 by construction
     assert np.linalg.eigvalsh(za1.array)[0] >= 1.0 - 1e-9
+
+
+def test_weight_family_draws_its_normals_as_two_matrices():
+    # one (2, n, n) draw reads the stream that two (n, n) draws read
+    a = random_psd(4, 3, seed=8).to_float()
+    key = int.from_bytes(hashlib.sha256(_canonical_bytes(a)).digest()[:8], "big")
+    rng = np.random.default_rng((11, key))
+    g = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / np.sqrt(2)
+    z = g @ g.conj().T + np.eye(4)
+    assert np.array_equal(WeightFamily.seeded(11).z_for(a).array, (z + z.conj().T) / 2.0)
 
 
 def test_weight_family_ignores_signed_zeros():
@@ -207,3 +220,22 @@ def test_apply_map_dimension_check():
     spec = PreserverSpec.congruence(random_semilinear(3, 2))
     with pytest.raises(DimensionMismatchError):
         apply_map(spec, random_psd(2, 1, seed=1))
+
+
+@pytest.mark.parametrize("kind", ["congruence", "form_iv", "wild", "composite"])
+def test_an_overflowing_float_image_raises_backend_error(kind):
+    # the operand is finite and PSD, but its image leaves the double range;
+    # it used to be caught only by a re-check of every product, as a ValueError
+    t = random_semilinear(3, 5)
+    specs = {
+        "congruence": PreserverSpec.congruence(t),
+        "form_iv": PreserverSpec.form_iv(t, WeightFamily.seeded(1)),
+        "wild": make_wild_map(4, 3),
+    }
+    specs["composite"] = PreserverSpec.composite([make_wild_map(4, 3), specs["congruence"]])
+    a = PsdOperator.from_matrix(Matrix.from_float(5e307 * np.eye(3)), DEFAULT_TOL)
+    assert a.rank == 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BackendError, match="overflows the double range"):
+            apply_map(specs[kind], a)
