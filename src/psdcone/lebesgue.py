@@ -26,6 +26,7 @@ from .linalg import (
     Matrix,
     PsdOperator,
     Subspace,
+    hermitian_part,
     psd_sqrt,
     spectral_norm,
     subspace_preimage,
@@ -198,13 +199,13 @@ def verify_decomposition(
     for start in range(0, trials, _ORACLE_BLOCK):
         z = rng.standard_normal((min(_ORACLE_BLOCK, trials - start), 2, n, n))
         w = z[:, 0] + 1j * z[:, 1]
-        w = (w + w.conj().swapaxes(-1, -2)) / 2.0
+        w = hermitian_part(w)
         top = spectral_norm(w)
         top[top == 0.0] = 1.0
         r = (np.eye(n) + w / top[:, None, None]) / 2.0  # eigenvalues in [0, 1]
         r[1::2] = p_dom @ r[1::2] @ p_dom  # still 0 ≤ R ≤ I, on the domain
         c = s @ r @ s
-        c = (c + c.conj().swapaxes(-1, -2)) / 2.0
+        c = hermitian_part(c)
         c = c[_dominated(c, p_base, tol)]
         kept += len(c)
         gaps = np.linalg.eigvalsh(cushion - c)[:, 0]

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
-from .matrix import EXACT, FLOAT, Matrix, default_rank_tol, psd_certify_exact, spectral_norm
-from .psd import PsdOperator, douglas_factor, psd_check, psd_sqrt, spectral_root
+from .matrix import (
+    EXACT, FLOAT, Matrix, default_rank_tol, hermitian_part, psd_certify_exact, spectral_norm
+)
+from .psd import (
+    PsdOperator, douglas_factor, finite_eigh, psd_check, psd_sqrt, spectral_root, spectral_roots
+)
 from .scalar import GaussianRational
 from .semilinear import FLAVOR_CONJUGATE, FLAVOR_LINEAR, FLAVORS, SemilinearOperator
 from .subspace import (
@@ -51,8 +55,11 @@ __all__ = [
     "psd_check",
     "psd_sqrt",
     "spectral_root",
+    "spectral_roots",
+    "finite_eigh",
     "douglas_factor",
     "default_rank_tol",
     "psd_certify_exact",
     "spectral_norm",
+    "hermitian_part",
 ]

@@ -50,6 +50,11 @@ def spectral_norm(x: np.ndarray) -> np.ndarray:
     return np.linalg.svd(x, compute_uv=False)[..., 0]
 
 
+def hermitian_part(x: np.ndarray) -> np.ndarray:
+    """(X + X*) / 2 of each matrix of a (..., n, n) float stack; scrubs float asymmetry."""
+    return (x + x.conj().swapaxes(-1, -2)) / 2.0
+
+
 def numerical_rank(s: np.ndarray, rows: int, cols: int, tol: float | None = None) -> int:
     """How many singular values ``s`` (descending) of a rows × cols matrix exceed
     ``tol``, or :func:`default_rank_tol` when ``tol`` is None.
@@ -389,7 +394,7 @@ class Matrix:
         """(A + A*) / 2 — useful to scrub float asymmetry."""
         if self.backend == EXACT:
             return (self + self.H).scale(Fraction(1, 2))
-        return Matrix._trusted((self._f + self._f.conj().T) / 2.0)
+        return Matrix._trusted(hermitian_part(self._f))
 
     # ------------------------------------------------------------------
     # rank / elimination

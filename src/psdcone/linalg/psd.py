@@ -28,7 +28,7 @@ import numbers
 import numpy as np
 
 from ..errors import BackendError, DimensionMismatchError, RangeInclusionError
-from .matrix import EXACT, FLOAT, Matrix, default_rank_tol, psd_certify_exact
+from .matrix import EXACT, FLOAT, Matrix, default_rank_tol, hermitian_part, psd_certify_exact
 from .scalar import GaussianRational
 from .subspace import DEFAULT_TOL, Subspace, column_space
 
@@ -133,9 +133,7 @@ class PsdOperator:
         if self._eigh is None:
             if self.backend != FLOAT:
                 raise BackendError("eigendecompositions are float work; convert first")
-            eigval, eigvec = np.linalg.eigh(self.matrix.array)
-            if not np.isfinite(eigval).all():
-                raise BackendError("eigenvalues overflow the double range")
+            eigval, eigvec = finite_eigh(self.matrix.array)
             eigval.flags.writeable = eigvec.flags.writeable = False
             object.__setattr__(self, "_eigh", (eigval, eigvec))
         return self._eigh
@@ -214,27 +212,42 @@ def psd_check(m: Matrix, tol: float | None = None) -> bool:
     return _psd_test(m, tol)[0] is None
 
 
-def spectral_root(a: PsdOperator, inverse: bool = False) -> np.ndarray:
-    """a^{1/2}, or (a^{1/2})^+ when ``inverse`` (float backend only).
+def finite_eigh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh`` of a float (..., n, n) stack whose spectra must be finite."""
+    eigval, eigvec = np.linalg.eigh(x)
+    if not np.isfinite(eigval).all():
+        raise BackendError("eigenvalues overflow the double range")
+    return eigval, eigvec
 
-    Eigenvalues below the certified rank count as zero, so either root has
-    exactly the rank (and hence the range) of ``a``.
+
+def spectral_roots(eigval, eigvec, ranks, inverse: bool = False) -> np.ndarray:
+    """A^{1/2}, or (A^{1/2})^+ when ``inverse``, of each matrix of a float stack.
+
+    ``eigval`` (m, n) and ``eigvec`` (m, n, n) are the stack's ascending
+    eigendecompositions and ``ranks`` its certified ranks.  Eigenvalues below
+    a matrix's rank count as zero, so either root has exactly the rank (and
+    hence the range) of that matrix.
     """
-    eigval, eigvec = a.eigh()
-    kept = eigval[a.dim - a.rank :]
-    power = np.zeros(a.dim)
+    n = eigval.shape[-1]
     if inverse:
-        power[a.dim - a.rank :] = 1.0 / np.sqrt(np.maximum(kept, np.finfo(float).tiny))
+        power = 1.0 / np.sqrt(np.maximum(eigval, np.finfo(float).tiny))
     else:
-        power[a.dim - a.rank :] = np.sqrt(np.clip(kept, 0.0, None))
-    return (eigvec * power) @ eigvec.conj().T
+        power = np.sqrt(np.clip(eigval, 0.0, None))
+    power[np.arange(n) < n - np.asarray(ranks)[:, None]] = 0.0
+    return (eigvec * power[:, None, :]) @ eigvec.conj().swapaxes(-1, -2)
+
+
+def spectral_root(a: PsdOperator, inverse: bool = False) -> np.ndarray:
+    """a^{1/2}, or (a^{1/2})^+ when ``inverse`` (float backend only): the
+    :func:`spectral_roots` of a stack of one."""
+    eigval, eigvec = a.eigh()
+    return spectral_roots(eigval[None], eigvec[None], (a.rank,), inverse)[0]
 
 
 def psd_sqrt(a: PsdOperator) -> PsdOperator:
     """The PSD square root (float backend only), of exactly the rank of ``a``."""
-    root = spectral_root(a)
-    root = (root + root.conj().T) / 2.0
-    return PsdOperator(Matrix._trusted(root), a.rank, _trusted=True)
+    root = Matrix._trusted(hermitian_part(spectral_root(a)))
+    return PsdOperator(root, a.rank, _trusted=True)
 
 
 def douglas_factor(a: PsdOperator, b: PsdOperator, tol: float = DEFAULT_TOL) -> Matrix:

@@ -14,7 +14,9 @@ Four map kinds are supported:
 ``composite``    sequential composition of the above.
 
 The verifiers are sampling-based: they establish necessary conditions on
-finite samples and say so in their reports.
+finite samples and say so in their reports.  Float images are computed as
+(m, n, n) stacks, and the verifiers decide them in fixed blocks of trials:
+one stacked pass over each block's images, then one stacked ``eigh``.
 """
 
 from __future__ import annotations
@@ -41,7 +43,11 @@ from .linalg import (
     Matrix,
     PsdOperator,
     SemilinearOperator,
-    psd_sqrt,
+    Subspace,
+    common_dim,
+    finite_eigh,
+    hermitian_part,
+    spectral_roots,
 )
 from .relations import relation_triple
 from .report import Verdict
@@ -89,7 +95,7 @@ class WeightFamily:
         re, im = rng.standard_normal((2, n, n))
         g = (re + 1j * im) / np.sqrt(2)
         z = g @ g.conj().T + np.eye(n)
-        return Matrix._trusted((z + z.conj().T) / 2.0)
+        return Matrix._trusted(hermitian_part(z))
 
 
 class PreserverSpec:
@@ -198,84 +204,94 @@ def apply_map(spec: PreserverSpec, a: PsdOperator) -> PsdOperator:
     rank, the weight sandwich preserves the rank of S, and wild maps fix or
     invert.  Exact congruence and wild images of a factored operand are
     factored too (see :mod:`psdcone.linalg.psd`).  form_iv requires the
-    float backend (spectral square root).  A float image that overflows the
+    float backend (spectral square root).  A float operand is mapped by
+    :func:`_map_stack` as a stack of one; a float image that overflows the
     double range raises :class:`BackendError`.
     """
     if a.dim != spec.dimension:
         raise DimensionMismatchError("operator size differs from map dimension")
+    if a.backend == FLOAT:
+        image = _map_stack(spec, a.matrix.array[None], np.array([a.rank]))[0]
+        return PsdOperator.certified(Matrix._trusted(image), a.rank)
     if spec.kind == KIND_COMPOSITE:
         out = a
         for part in spec.parts:
             out = apply_map(part, out)
         return out
-    if spec.kind == KIND_FORM_IV and a.backend != FLOAT:
+    if spec.kind == KIND_FORM_IV:
         raise BackendError(
             "form_iv images need a spectral square root; convert the operand "
             "to the float backend first"
         )
-    if a.backend == EXACT:
-        return _apply_simple(spec, a)
-    # every float image is checked by ``_finite``, so overflow needs no warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _apply_simple(spec, a)
-
-
-def _apply_simple(spec: PreserverSpec, a: PsdOperator) -> PsdOperator:
-    """Image of ``a`` under a congruence, form_iv or wild map."""
     if spec.kind == KIND_CONGRUENCE:
         return _apply_congruence(spec.operator, a)
-    if spec.kind == KIND_FORM_IV:
-        return _apply_form_iv(spec.operator, spec.weights, a)
-    v, exponent = spec.wild_data()
-    if a.backend == FLOAT:
-        v = v.to_float()
-    return _apply_wild(a, v, exponent)
+    return _apply_wild(a, *spec.wild_data())
 
 
 def _apply_congruence(op: SemilinearOperator, a: PsdOperator) -> PsdOperator:
-    if a.backend == FLOAT:
-        op = op.to_float()
-    elif op.backend == FLOAT:
+    """T A T* (T conj(A) T* for the conjugate flavor) of an exact operand."""
+    if op.backend == FLOAT:
         raise BackendError("float operator cannot act on an exact operand; convert it")
     if a.factor is not None:
         return PsdOperator.from_factor(op.apply_matrix(a.factor))
-    m = op.apply_matrix(a.matrix) @ op.t.H
-    if m.backend == FLOAT:
-        m = _finite(m.hermitize())
-    return PsdOperator.certified(m, a.rank)
-
-
-def _apply_form_iv(op: SemilinearOperator, weights: WeightFamily, a: PsdOperator) -> PsdOperator:
-    root = psd_sqrt(_apply_congruence(op, a)).matrix
-    z = weights.z_for(a)
-    out = _finite((root @ z @ root).hermitize())
-    return PsdOperator.certified(out, a.rank)
+    return PsdOperator.certified(op.apply_matrix(a.matrix) @ op.t.H, a.rank)
 
 
 def _apply_wild(a: PsdOperator, v: Matrix, exponent: int) -> PsdOperator:
-    """V A^{±1} V* on invertibles, identity elsewhere (both backends)."""
+    """V A^{±1} V* on an exact invertible operand, identity elsewhere."""
     if not a.is_invertible:
         return a
     if a.factor is not None:
         g = a.factor if exponent == 1 else a.factor.H.inverse()
         return PsdOperator.from_factor(v @ g)
-    if exponent == 1:
-        core = a.matrix
-    elif a.backend == EXACT:
-        core = a.matrix.inverse()
-    else:
-        core = Matrix._trusted(np.linalg.inv(a.matrix.array)).hermitize()
-    m = v @ core @ v.H
-    if m.backend == FLOAT:
-        m = _finite(m.hermitize())
-    return PsdOperator.certified(m, a.dim)
+    core = a.matrix if exponent == 1 else a.matrix.inverse()
+    return PsdOperator.certified(v @ core @ v.H, a.dim)
 
 
-def _finite(m: Matrix) -> Matrix:
-    """The float image ``m``, checked once: products of finite operands can overflow."""
-    if not np.isfinite(m.array).all():
+def _map_stack(spec: PreserverSpec, x: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """Images of the float operands stacked in ``x`` (m, n, n), of certified ``ranks``.
+
+    The one float kernel: a pass over the stack per map part does to each
+    operand, in the same order, what the part does to it alone.  Congruence
+    is T X T* (T conj(X) T* for the conjugate flavor); form_iv takes one
+    stacked ``eigh`` of S = T X T*, the root of S at each rank, one ``z_for``
+    per operand, keyed on it, and root·Z·root; wild maps only the invertible
+    operands; a composite folds its parts.  Maps keep ranks, so ``ranks``
+    rank the images.  Each image is hermitized and checked once: products of
+    finite operands can overflow (:class:`BackendError`).
+    """
+    # every image is checked by ``_finite``, so overflow needs no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.kind == KIND_COMPOSITE:
+            for part in spec.parts:
+                x = _map_stack(part, x, ranks)
+            return x
+        if spec.kind == KIND_WILD:
+            moved = ranks == spec.dimension
+            if not moved.any():
+                return x
+            v, exponent = spec.wild_data()
+            v = v.to_float().array
+            core = x[moved] if exponent == 1 else hermitian_part(np.linalg.inv(x[moved]))
+            out = x.copy()
+            out[moved] = _finite(hermitian_part(v @ core @ v.conj().T))
+            return out
+        op = spec.operator.to_float()
+        t = op.t.array
+        s = _finite(hermitian_part(t @ (x.conj() if op.is_conjugate else x) @ t.conj().T))
+        if spec.kind == KIND_CONGRUENCE:
+            return s
+        root = hermitian_part(spectral_roots(*finite_eigh(s), ranks))
+        keys = (PsdOperator.certified(Matrix._trusted(m), r) for m, r in zip(x, ranks))
+        z = np.stack([spec.weights.z_for(a).array for a in keys])
+        return _finite(hermitian_part(root @ z @ root))
+
+
+def _finite(x: np.ndarray) -> np.ndarray:
+    """The float images ``x``, checked once: products of finite operands can overflow."""
+    if not np.isfinite(x).all():
         raise BackendError("the map's image overflows the double range")
-    return m
+    return x
 
 
 # ----------------------------------------------------------------------
@@ -306,6 +322,10 @@ def _sampled_pair(dim: int, seed: int, k: int) -> tuple[PsdOperator, PsdOperator
     return a, b
 
 
+#: trials whose float images are mapped and decided as one stack
+_MAP_BLOCK = 256
+
+
 def verify_relation_preservation(
     spec: PreserverSpec,
     trials: int = 200,
@@ -317,21 +337,25 @@ def verify_relation_preservation(
     Input pairs are drawn with exact Gaussian-integer entries so the input
     side is decided exactly; the image side is decided on the backend the
     map supports (exactly for congruence/wild, principal angles at ``tol``
-    for spectral maps).
+    for spectral maps).  Trials run in blocks of ``_MAP_BLOCK``, float images
+    as stacks (:func:`_image_ranges`); the report is the one that checking a
+    trial at a time gives, in O(block·n²) memory for any ``trials``.
     """
     violations: list[dict] = []
     names = ("abs_cont_ab", "abs_cont_ba", "singular")
-    for k in range(trials):
-        a, b = _sampled_pair(spec.dimension, seed, k)
-        truth = relation_triple(a, b)
-        fa, fb = apply_map(spec, spec.operand(a)), apply_map(spec, spec.operand(b))
-        image = relation_triple(fa, fb, tol)
-        if image != truth:
-            for name, want, got in zip(names, truth, image):
+    for start in range(0, trials, _MAP_BLOCK):
+        block = range(start, min(start + _MAP_BLOCK, trials))
+        pairs = [_sampled_pair(spec.dimension, seed, k) for k in block]
+        if spec.exact_capable:
+            images = [relation_triple(apply_map(spec, a), apply_map(spec, b), tol) for a, b in pairs]
+        else:
+            ranges = _image_ranges(spec, [x.to_float() for pair in pairs for x in pair])
+            inter = [common_dim(u, v, tol) for u, v in zip(ranges[::2], ranges[1::2])]
+            images = [(i == a.rank, i == b.rank, i == 0) for i, (a, b) in zip(inter, pairs)]
+        for k, (a, b), image in zip(block, pairs, images):
+            for name, want, got in zip(names, relation_triple(a, b), image):
                 if want != got:
-                    violations.append(
-                        {"trial": k, "relation": name, "input": want, "image": got}
-                    )
+                    violations.append({"trial": k, "relation": name, "input": want, "image": got})
     return PreservationReport(
         map_kind=spec.kind,
         dimension=spec.dimension,
@@ -339,6 +363,23 @@ def verify_relation_preservation(
         trials=trials,
         violations=tuple(violations),
     )
+
+
+def _image_ranges(spec: PreserverSpec, operands) -> list[Subspace]:
+    """Ranges of the images of ``operands`` (on the map's image backend).
+
+    Exact images are mapped one by one; float ones by one :func:`_map_stack`
+    call, each range read off one stacked ``eigh`` of the images themselves,
+    as :meth:`PsdOperator.range` reads it.  Never off S = T A T*: ran S is
+    T(ran A) by construction, so a check against it would not read the image.
+    """
+    if spec.exact_capable:
+        return [apply_map(spec, a).range() for a in operands]
+    ranks = np.array([a.rank for a in operands])
+    images = _map_stack(spec, np.stack([a.matrix.array for a in operands]), ranks)
+    n = spec.dimension
+    eigvec = finite_eigh(images)[1]
+    return [Subspace(Matrix._trusted(v[:, n - r :]), _validated=True) for v, r in zip(eigvec, ranks)]
 
 
 @dataclass(frozen=True)
@@ -361,23 +402,23 @@ def verify_range_form(
     seed: int = 0,
     tol: float = DEFAULT_TOL,
 ) -> RangeFormReport:
-    """Check ran φ(A) = T(ran A) on samples covering every rank."""
+    """Check ran φ(A) = T(ran A) on samples covering every rank, in blocks of
+    ``_MAP_BLOCK`` samples whose image ranges :func:`_image_ranges` reads."""
     if t.dim != spec.dimension:
         raise DimensionMismatchError("witness operator size differs from map dimension")
     n = spec.dimension
     per_rank = max(1, trials // (n + 1))
     t = spec.operand(t)
+    samples = [(r, j) for r in range(n + 1) for j in range(per_rank)]
     violations: list[dict] = []
-    samples = 0
-    for r in range(n + 1):
-        for j in range(per_rank):
-            a = spec.operand(random_psd(n, r, derive_seed(seed, 31, r, j)))
-            samples += 1
-            expected = t.apply_subspace(a.range())
-            if not apply_map(spec, a).range().equals(expected, tol):
+    for start in range(0, len(samples), _MAP_BLOCK):
+        block = samples[start : start + _MAP_BLOCK]
+        operands = [spec.operand(random_psd(n, r, derive_seed(seed, 31, r, j))) for r, j in block]
+        for (r, j), a, image in zip(block, operands, _image_ranges(spec, operands)):
+            if not image.equals(t.apply_subspace(a.range()), tol):
                 violations.append({"rank": r, "sample": j})
     return RangeFormReport(
-        map_kind=spec.kind, dimension=n, samples=samples, violations=tuple(violations)
+        map_kind=spec.kind, dimension=n, samples=len(samples), violations=tuple(violations)
     )
 
 

@@ -91,7 +91,12 @@ class Line:
 
 
 def unit_line(n: int, j: int) -> Line:
-    return Line(n, tuple(1 if k == j else 0 for k in range(n)))
+    """The line of e_j, built in normal form: its one nonzero entry is already 1."""
+    if not 0 <= j < n:
+        raise ValueError("a unit line needs 0 <= j < n")
+    line = Line.__new__(Line)
+    object.__setattr__(line, "_col", Matrix.identity(n).column(j))
+    return line
 
 
 class LineMap:

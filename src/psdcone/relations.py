@@ -18,7 +18,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import BackendError, DimensionMismatchError
-from .linalg import DEFAULT_TOL, PsdOperator, common_dim, psd_check, spectral_root
+from .linalg import DEFAULT_TOL, PsdOperator, common_dim, hermitian_part, psd_check, spectral_root
 
 
 def _check_pair(a: PsdOperator, b: PsdOperator) -> None:
@@ -87,8 +87,7 @@ def _domination_constant(af: PsdOperator, bf: PsdOperator) -> float:
         return 0.0
     p = spectral_root(bf, inverse=True)
     mid = p @ af.matrix.array @ p
-    mid = (mid + mid.conj().T) / 2.0
-    top = float(np.linalg.eigvalsh(mid)[-1])
+    top = float(np.linalg.eigvalsh(hermitian_part(mid))[-1])
     return max(top, 0.0)
 
 

@@ -198,3 +198,119 @@ def per_trial_decomposition_check(dec, a, trials, seed, tol):
 def naive_gauss_ints(count, rand, lo=-3, hi=3):
     """``count`` (re, im) pairs drawn with ``random.Random.randint``, re first."""
     return [(rand.randint(lo, hi), rand.randint(lo, hi)) for _ in range(count)]
+
+
+def per_operand_image(spec, a):
+    """The float image of ``a`` under ``spec``, computed for this operand alone.
+
+    Plain 2-d numpy products, S = T A T*, its root from its own ``eigh`` at
+    the certified rank, and ``z_for`` keyed on the operand; only the map's
+    data (T, flavor, weights, wild V and exponent) come from the package.
+    The package maps operands as stacks, and each image of a stack must
+    equal this one bit for bit.  Returns (image array, rank); an image
+    beyond the double range raises the package's ``BackendError``.
+    """
+    import numpy as np
+
+    from psdcone.errors import BackendError
+
+    def finite(m):
+        m = (m + m.conj().T) / 2.0
+        if not np.isfinite(m).all():
+            raise BackendError("the map's image overflows the double range")
+        return m
+
+    def congruence(op, x):
+        t = op.t.to_float().array
+        return finite(t @ (np.conj(x) if op.is_conjugate else x) @ t.conj().T)
+
+    x, rank, n = a.matrix.array, a.rank, a.dim
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.kind == "composite":
+            for part in spec.parts:
+                x, rank = per_operand_image(part, float_operator(x, rank))
+            return x, rank
+        if spec.kind == "congruence":
+            return congruence(spec.operator, x), rank
+        if spec.kind == "form_iv":
+            eigval, eigvec = np.linalg.eigh(congruence(spec.operator, x))
+            if not np.isfinite(eigval).all():
+                raise BackendError("eigenvalues overflow the double range")
+            power = np.zeros(n)
+            power[n - rank :] = np.sqrt(np.clip(eigval[n - rank :], 0.0, None))
+            root = (eigvec * power) @ eigvec.conj().T
+            root = (root + root.conj().T) / 2.0
+            z = spec.weights.z_for(a).array
+            return finite(root @ z @ root), rank
+        if rank < n:
+            return x, rank
+        v, exponent = spec.wild_data()
+        v = v.to_float().array
+        if exponent == -1:
+            x = np.linalg.inv(x)
+            x = (x + x.conj().T) / 2.0
+        return finite(v @ x @ v.conj().T), rank
+
+
+def float_operator(x, rank):
+    """A float operator holding the array ``x`` with the certified ``rank``."""
+    from psdcone.linalg import Matrix, PsdOperator
+
+    return PsdOperator.certified(Matrix.from_float(x), rank)
+
+
+def _image_operator(spec, a):
+    if spec.exact_capable:
+        from psdcone.preserver import apply_map
+
+        return apply_map(spec, a)
+    return float_operator(*per_operand_image(spec, a.to_float()))
+
+
+def per_trial_relation_preservation(spec, trials, seed, tol):
+    """``verify_relation_preservation`` one trial at a time, each float image
+    from :func:`per_operand_image`: the report the package's blocks of
+    stacked trials must reproduce.  Returns the report as a dict."""
+    from psdcone.linalg import EXACT, FLOAT
+    from psdcone.preserver import PreservationReport, _sampled_pair
+    from psdcone.relations import relation_triple
+
+    violations = []
+    names = ("abs_cont_ab", "abs_cont_ba", "singular")
+    for k in range(trials):
+        a, b = _sampled_pair(spec.dimension, seed, k)
+        truth = relation_triple(a, b)
+        image = relation_triple(_image_operator(spec, a), _image_operator(spec, b), tol)
+        for name, want, got in zip(names, truth, image):
+            if want != got:
+                violations.append({"trial": k, "relation": name, "input": want, "image": got})
+    return PreservationReport(
+        map_kind=spec.kind,
+        dimension=spec.dimension,
+        image_backend=EXACT if spec.exact_capable else FLOAT,
+        trials=trials,
+        violations=tuple(violations),
+    ).to_dict()
+
+
+def per_trial_range_form(spec, t, trials, seed, tol):
+    """``verify_range_form`` one sample at a time, each float image from
+    :func:`per_operand_image`.  Returns the report as a dict."""
+    from psdcone.generators import derive_seed, random_psd
+    from psdcone.preserver import RangeFormReport
+
+    n = spec.dimension
+    per_rank = max(1, trials // (n + 1))
+    t = spec.operand(t)
+    violations = []
+    samples = 0
+    for r in range(n + 1):
+        for j in range(per_rank):
+            a = random_psd(n, r, derive_seed(seed, 31, r, j))
+            samples += 1
+            expected = t.apply_subspace(spec.operand(a).range())
+            if not _image_operator(spec, a).range().equals(expected, tol):
+                violations.append({"rank": r, "sample": j})
+    return RangeFormReport(
+        map_kind=spec.kind, dimension=n, samples=samples, violations=tuple(violations)
+    ).to_dict()

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from psdcone import (
     Matrix,
     PreserverSpec,
+    SemilinearOperator,
     WeightFamily,
     matrix_to_obj,
     random_psd,
@@ -514,6 +515,21 @@ def test_map_image_beyond_double_range_is_a_usage_error(tmp_path, capsys, spec):
         code, out, err = run_cli(capsys, "map", "apply", str(SAMPLES / spec), str(big))
     assert_usage_error(code, out, err)
     assert "overflows the double range" in err
+
+
+def test_map_verify_image_overflowing_mid_block_is_a_usage_error(tmp_path, capsys):
+    # c·I with c² = 2.5e306 maps the 3×3 operands of the preservation
+    # trials 0-7 (seed 1) into range, but an entry of 41 in trial 8 overflows
+    # once hermitized (see tests/test_preserver.py): the block of float
+    # images still ends in one usage-error line
+    path = tmp_path / "big_congruence.json"
+    t = SemilinearOperator(Matrix.from_float(np.sqrt(2.5e306) * np.eye(3)))
+    write_spec(path, PreserverSpec.congruence(t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "map", "verify", str(path), "--trials", "10", "--seed", "1")
+    assert_usage_error(code, out, err)
+    assert "the map's image overflows the double range" in err
 
 
 def test_loewner_difference_beyond_half_the_double_range_is_a_usage_error(tmp_path, capsys):

@@ -7,14 +7,17 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from naive_oracles import per_operand_image, per_trial_range_form, per_trial_relation_preservation
+from psdcone import preserver
 from psdcone.errors import BackendError, DimensionMismatchError
 from psdcone.generators import derive_seed, random_psd, random_semilinear
-from psdcone.linalg import DEFAULT_TOL, EXACT, FLOAT, Matrix, PsdOperator
+from psdcone.linalg import DEFAULT_TOL, EXACT, FLOAT, Matrix, PsdOperator, SemilinearOperator
 from psdcone.preserver import (
     PreserverSpec,
     WeightFamily,
     _apply_wild,
     _canonical_bytes,
+    _map_stack,
     apply_map,
     dim2_conditions,
     make_wild_map,
@@ -193,6 +196,29 @@ def test_range_form_detects_wrong_witness():
     assert not rep.passed
 
 
+def test_range_form_detects_wrong_witness_for_form_iv():
+    t = random_semilinear(3, 8)
+    other = random_semilinear(3, 9)
+    spec = PreserverSpec.form_iv(t, WeightFamily.seeded(5))
+    assert verify_range_form(spec, t, trials=12, seed=8).passed
+    rep = verify_range_form(spec, other, trials=12, seed=8)
+    assert not rep.passed and rep.violations
+
+
+def test_range_form_reads_the_float_image_not_s(monkeypatch):
+    # a rank-one weight keeps S = T A T* but collapses the image root·Z·root
+    # to rank at most one, so the rank-2 images lose a direction (rank 1
+    # and full rank ones keep their range); ran S is T(ran A) whatever the
+    # weight, so only a verifier that reads each image's own range sees it
+    t = random_semilinear(3, 8)
+    spec = PreserverSpec.form_iv(t, WeightFamily.seeded(5))
+    assert verify_range_form(spec, t, trials=12, seed=8).passed
+    collapsed = Matrix.from_float(np.diag([1.0, 0.0, 0.0]))
+    monkeypatch.setattr(WeightFamily, "z_for", lambda self, a: collapsed)
+    rep = verify_range_form(spec, t, trials=12, seed=8)
+    assert {v["rank"] for v in rep.violations} == {2}
+
+
 def test_dim2_conditions_positive_and_errors():
     ok = dim2_conditions(PreserverSpec.congruence(random_semilinear(2, 13)), trials=30, seed=1)
     assert ok.passed and ok.first_failure is None
@@ -239,3 +265,91 @@ def test_an_overflowing_float_image_raises_backend_error(kind):
         warnings.simplefilter("error")
         with pytest.raises(BackendError, match="overflows the double range"):
             apply_map(specs[kind], a)
+
+
+def _float_image_specs(dim):
+    """Maps whose images are float: a float congruence, form_iv in both
+    flavors, composites with a form_iv part, and wild maps acting on float
+    images; a plain wild map (exact images in the verifiers) for contrast."""
+    lin = random_semilinear(dim, derive_seed(61, dim))
+    conj = random_semilinear(dim, derive_seed(62, dim), flavor="conjugate")
+    form_lin = PreserverSpec.form_iv(lin, WeightFamily.seeded(derive_seed(63, dim)))
+    form_conj = PreserverSpec.form_iv(conj, WeightFamily.seeded(derive_seed(64, dim)))
+    wild = make_wild_map(derive_seed(65, dim), dim)
+    return {
+        "float_congruence": PreserverSpec.congruence(conj.to_float()),
+        "form_iv_linear": form_lin,
+        "form_iv_conjugate": form_conj,
+        "wild": wild,
+        "wild_then_form_iv": PreserverSpec.composite([wild, form_conj]),
+        "form_iv_congruence_wild": PreserverSpec.composite(
+            [form_lin, PreserverSpec.congruence(conj), make_wild_map(derive_seed(66, dim), dim)]
+        ),
+    }
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_block_verifiers_report_what_the_per_trial_reference_reports(monkeypatch, dim):
+    # a block of 3 puts 0, 1, a full block and a block plus one in reach of
+    # small trial counts; the next test runs the package's own block size
+    monkeypatch.setattr(preserver, "_MAP_BLOCK", 3)
+    witness = random_semilinear(dim, derive_seed(61, dim))
+    for name, spec in _float_image_specs(dim).items():
+        for trials in (0, 1, 3, 4):
+            got = verify_relation_preservation(spec, trials=trials, seed=dim, tol=1e-8)
+            assert got.to_dict() == per_trial_relation_preservation(spec, trials, dim, 1e-8), (
+                name,
+                trials,
+            )
+        for trials in (0, 3 * (dim + 1), 4 * (dim + 1)):
+            got = verify_range_form(spec, witness, trials=trials, seed=dim, tol=1e-8)
+            assert got.to_dict() == per_trial_range_form(spec, witness, trials, dim, 1e-8), (
+                name,
+                trials,
+            )
+
+
+def test_block_verifiers_match_the_reference_across_a_full_block():
+    spec = _float_image_specs(3)["form_iv_conjugate"]
+    trials = preserver._MAP_BLOCK + 1
+    got = verify_relation_preservation(spec, trials=trials, seed=4, tol=1e-8)
+    assert got.passed and got.trials == trials
+    assert got.to_dict() == per_trial_relation_preservation(spec, trials, 4, 1e-8)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_float_images_are_bit_identical_to_the_per_operand_reference(dim):
+    operands = [
+        random_psd(dim, rank, derive_seed(67, dim, rank, k)).to_float()
+        for rank in range(dim + 1)
+        for k in range(3)
+    ]
+    ranks = np.array([a.rank for a in operands])
+    stack = np.stack([a.matrix.array for a in operands])
+    specs = _float_image_specs(dim)
+    specs.update({f"wild_{s}": make_wild_map(s, dim) for s in range(4)})
+    for name, spec in specs.items():
+        stacked = _map_stack(spec, stack, ranks)
+        for a, row in zip(operands, stacked):
+            want, rank = per_operand_image(spec, a)
+            image = apply_map(spec, a)
+            assert image.backend == FLOAT and image.rank == a.rank == rank, name
+            assert image.matrix.array.tobytes() == want.tobytes(), name
+            assert row.tobytes() == want.tobytes(), name
+
+
+def _overflowing_congruence():
+    """c·I on float operands, with c² between the overflow thresholds of the
+    operands that ``_sampled_pair(3, 1, k)`` draws: trial 8 holds an entry of
+    41, trials 0-7 none above 31, and hermitizing doubles the diagonal."""
+    return PreserverSpec.congruence(SemilinearOperator(Matrix.from_float(np.sqrt(2.5e306) * np.eye(3))))
+
+
+def test_an_image_overflowing_in_the_middle_of_a_block_raises_backend_error():
+    spec = _overflowing_congruence()
+    assert verify_relation_preservation(spec, trials=8, seed=1).passed
+    for verify in (verify_relation_preservation, per_trial_relation_preservation):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BackendError, match="the map's image overflows the double range"):
+                verify(spec, 10, 1, DEFAULT_TOL)

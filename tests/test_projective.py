@@ -25,6 +25,18 @@ def test_line_normalization_and_equality():
     assert Line.from_vector([0, 5]) == unit_line(2, 1)
 
 
+def test_unit_lines_are_built_in_normal_form():
+    for n in range(1, 7):
+        for j in range(n):
+            line = unit_line(n, j)
+            same = Line.from_vector([1 if k == j else 0 for k in range(n)])
+            assert line == same and hash(line) == hash(same) and repr(line) == repr(same)
+            assert line.column() == Matrix.exact([[1 if k == j else 0] for k in range(n)])
+    for n, j in ((3, 3), (3, -1), (0, 0)):
+        with pytest.raises(ValueError):
+            unit_line(n, j)
+
+
 def test_a_line_divides_once_and_keeps_its_column(monkeypatch):
     # a line normalises its column in Gaussian integers, with no scalar
     # division at all, and hands that column back without rebuilding it
