@@ -13,10 +13,6 @@ class BackendError(PsdConeError, ValueError):
     """An operation was requested on a backend that does not support it."""
 
 
-class RangeInclusionError(PsdConeError, ValueError):
-    """A factorization requires a range inclusion that does not hold."""
-
-
 class NotSemilinearError(PsdConeError, ValueError):
     """A line map could not be realized by any semilinear operator."""
 

@@ -41,12 +41,6 @@ _MAXIMALITY_SLACK = 1e-12
 _ORACLE_BLOCK = 256
 
 
-def ac_domain(a: PsdOperator, b: PsdOperator, tol: float = DEFAULT_TOL) -> Subspace:
-    """The subspace {x : a^{1/2} x ∈ ran b} (float backend)."""
-    _check(a, b)
-    return _root_and_domain(a, b, tol)[1]
-
-
 def _root_and_domain(a: PsdOperator, b: PsdOperator, tol: float) -> tuple[Matrix, Subspace]:
     """a^{1/2} and the a.c. domain {x : a^{1/2} x ∈ ran b}, from one square root."""
     root = psd_sqrt(a).matrix

@@ -6,12 +6,12 @@ of Python ints (real and imaginary numerators) and an int ``den``, kept in
 lowest terms (the gcd of ``den`` and every numerator is 1) so that equality
 and hashing compare values.  Products, sums, conjugates and slices are
 whole-array integer operations that clear the denominator once per matrix,
-not once per entry.  Rank and determinants use fraction-free Bareiss
-elimination on the numerators, PSD certification a diagonally pivoted
-fraction-free LDL*, and ``rref`` fraction-free Gauss–Jordan elimination, all
-on rows of Python ints and with no rounding.  Single entries are handed out
-as reduced :class:`~psdcone.linalg.scalar.GaussianRational` scalars.  The
-``float`` backend stores complex128 arrays and relies on numpy's SVD/eigh
+not once per entry.  Rank uses fraction-free Bareiss elimination on the
+numerators, PSD certification a diagonally pivoted fraction-free LDL*, and
+``rref`` fraction-free Gauss–Jordan elimination, all on rows of Python ints
+and with no rounding.  Single entries are handed out as reduced
+:class:`~psdcone.linalg.scalar.GaussianRational` scalars.  The ``float``
+backend stores complex128 arrays and relies on numpy's SVD/eigh
 with the usual ``max(m, n) * eps * sigma_max`` rank cutoff, applied by
 :func:`numerical_rank` alone.  Float input is copied and checked for
 finiteness where it enters (:meth:`Matrix.from_float`); results computed
@@ -414,17 +414,6 @@ class Matrix:
             return ()
         return tuple(_bareiss(self)[0])
 
-    def det(self) -> GaussianRational:
-        """Exact determinant (exact backend, square)."""
-        self._need(EXACT)
-        if not self.is_square:
-            raise DimensionMismatchError("determinant needs a square matrix")
-        pivots, (d_re, d_im), sign = _bareiss(self)
-        if len(pivots) < self.rows:
-            return GaussianRational()
-        denom = self._den**self.rows
-        return GaussianRational(Fraction(sign * d_re, denom), Fraction(sign * d_im, denom))
-
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and pivot columns (exact backend)."""
         self._need(EXACT)
@@ -508,11 +497,9 @@ def _sweep(re, im, m, n, jordan):
     pivot and prev the pivot before it; each entry stays a minor of the input,
     so the division is exact.  Bareiss (``jordan`` false) clears below the
     pivots; Gauss–Jordan also clears above them, which leaves every pivot
-    equal to the last one.  Returns (pivot columns, last pivot, sign of the
-    row permutation).
+    equal to the last one.  Returns (pivot columns, last pivot).
     """
     prev_re, prev_im = 1, 0
-    sign = 1
     pivots = []
     for c in range(n):
         r = len(pivots)
@@ -522,7 +509,6 @@ def _sweep(re, im, m, n, jordan):
         if found != r:
             re[r], re[found] = re[found], re[r]
             im[r], im[found] = im[found], im[r]
-            sign = -sign
         ar, ai = re[r][c], im[r][c]
         rr, ri = re[r], im[r]
         # a complex prev divides as conj(prev) / |prev|^2
@@ -547,7 +533,7 @@ def _sweep(re, im, m, n, jordan):
         pivots.append(c)
         if len(pivots) == m:
             break
-    return pivots, (prev_re, prev_im), sign
+    return pivots, (prev_re, prev_im)
 
 
 def _bareiss(m: Matrix):
@@ -557,7 +543,7 @@ def _bareiss(m: Matrix):
 def _rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form: the Gauss–Jordan grid divided by its last pivot d."""
     re, im = m._re.tolist(), m._im.tolist()
-    pivots, (dr, di), _ = _sweep(re, im, m.rows, m.cols, True)
+    pivots, (dr, di) = _sweep(re, im, m.rows, m.cols, True)
     return _divide(np.array(re, dtype=object), np.array(im, dtype=object), dr, di), tuple(pivots)
 
 

@@ -27,10 +27,10 @@ import numbers
 
 import numpy as np
 
-from ..errors import BackendError, DimensionMismatchError, RangeInclusionError
+from ..errors import BackendError, DimensionMismatchError
 from .matrix import EXACT, FLOAT, Matrix, default_rank_tol, hermitian_part, psd_certify_exact
 from .scalar import GaussianRational
-from .subspace import DEFAULT_TOL, Subspace, column_space
+from .subspace import Subspace, column_space
 
 #: entries up to this size hermitize, as (A + A*) / 2, without overflow
 _HERMITIZABLE = float(np.finfo(np.float64).max) / 2
@@ -249,19 +249,3 @@ def psd_sqrt(a: PsdOperator) -> PsdOperator:
     root = Matrix._trusted(hermitian_part(spectral_root(a)))
     return PsdOperator(root, a.rank, _trusted=True)
 
-
-def douglas_factor(a: PsdOperator, b: PsdOperator, tol: float = DEFAULT_TOL) -> Matrix:
-    """Solve a^{1/2} = b^{1/2} X with the minimal-norm X (float backend).
-
-    Exists iff ran a^{1/2} ⊆ ran b^{1/2}, i.e. iff ran a ⊆ ran b; raises
-    RangeInclusionError otherwise.
-    """
-    if a.backend != FLOAT or b.backend != FLOAT:
-        raise BackendError("douglas_factor requires the float backend; convert first")
-    if a.dim != b.dim:
-        raise DimensionMismatchError("operators act on different spaces")
-    if not b.range().contains(a.range(), tol):
-        raise RangeInclusionError("range of the left operator is not dominated")
-    sa = psd_sqrt(a).matrix
-    sb = psd_sqrt(b).matrix
-    return sb.pinv() @ sa

@@ -38,10 +38,6 @@ class GaussianRational:
             return cls(Fraction(value[0]), Fraction(value[1]))
         raise TypeError(f"cannot interpret {value!r} as a Gaussian rational")
 
-    @classmethod
-    def from_strings(cls, re_s: str, im_s: str) -> "GaussianRational":
-        return cls(Fraction(re_s), Fraction(im_s))
-
     def to_strings(self) -> tuple[str, str]:
         """Canonical ``p/q`` strings (denominator always written)."""
         return (
@@ -105,9 +101,6 @@ class GaussianRational:
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
 
     def norm_sq(self) -> Fraction:
         """|z|^2 as an exact rational."""

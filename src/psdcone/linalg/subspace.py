@@ -86,13 +86,6 @@ class Subspace:
             return False
         return self.contains(other, tol) and other.contains(self, tol)
 
-    def contains_vector(self, v: Matrix, tol: float = DEFAULT_TOL) -> bool:
-        if v.rows != self.ambient_dim or v.cols != 1:
-            raise DimensionMismatchError("expected an ambient column vector")
-        if v.is_zero():
-            return True
-        return self.contains(column_space(v), tol)
-
 
 def _check_pair(u: Subspace, v: Subspace) -> None:
     if u.ambient_dim != v.ambient_dim:
@@ -155,23 +148,6 @@ def column_space(m: Matrix, rank_hint: int | None = None) -> Subspace:
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     r = rank_hint if rank_hint is not None else numerical_rank(s, *m.shape)
     return Subspace(Matrix._trusted(u[:, :r]), _validated=True)
-
-
-def subspace_sum(u: Subspace, v: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
-    """The subspace u + v."""
-    _check_pair(u, v)
-    if u.dim == 0:
-        return v
-    if v.dim == 0:
-        return u
-    if u.backend == EXACT:
-        return column_space(Matrix.hstack([u.basis, v.basis]))
-    ub, vb = u.basis.array, v.basis.array
-    w = vb - ub @ (ub.conj().T @ vb)
-    uw, s, _ = np.linalg.svd(w, full_matrices=False)
-    k = numerical_rank(s, *w.shape, tol)
-    basis = np.hstack([ub, uw[:, :k]])
-    return Subspace(Matrix._trusted(basis), _validated=True)
 
 
 def subspace_intersect(u: Subspace, v: Subspace, tol: float = DEFAULT_TOL) -> Subspace:

@@ -339,8 +339,11 @@ def verify_relation_preservation(
     map supports (exactly for congruence/wild, principal angles at ``tol``
     for spectral maps).  Trials run in blocks of ``_MAP_BLOCK``, float images
     as stacks (:func:`_image_ranges`); the report is the one that checking a
-    trial at a time gives, in O(block·n²) memory for any ``trials``.
+    trial at a time gives, in O(block·n²) memory for any ``trials``.  Fewer
+    than one trial raises ``ValueError``: a report over no pair shows nothing.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
     violations: list[dict] = []
     names = ("abs_cont_ab", "abs_cont_ba", "singular")
     for start in range(0, trials, _MAP_BLOCK):
@@ -403,9 +406,15 @@ def verify_range_form(
     tol: float = DEFAULT_TOL,
 ) -> RangeFormReport:
     """Check ran φ(A) = T(ran A) on samples covering every rank, in blocks of
-    ``_MAP_BLOCK`` samples whose image ranges :func:`_image_ranges` reads."""
+    ``_MAP_BLOCK`` samples whose image ranges :func:`_image_ranges` reads.
+
+    Each rank gets at least one sample, so ``trials=0`` still checks every
+    rank; a negative count raises ``ValueError``.
+    """
     if t.dim != spec.dimension:
         raise DimensionMismatchError("witness operator size differs from map dimension")
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     n = spec.dimension
     per_rank = max(1, trials // (n + 1))
     t = spec.operand(t)
@@ -450,10 +459,13 @@ def dim2_conditions(
 
     the zero operator stays fixed, invertibility is preserved both ways, and
     the induced action on lines (ranges of rank-one elements) is well defined
-    and injective on the sampled lines.
+    and injective on the sampled lines.  ``trials=0`` checks only the zero
+    operator; a negative count raises ``ValueError``.
     """
     if spec.dimension != 2:
         raise DimensionMismatchError("these conditions are specific to dimension 2")
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
 
     def image_of(a: PsdOperator) -> PsdOperator:
         return apply_map(spec, spec.operand(a))

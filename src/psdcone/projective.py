@@ -120,17 +120,6 @@ class LineMap:
             self._cache[line] = hit
         return hit
 
-    @classmethod
-    def from_operator(cls, op: SemilinearOperator) -> "LineMap":
-        """The projectivization [f] ↦ [op f] of an exact invertible operator."""
-        if op.backend != EXACT:
-            raise LineMapError("projectivizing requires an exact operator")
-
-        def fn(line: Line) -> Line:
-            return Line.from_vector(op.apply_matrix(line.column()))
-
-        return cls(op.dim, fn)
-
 
 def _snap_direction(v: np.ndarray) -> tuple:
     mags = np.abs(v)
@@ -265,12 +254,15 @@ def verify_projectivity(line_map: LineMap, trials: int = 50, seed: int = 0) -> P
     """Check that coplanar triples stay coplanar and independent triples stay
     independent — the geometric prerequisite for a line map to come from an
     invertible operator.  Canonical triples make the check deterministic even
-    at ``trials=0``; seeded random triples widen the net."""
+    at ``trials=0``; seeded random triples widen the net, and a negative
+    count raises ``ValueError``."""
     n = line_map.ambient_dim
     if n < 3:
         raise DimensionMismatchError(
             "coplanarity carries no information below ambient dimension 3"
         )
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     failures: list[dict] = []
     coplanar = 0
     independent = 0

@@ -10,7 +10,7 @@ from psdcone.generators import random_psd
 from psdcone.linalg import EXACT, GaussianRational, Matrix
 from psdcone.linalg.matrix import psd_certify_exact
 
-from naive_oracles import grid_of, naive_det, naive_matmul, naive_rank
+from naive_oracles import grid_of, naive_matmul, naive_rank
 
 
 def _random_exact(rand, rows, cols, span=3):
@@ -20,22 +20,6 @@ def _random_exact(rand, rows, cols, span=3):
             for _ in range(rows)
         ]
     )
-
-
-def test_det_matches_cofactor_expansion():
-    rand = random.Random(101)
-    for _ in range(60):
-        n = rand.randint(1, 4)
-        m = _random_exact(rand, n, n)
-        want = naive_det(grid_of(m))
-        got = m.det()
-        assert (got.re, got.im) == want
-
-
-def test_det_frozen_values():
-    assert Matrix.exact([[2, 1], [1, 1]]).det() == GaussianRational.coerce(1)
-    # det [[i, 1],[1, i]] = i*i - 1 = -2
-    assert Matrix.exact([[(0, 1), 1], [1, (0, 1)]]).det() == GaussianRational.coerce(-2)
 
 
 def test_rank_matches_naive_elimination():

@@ -9,7 +9,6 @@ from psdcone.linalg import (
     FLOAT,
     Matrix,
     PsdOperator,
-    douglas_factor,
     psd_check,
     psd_sqrt,
     spectral_norm,
@@ -142,26 +141,6 @@ def test_psd_sqrt_requires_float_backend():
     exact = PsdOperator.from_matrix(Matrix.exact([[1, 0], [0, 1]]))
     with pytest.raises(BackendError):
         psd_sqrt(exact)
-
-
-def test_douglas_factor_frozen_case():
-    a = PsdOperator.from_matrix(Matrix.from_float([[1.0, 0.0], [0.0, 0.0]]))
-    b = PsdOperator.from_matrix(Matrix.from_float([[4.0, 0.0], [0.0, 0.0]]))
-    x = douglas_factor(a, b)
-    assert np.allclose(x.array, [[0.5, 0.0], [0.0, 0.0]])
-
-
-def test_douglas_factor_solves_the_root_equation():
-    rng = np.random.default_rng(78)
-    for _ in range(10):
-        n = int(rng.integers(2, 5))
-        g = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
-        h = np.hstack([g, rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))])
-        a = PsdOperator.from_matrix(Matrix.from_float(g @ g.conj().T))
-        b = PsdOperator.from_matrix(Matrix.from_float(h @ h.conj().T))
-        x = douglas_factor(a, b)
-        lhs = psd_sqrt(b).matrix @ x
-        assert lhs.allclose(psd_sqrt(a).matrix, 1e-8)
 
 
 def test_norms_and_max_abs():

@@ -24,6 +24,7 @@ from psdcone.preserver import (
     verify_range_form,
     verify_relation_preservation,
 )
+from psdcone.projective import induced_line_map, verify_projectivity
 
 
 def test_congruence_preserves_rank_and_range():
@@ -219,6 +220,28 @@ def test_range_form_reads_the_float_image_not_s(monkeypatch):
     assert {v["rank"] for v in rep.violations} == {2}
 
 
+def _congruence(dim):
+    return PreserverSpec.congruence(random_semilinear(dim, 13))
+
+
+_VERIFIERS = {
+    "relation_preservation": lambda n: verify_relation_preservation(_congruence(3), trials=n),
+    "range_form": lambda n: verify_range_form(_congruence(3), random_semilinear(3, 13), trials=n),
+    "dim2_conditions": lambda n: dim2_conditions(_congruence(2), trials=n),
+    "projectivity": lambda n: verify_projectivity(induced_line_map(_congruence(3)), trials=n),
+}
+
+
+@pytest.mark.parametrize(
+    "verifier, trials",
+    [("relation_preservation", 0), ("relation_preservation", -5)]
+    + [(name, n) for name in ("range_form", "dim2_conditions", "projectivity") for n in (-1, -5)],
+)
+def test_verifiers_refuse_trial_counts_that_check_nothing(verifier, trials):
+    with pytest.raises(ValueError, match="trials must be"):
+        _VERIFIERS[verifier](trials)
+
+
 def test_dim2_conditions_positive_and_errors():
     ok = dim2_conditions(PreserverSpec.congruence(random_semilinear(2, 13)), trials=30, seed=1)
     assert ok.passed and ok.first_failure is None
@@ -290,12 +313,14 @@ def _float_image_specs(dim):
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
 def test_block_verifiers_report_what_the_per_trial_reference_reports(monkeypatch, dim):
-    # a block of 3 puts 0, 1, a full block and a block plus one in reach of
+    # a block of 3 puts 1, a full block and a block plus one in reach of
     # small trial counts; the next test runs the package's own block size
     monkeypatch.setattr(preserver, "_MAP_BLOCK", 3)
     witness = random_semilinear(dim, derive_seed(61, dim))
     for name, spec in _float_image_specs(dim).items():
-        for trials in (0, 1, 3, 4):
+        with pytest.raises(ValueError):
+            verify_relation_preservation(spec, trials=0, seed=dim, tol=1e-8)
+        for trials in (1, 3, 4):
             got = verify_relation_preservation(spec, trials=trials, seed=dim, tol=1e-8)
             assert got.to_dict() == per_trial_relation_preservation(spec, trials, dim, 1e-8), (
                 name,

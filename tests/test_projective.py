@@ -69,7 +69,7 @@ def test_line_rejects_zero_and_mismatch():
 
 
 def test_line_map_caches_and_validates():
-    lm = LineMap.from_operator(random_semilinear(3, 4))
+    lm = induced_line_map(PreserverSpec.congruence(random_semilinear(3, 4)))
     ln = Line.from_vector([1, 2, 3])
     assert lm(ln) == lm(ln)
     with pytest.raises(DimensionMismatchError):
@@ -113,7 +113,8 @@ def test_wild_maps_act_trivially_on_lines():
 
 
 def test_projectivity_passes_for_operator_maps():
-    rep = verify_projectivity(LineMap.from_operator(random_semilinear(4, 3)), trials=20, seed=1)
+    lm = induced_line_map(PreserverSpec.congruence(random_semilinear(4, 3)))
+    rep = verify_projectivity(lm, trials=20, seed=1)
     assert rep.passed
     assert rep.coplanar_triples > 0 and rep.independent_triples > 0
 
@@ -128,7 +129,7 @@ def test_projectivity_rejects_the_swap_counterexample():
 
 def test_projectivity_needs_three_dimensions():
     with pytest.raises(DimensionMismatchError):
-        verify_projectivity(LineMap.from_operator(random_semilinear(2, 1)))
+        verify_projectivity(induced_line_map(PreserverSpec.congruence(random_semilinear(2, 1))))
 
 
 def test_reconstruction_rejects_the_swap_map():

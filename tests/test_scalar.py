@@ -29,7 +29,7 @@ def test_string_round_trip_is_canonical():
     x = GaussianRational(Fraction(-4, 6), Fraction(10, 4))
     re_s, im_s = x.to_strings()
     assert re_s == "-2/3" and im_s == "5/2"
-    assert GaussianRational.from_strings(re_s, im_s) == x
+    assert GaussianRational.coerce((re_s, im_s)) == x
 
 
 def test_basic_arithmetic_against_complex():
@@ -56,9 +56,8 @@ def test_mixed_operand_types():
 
 def test_conjugate_and_norm():
     x = GaussianRational(Fraction(3), Fraction(-4))
-    assert x.conjugate() == GaussianRational(Fraction(3), Fraction(4))
     assert x.norm_sq() == Fraction(25)
-    assert (x * x.conjugate()).re == Fraction(25)
+    assert x * GaussianRational(x.re, -x.im) == GaussianRational(x.norm_sq())
 
 
 @given(scalars, scalars, scalars)
@@ -77,7 +76,3 @@ def test_multiplicative_inverse(a, b):
     assert a * (one / a) == one
     assert (b / a) * a == b
 
-
-@given(scalars, scalars)
-def test_conjugation_is_multiplicative(a, b):
-    assert (a * b).conjugate() == a.conjugate() * b.conjugate()
