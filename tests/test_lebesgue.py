@@ -10,6 +10,7 @@ from psdcone.lebesgue import (
     LebesgueDecomposition,
     _dominated,
     _dominated_residual,
+    _root_and_domain,
     decompose,
     verify_decomposition,
 )
@@ -58,6 +59,17 @@ def test_frozen_mixed_split():
     dec = decompose(a, b)
     assert np.allclose(dec.ac_part.matrix.array, np.diag([1.0, 0.0, 0.0]))
     assert np.allclose(dec.singular_part.matrix.array, np.diag([0.0, 0.0, 1.0]))
+
+
+def test_ac_domain_frozen_case():
+    # the a.c. domain {x : a^{1/2} x ∈ ran b} of the purely singular pair is
+    # the antidiagonal
+    a = _fop([[1.0, 1.0], [1.0, 1.0]])
+    b = _fop([[1.0, 0.0], [0.0, 0.0]])
+    dom = _root_and_domain(a, b, DEFAULT_TOL)[1]
+    assert dom.dim == 1
+    v = dom.basis.array[:, 0]
+    assert abs(v[0] + v[1]) < 1e-12
 
 
 def test_invariants_on_generated_pairs():
