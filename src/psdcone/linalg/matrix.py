@@ -400,12 +400,12 @@ class Matrix:
     # rank / elimination
     # ------------------------------------------------------------------
 
-    def rank(self, tol: float | None = None) -> int:
+    def rank(self) -> int:
         if self.cols == 0:
             return 0
         if self.backend == EXACT:
             return len(_bareiss(self)[0])
-        return numerical_rank(np.linalg.svd(self._f, compute_uv=False), *self.shape, tol)
+        return numerical_rank(np.linalg.svd(self._f, compute_uv=False), *self.shape)
 
     def pivot_columns(self) -> tuple[int, ...]:
         """Column indices where exact elimination places pivots."""
@@ -469,7 +469,7 @@ def _parts(v) -> tuple:
     """Real and imaginary parts of an exact scalar, as ints or Fractions."""
     if type(v) is int:
         return (v, 0)
-    if type(v) is tuple and len(v) == 2 and type(v[0]) is int and type(v[1]) is int:
+    if type(v) is tuple and len(v) == 2 and all(type(p) in (int, Fraction) for p in v):
         return v
     z = GaussianRational.coerce(v)
     return (z.re, z.im)

@@ -67,11 +67,6 @@ class SemilinearOperator:
         img = self.apply_matrix(u.basis)
         return column_space(img, rank_hint=u.dim)
 
-    def inverse(self) -> "SemilinearOperator":
-        """The inverse map, which has the same flavor."""
-        inv = self.t.conj().inverse() if self.is_conjugate else self.t.inverse()
-        return SemilinearOperator(inv, self.flavor)
-
     def compose(self, other: "SemilinearOperator") -> "SemilinearOperator":
         """self ∘ other; flavors multiply like signs."""
         if self.dim != other.dim:

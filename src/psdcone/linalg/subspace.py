@@ -59,11 +59,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.cols
 
-    def to_float(self) -> "Subspace":
-        if self.backend == FLOAT:
-            return self
-        return column_space(self.basis.to_float(), rank_hint=self.dim)
-
     def projector(self) -> Matrix:
         """Orthogonal projector onto the subspace (float backend)."""
         if self.backend != FLOAT:

@@ -13,10 +13,13 @@ Four map kinds are supported:
                  singularity while acting freely inside the invertibles.
 ``composite``    sequential composition of the above.
 
-The verifiers are sampling-based: they establish necessary conditions on
-finite samples and say so in their reports.  Float images are computed as
-(m, n, n) stacks, and the verifiers decide them in fixed blocks of trials:
-one stacked pass over each block's images, then one stacked ``eigh``.
+A :class:`PreserverSpec` derives its data once, when it is built: whether
+its images are exact, and a wild map's V and exponent.  The verifiers are
+sampling-based: they establish necessary conditions on finite samples and
+say so in their reports.  They decide every trial, exact or float, from the
+ranges of its images.  Float images are computed as (m, n, n) stacks, in
+fixed blocks of trials: one stacked pass over each block's images, then one
+stacked ``eigh``.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,21 +71,18 @@ def _canonical_bytes(a: PsdOperator) -> bytes:
     return m.backend.encode() + b"|" + str(m.rows).encode() + b"|" + payload
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class WeightFamily:
     """Deterministic family A ↦ Z_A of invertible positive float weights.
 
     The family hashes (seed, A) to draw Z_A = G G* + I.
     """
 
-    __slots__ = ("seed",)
+    seed: int
 
-    def __init__(self, seed: int):
-        if seed < 0:
+    def __post_init__(self):
+        if self.seed < 0:
             raise ValueError("weight seed must be non-negative")
-        object.__setattr__(self, "seed", seed)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightFamily is immutable")
 
     @classmethod
     def seeded(cls, seed: int) -> "WeightFamily":
@@ -98,47 +99,39 @@ class WeightFamily:
         return Matrix._trusted(hermitian_part(z))
 
 
+@dataclass(frozen=True, eq=False)
 class PreserverSpec:
-    """Declarative description of a cone map; apply it with :func:`apply_map`."""
+    """Validated description of a cone map; apply it with :func:`apply_map`."""
 
-    __slots__ = ("kind", "dimension", "operator", "weights", "wild_seed", "parts")
+    kind: str
+    dimension: int
+    operator: SemilinearOperator | None = None
+    weights: WeightFamily | None = None
+    wild_seed: int | None = None
+    parts: tuple["PreserverSpec", ...] = ()
 
-    def __init__(
-        self,
-        kind: str,
-        dimension: int,
-        operator: SemilinearOperator | None = None,
-        weights: WeightFamily | None = None,
-        wild_seed: int | None = None,
-        parts: tuple["PreserverSpec", ...] = (),
-    ):
+    def __post_init__(self):
+        kind = self.kind
         if kind not in KINDS:
             raise ValueError(f"unknown map kind {kind!r}")
-        if dimension < 1:
+        if self.dimension < 1:
             raise ValueError("dimension must be positive")
         if kind in (KIND_CONGRUENCE, KIND_FORM_IV):
-            if operator is None:
+            if self.operator is None:
                 raise ValueError(f"{kind} needs an operator")
-            if operator.dim != dimension:
+            if self.operator.dim != self.dimension:
                 raise DimensionMismatchError("operator size differs from map dimension")
-        if kind == KIND_FORM_IV and weights is None:
+        if kind == KIND_FORM_IV and self.weights is None:
             raise ValueError("form_iv needs a weight family")
-        if kind == KIND_WILD and wild_seed is None:
-            raise ValueError("wild needs a seed")
+        if kind == KIND_WILD:
+            if self.wild_seed is None:
+                raise ValueError("wild needs a seed")
+            self.wild_data()  # V is drawn here, once
         if kind == KIND_COMPOSITE:
-            if not parts:
-                raise ValueError("composite needs at least one part")
-            if any(p.dimension != dimension for p in parts):
+            if not isinstance(self.parts, tuple) or not self.parts:
+                raise ValueError("composite needs a non-empty tuple of parts")
+            if any(p.dimension != self.dimension for p in self.parts):
                 raise DimensionMismatchError("composite parts disagree on dimension")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "operator", operator)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "wild_seed", wild_seed)
-        object.__setattr__(self, "parts", tuple(parts))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PreserverSpec is immutable")
 
     # -- convenience constructors ---------------------------------------
 
@@ -157,31 +150,33 @@ class PreserverSpec:
             raise ValueError("composite needs at least one part")
         return cls(KIND_COMPOSITE, parts[0].dimension, parts=parts)
 
-    # --------------------------------------------------------------------
+    # -- derived once ------------------------------------------------------
 
-    @property
+    @cached_property
     def exact_capable(self) -> bool:
         """Whether images can be computed without spectral calculus."""
         if self.kind == KIND_CONGRUENCE:
             return self.operator.backend == EXACT
-        if self.kind == KIND_WILD:
-            return True
         if self.kind == KIND_COMPOSITE:
             return all(p.exact_capable for p in self.parts)
-        return False
+        return self.kind == KIND_WILD
 
-    def operand(self, a):
-        """``a`` on the backend the map's images are computed on."""
-        return a if self.exact_capable else a.to_float()
-
-    def wild_data(self) -> tuple[Matrix, int]:
-        """Derived (V, exponent) of a wild map."""
-        if self.kind != KIND_WILD:
-            raise ValueError("not a wild map")
+    @cached_property
+    def _wild(self) -> tuple[Matrix, int]:
         rand = random.Random(derive_seed(self.wild_seed, 901, self.dimension))
         exponent = rand.choice((1, -1))
         v = random_semilinear(self.dimension, derive_seed(self.wild_seed, 902, self.dimension)).t
         return v, exponent
+
+    def wild_data(self) -> tuple[Matrix, int]:
+        """(V, exponent) of a wild map, drawn when the spec is built."""
+        if self.kind != KIND_WILD:
+            raise ValueError("not a wild map")
+        return self._wild
+
+    def operand(self, a):
+        """``a`` on the backend the map's images are computed on."""
+        return a if self.exact_capable else a.to_float()
 
     def __repr__(self) -> str:
         return f"PreserverSpec(kind={self.kind}, dim={self.dimension})"
@@ -203,26 +198,23 @@ def apply_map(spec: PreserverSpec, a: PsdOperator) -> PsdOperator:
     Images keep a certified rank: congruences with invertible T preserve
     rank, the weight sandwich preserves the rank of S, and wild maps fix or
     invert.  Exact congruence and wild images of a factored operand are
-    factored too (see :mod:`psdcone.linalg.psd`).  form_iv requires the
-    float backend (spectral square root).  A float operand is mapped by
-    :func:`_map_stack` as a stack of one; a float image that overflows the
-    double range raises :class:`BackendError`.
+    factored too (see :mod:`psdcone.linalg.psd`).  An exact operand of a map
+    that is not ``exact_capable`` raises :class:`BackendError` before any
+    part runs.  A float operand is mapped by :func:`_map_stack` as a stack of
+    one; a float image that overflows the double range raises
+    :class:`BackendError`.
     """
     if a.dim != spec.dimension:
         raise DimensionMismatchError("operator size differs from map dimension")
     if a.backend == FLOAT:
         image = _map_stack(spec, a.matrix.array[None], np.array([a.rank]))[0]
         return PsdOperator.certified(Matrix._trusted(image), a.rank)
+    if not spec.exact_capable:
+        raise BackendError(f"{spec.kind} images need the float backend; convert the operand")
     if spec.kind == KIND_COMPOSITE:
-        out = a
         for part in spec.parts:
-            out = apply_map(part, out)
-        return out
-    if spec.kind == KIND_FORM_IV:
-        raise BackendError(
-            "form_iv images need a spectral square root; convert the operand "
-            "to the float backend first"
-        )
+            a = apply_map(part, a)
+        return a
     if spec.kind == KIND_CONGRUENCE:
         return _apply_congruence(spec.operator, a)
     return _apply_wild(a, *spec.wild_data())
@@ -230,8 +222,6 @@ def apply_map(spec: PreserverSpec, a: PsdOperator) -> PsdOperator:
 
 def _apply_congruence(op: SemilinearOperator, a: PsdOperator) -> PsdOperator:
     """T A T* (T conj(A) T* for the conjugate flavor) of an exact operand."""
-    if op.backend == FLOAT:
-        raise BackendError("float operator cannot act on an exact operand; convert it")
     if a.factor is not None:
         return PsdOperator.from_factor(op.apply_matrix(a.factor))
     return PsdOperator.certified(op.apply_matrix(a.matrix) @ op.t.H, a.rank)
@@ -335,12 +325,12 @@ def verify_relation_preservation(
     """Sample pairs, compare domination/singularity before and after the map.
 
     Input pairs are drawn with exact Gaussian-integer entries so the input
-    side is decided exactly; the image side is decided on the backend the
-    map supports (exactly for congruence/wild, principal angles at ``tol``
-    for spectral maps).  Trials run in blocks of ``_MAP_BLOCK``, float images
-    as stacks (:func:`_image_ranges`); the report is the one that checking a
-    trial at a time gives, in O(block·n²) memory for any ``trials``.  Fewer
-    than one trial raises ``ValueError``: a report over no pair shows nothing.
+    side is decided exactly; the image side by one :func:`common_dim` of the
+    image ranges that :func:`_image_ranges` reads (exact, or principal angles
+    at ``tol`` for maps that are not exact-capable).  Trials run in blocks of
+    ``_MAP_BLOCK``; the report is the one that checking a trial at a time
+    gives, in O(block·n²) memory for any ``trials``.  Fewer than one trial
+    raises ``ValueError``: a report over no pair shows nothing.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
@@ -349,13 +339,10 @@ def verify_relation_preservation(
     for start in range(0, trials, _MAP_BLOCK):
         block = range(start, min(start + _MAP_BLOCK, trials))
         pairs = [_sampled_pair(spec.dimension, seed, k) for k in block]
-        if spec.exact_capable:
-            images = [relation_triple(apply_map(spec, a), apply_map(spec, b), tol) for a, b in pairs]
-        else:
-            ranges = _image_ranges(spec, [x.to_float() for pair in pairs for x in pair])
-            inter = [common_dim(u, v, tol) for u, v in zip(ranges[::2], ranges[1::2])]
-            images = [(i == a.rank, i == b.rank, i == 0) for i, (a, b) in zip(inter, pairs)]
-        for k, (a, b), image in zip(block, pairs, images):
+        ranges = _image_ranges(spec, [spec.operand(x) for pair in pairs for x in pair])
+        for k, (a, b), u, v in zip(block, pairs, ranges[::2], ranges[1::2]):
+            inter = common_dim(u, v, tol)
+            image = (inter == u.dim, inter == v.dim, inter == 0)
             for name, want, got in zip(names, relation_triple(a, b), image):
                 if want != got:
                     violations.append({"trial": k, "relation": name, "input": want, "image": got})
@@ -371,16 +358,18 @@ def verify_relation_preservation(
 def _image_ranges(spec: PreserverSpec, operands) -> list[Subspace]:
     """Ranges of the images of ``operands`` (on the map's image backend).
 
-    Exact images are mapped one by one; float ones by one :func:`_map_stack`
-    call, each range read off one stacked ``eigh`` of the images themselves,
-    as :meth:`PsdOperator.range` reads it.  Never off S = T A T*: ran S is
+    Exact images are mapped one by one, and an image of rank 0 gets the zero
+    subspace with no elimination; float ones by one :func:`_map_stack` call,
+    each range read off one stacked ``eigh`` of the images themselves, as
+    :meth:`PsdOperator.range` reads it.  Never off S = T A T*: ran S is
     T(ran A) by construction, so a check against it would not read the image.
     """
+    n = spec.dimension
     if spec.exact_capable:
-        return [apply_map(spec, a).range() for a in operands]
+        images = (apply_map(spec, a) for a in operands)
+        return [x.range() if x.rank else Subspace.zero(n, EXACT) for x in images]
     ranks = np.array([a.rank for a in operands])
     images = _map_stack(spec, np.stack([a.matrix.array for a in operands]), ranks)
-    n = spec.dimension
     eigvec = finite_eigh(images)[1]
     return [Subspace(Matrix._trusted(v[:, n - r :]), _validated=True) for v, r in zip(eigvec, ranks)]
 
@@ -459,13 +448,13 @@ def dim2_conditions(
 
     the zero operator stays fixed, invertibility is preserved both ways, and
     the induced action on lines (ranges of rank-one elements) is well defined
-    and injective on the sampled lines.  ``trials=0`` checks only the zero
-    operator; a negative count raises ``ValueError``.
+    and injective on the sampled lines.  Fewer than one trial raises
+    ``ValueError``: three of the four criteria would go unchecked.
     """
     if spec.dimension != 2:
         raise DimensionMismatchError("these conditions are specific to dimension 2")
-    if trials < 0:
-        raise ValueError(f"trials must be nonnegative, got {trials}")
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
 
     def image_of(a: PsdOperator) -> PsdOperator:
         return apply_map(spec, spec.operand(a))

@@ -121,7 +121,9 @@ class LineMap:
         return hit
 
 
-def _snap_direction(v: np.ndarray) -> tuple:
+def _snap_direction(v: np.ndarray) -> Matrix:
+    """The exact column at the rational point that the float direction ``v``
+    sits at, scaled so its first clearly nonzero entry is 1."""
     mags = np.abs(v)
     top = float(mags.max())
     if top <= 0.0:
@@ -134,8 +136,8 @@ def _snap_direction(v: np.ndarray) -> tuple:
         im = Fraction(float(z.imag)).limit_denominator(_SNAP_DENOMINATOR)
         if abs(float(re) - z.real) > _SNAP_TOL or abs(float(im) - z.imag) > _SNAP_TOL:
             raise LineMapError("direction does not sit at a rational point")
-        out.append(GaussianRational(re, im))
-    return tuple(out)
+        out.append([(re, im)])
+    return Matrix.exact(out)
 
 
 def induced_line_map(spec: PreserverSpec) -> LineMap:
@@ -154,7 +156,7 @@ def induced_line_map(spec: PreserverSpec) -> LineMap:
         if image.rank != 1:
             raise LineMapError("rank-one input mapped to an image of different rank")
         basis = image.range().basis
-        return Line(n, _snap_direction(basis.array[:, 0])) if snap else Line.from_vector(basis)
+        return Line.from_vector(_snap_direction(basis.array[:, 0]) if snap else basis)
 
     return LineMap(n, fn)
 

@@ -51,11 +51,23 @@ def test_conjugate_congruence():
     assert apply_map(eye, m).rank == m.rank
 
 
-def test_form_iv_requires_float():
+def test_form_iv_requires_float(monkeypatch):
     t = random_semilinear(2, 3)
     spec = PreserverSpec.form_iv(t, WeightFamily.seeded(1))
     with pytest.raises(BackendError):
         apply_map(spec, random_psd(2, 1, seed=4))
+
+    # an exact operand the map cannot image is refused before any part runs
+    def must_not_run(op, a):
+        raise AssertionError("a part ran before the operand was refused")
+
+    monkeypatch.setattr(preserver, "_apply_congruence", must_not_run)
+    for bad in (
+        PreserverSpec.composite([PreserverSpec.congruence(t), spec]),
+        PreserverSpec.congruence(t.to_float()),
+    ):
+        with pytest.raises(BackendError, match="need the float backend"):
+            apply_map(bad, random_psd(2, 2, seed=4))
 
 
 def test_form_iv_preserves_rank_and_range():
@@ -133,6 +145,25 @@ def test_wild_map_fixes_non_invertibles_and_moves_invertibles():
     assert moved >= 36  # acts freely on nearly every invertible input
     low = random_psd(3, 2, seed=3)
     assert apply_map(spec, low) is low
+
+
+def test_a_wild_map_draws_its_v_once(monkeypatch):
+    # V and the exponent are derived when the spec is built, not per operand
+    # or per block of float images
+    drawn = []
+
+    def counting(*args, **kwargs):
+        drawn.append(args)
+        return random_semilinear(*args, **kwargs)
+
+    monkeypatch.setattr(preserver, "random_semilinear", counting)
+    wild = make_wild_map(7, 3)
+    form_iv = PreserverSpec.form_iv(random_semilinear(3, 2), WeightFamily.seeded(1))
+    spectral = PreserverSpec.composite([wild, form_iv])
+    assert len(drawn) == 1
+    assert verify_relation_preservation(wild, trials=20, seed=1).passed
+    assert verify_relation_preservation(spectral, trials=20, seed=1).passed
+    assert len(drawn) == 1
 
 
 def test_wild_map_float_backend():
@@ -234,7 +265,7 @@ _VERIFIERS = {
 
 @pytest.mark.parametrize(
     "verifier, trials",
-    [("relation_preservation", 0), ("relation_preservation", -5)]
+    [("relation_preservation", 0), ("relation_preservation", -5), ("dim2_conditions", 0)]
     + [(name, n) for name in ("range_form", "dim2_conditions", "projectivity") for n in (-1, -5)],
 )
 def test_verifiers_refuse_trial_counts_that_check_nothing(verifier, trials):
@@ -293,7 +324,9 @@ def test_an_overflowing_float_image_raises_backend_error(kind):
 def _float_image_specs(dim):
     """Maps whose images are float: a float congruence, form_iv in both
     flavors, composites with a form_iv part, and wild maps acting on float
-    images; a plain wild map (exact images in the verifiers) for contrast."""
+    images; maps with exact images in the verifiers, whose trials are decided
+    on the same path: a plain wild map, exact congruences in both flavors,
+    and a congruence followed by a wild map."""
     lin = random_semilinear(dim, derive_seed(61, dim))
     conj = random_semilinear(dim, derive_seed(62, dim), flavor="conjugate")
     form_lin = PreserverSpec.form_iv(lin, WeightFamily.seeded(derive_seed(63, dim)))
@@ -308,6 +341,9 @@ def _float_image_specs(dim):
         "form_iv_congruence_wild": PreserverSpec.composite(
             [form_lin, PreserverSpec.congruence(conj), make_wild_map(derive_seed(66, dim), dim)]
         ),
+        "exact_congruence_linear": PreserverSpec.congruence(lin),
+        "exact_congruence_conjugate": PreserverSpec.congruence(conj),
+        "congruence_then_wild": PreserverSpec.composite([PreserverSpec.congruence(lin), wild]),
     }
 
 

@@ -159,14 +159,10 @@ def test_snap_rejects_irrational_directions():
     with pytest.raises(LineMapError):
         _snap_direction(np.zeros(3, dtype=complex))
     snapped = _snap_direction(np.array([2.0, 1.0], dtype=complex))
-    from psdcone.linalg import GaussianRational
-
-    assert snapped == (GaussianRational.coerce(1), GaussianRational.coerce("1/2"))
+    assert snapped == Matrix.exact([[1], ["1/2"]])
     # float noise well below the window must not spoil a true rational
     noisy = np.array([1.0, 0.5 + 3e-14, -0.25j], dtype=complex)
-    assert _snap_direction(noisy) == tuple(
-        GaussianRational.coerce(c) for c in ("1", "1/2", (0, "-1/4"))
-    )
+    assert _snap_direction(noisy) == Matrix.exact([["1"], ["1/2"], [(0, "-1/4")]])
 
 
 def test_induced_map_refuses_rank_breaking_specs(monkeypatch):
