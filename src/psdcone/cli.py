@@ -33,16 +33,8 @@ from .io import (
     write_matrix,
 )
 from .lebesgue import decompose, verify_decomposition
-from .linalg import DEFAULT_TOL, EXACT, FLOAT, Matrix, PsdOperator, SemilinearOperator
-from .preserver import (
-    KIND_CONGRUENCE,
-    KIND_FORM_IV,
-    KIND_WILD,
-    apply_map,
-    dim2_conditions,
-    verify_range_form,
-    verify_relation_preservation,
-)
+from .linalg import DEFAULT_TOL, EXACT, FLOAT, Matrix, PsdOperator
+from .preserver import apply_map, dim2_conditions, verify_range_form, verify_relation_preservation
 from .projective import induced_line_map, reconstruct_semilinear, verify_projectivity
 from .relations import analyze_pair
 from .suite import run_suite
@@ -149,33 +141,12 @@ def _cmd_map_apply(args) -> int:
         _note("note: converted exact input to the float backend for a spectral map")
     image = apply_map(spec, a)
     _note(f"image rank {image.rank} on the {image.backend} backend")
-    doc = matrix_to_obj(image.matrix)
     if args.out:
         write_matrix(args.out, image.matrix)
         _note(f"wrote {args.out}")
     else:
-        _emit(doc)
+        _emit(matrix_to_obj(image.matrix))
     return 0
-
-
-def _witness_operator(spec) -> SemilinearOperator | None:
-    if spec.kind in (KIND_CONGRUENCE, KIND_FORM_IV):
-        return spec.operator
-    if spec.kind == KIND_WILD:
-        return SemilinearOperator(Matrix.identity(spec.dimension, EXACT))
-    acc: SemilinearOperator | None = None
-    for part in spec.parts:
-        w = _witness_operator(part)
-        if w is None:
-            return None
-        acc = w if acc is None else _compose_any(w, acc)
-    return acc
-
-
-def _compose_any(left: SemilinearOperator, right: SemilinearOperator) -> SemilinearOperator:
-    if left.backend != right.backend:
-        left, right = left.to_float(), right.to_float()
-    return left.compose(right)
 
 
 def _cmd_map_verify(args) -> int:
@@ -183,15 +154,15 @@ def _cmd_map_verify(args) -> int:
     preservation = verify_relation_preservation(
         spec, trials=args.trials, seed=args.seed, tol=args.tol
     )
-    out: dict = {"preservation": preservation.to_dict(), "range_form": None, "dim2": None}
-    passed = preservation.passed
-    witness = _witness_operator(spec)
-    if witness is not None:
-        range_form = verify_range_form(
-            spec, witness, trials=max(8, args.trials // 4), seed=args.seed, tol=args.tol
-        )
-        out["range_form"] = range_form.to_dict()
-        passed = passed and range_form.passed
+    range_form = verify_range_form(
+        spec, spec.inducing_operator, trials=max(8, args.trials // 4), seed=args.seed, tol=args.tol
+    )
+    out: dict = {
+        "preservation": preservation.to_dict(),
+        "range_form": range_form.to_dict(),
+        "dim2": None,
+    }
+    passed = preservation.passed and range_form.passed
     if spec.dimension == 2:
         dim2 = dim2_conditions(spec, trials=args.trials, seed=args.seed, tol=args.tol)
         out["dim2"] = dim2.to_dict()

@@ -439,7 +439,7 @@ class Matrix:
             raise ZeroDivisionError("matrix is singular")
         return red.take_columns(range(n, 2 * n))
 
-    def pinv(self, tol: float | None = None) -> "Matrix":
+    def pinv(self) -> "Matrix":
         """Moore–Penrose pseudoinverse.
 
         Exact backend: full-rank factorization m = F G (pivot columns times
@@ -451,7 +451,7 @@ class Matrix:
             if a.size == 0 or not a.any():
                 return Matrix.zeros(self.cols, self.rows, FLOAT)
             smax = float(spectral_norm(a))
-            cut = tol if tol is not None else default_rank_tol(self.rows, self.cols, smax)
+            cut = default_rank_tol(self.rows, self.cols, smax)
             return Matrix.from_float(np.linalg.pinv(a, rcond=cut / smax if smax else 0.0))
         if self.cols == 0:
             raise DimensionMismatchError("pseudoinverse of a zero-column matrix is empty")

@@ -161,7 +161,7 @@ def subspace_intersect(u: Subspace, v: Subspace, tol: float = DEFAULT_TOL) -> Su
         kern = aug.null_space()
         if kern.cols == 0:
             return Subspace.zero(u.ambient_dim, EXACT)
-        return Subspace(u.basis @ kern.take_rows(range(u.dim)))
+        return Subspace(u.basis @ kern.take_rows(range(u.dim)), _validated=True)
     k = min(common_dim(u, v, tol), v.dim)
     if k == 0:
         return Subspace.zero(u.ambient_dim, FLOAT)
@@ -192,5 +192,5 @@ def subspace_preimage(m: Matrix, v: Subspace, tol: float = DEFAULT_TOL) -> Subsp
         return Subspace.zero(n, m.backend)
     x_part = kern.take_rows(range(n))
     if m.backend == EXACT:
-        return Subspace(x_part)
+        return Subspace(x_part, _validated=True)
     return column_space(x_part, rank_hint=kern.cols)

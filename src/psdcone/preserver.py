@@ -13,18 +13,20 @@ Four map kinds are supported:
                  singularity while acting freely inside the invertibles.
 ``composite``    sequential composition of the above.
 
-A :class:`PreserverSpec` derives its data once, when it is built: whether
-its images are exact, and a wild map's V and exponent.  The verifiers are
-sampling-based: they establish necessary conditions on finite samples and
-say so in their reports.  They decide every trial, exact or float, from the
-ranges of its images.  Float images are computed as (m, n, n) stacks, in
-fixed blocks of trials: one stacked pass over each block's images, then one
-stacked ``eigh``.
+A :class:`PreserverSpec` derives its data once: whether its images are
+exact, a wild map's V and exponent, and the operator T that induces the map
+(ran φ(A) = T(ran A)).  The verifiers are sampling-based: they establish
+necessary conditions on finite samples and say so in their reports.  All
+three, :func:`dim2_conditions` included, read the ranges of their images
+through one blocked path, :func:`_mapped`: fixed blocks of trials, float
+images computed as (m, n, n) stacks with one stacked pass over each block's
+images, then one stacked ``eigh``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -174,6 +176,23 @@ class PreserverSpec:
             raise ValueError("not a wild map")
         return self._wild
 
+    @cached_property
+    def inducing_operator(self) -> SemilinearOperator:
+        """The T with ran φ(A) = T(ran A): a congruence's or form_iv's own
+        operator, the identity for a wild map, and T_k∘…∘T_1 for a composite
+        of parts 1..k (on the float backend once the parts' backends differ)."""
+        if self.kind == KIND_WILD:
+            return SemilinearOperator(Matrix.identity(self.dimension, EXACT))
+        if self.kind != KIND_COMPOSITE:
+            return self.operator
+        t = self.parts[0].inducing_operator
+        for part in self.parts[1:]:
+            s = part.inducing_operator
+            if s.backend != t.backend:
+                s, t = s.to_float(), t.to_float()
+            t = s.compose(t)
+        return t
+
     def operand(self, a):
         """``a`` on the backend the map's images are computed on."""
         return a if self.exact_capable else a.to_float()
@@ -312,8 +331,21 @@ def _sampled_pair(dim: int, seed: int, k: int) -> tuple[PsdOperator, PsdOperator
     return a, b
 
 
-#: trials whose float images are mapped and decided as one stack
+#: trials whose images are mapped and whose ranges are read as one block
 _MAP_BLOCK = 256
+
+
+def _mapped(spec: PreserverSpec, samples, operands):
+    """(sample, operands(sample), ranges of their images) for each sample, in
+    order and lazily: ``operands`` runs once per sample, and each block of
+    ``_MAP_BLOCK`` samples takes one :func:`_image_ranges` call, so memory
+    stays O(block).  The operands are yielded as ``operands`` returns them."""
+    samples = iter(samples)
+    while block := list(itertools.islice(samples, _MAP_BLOCK)):
+        groups = [operands(s) for s in block]
+        ranges = iter(_image_ranges(spec, [spec.operand(x) for g in groups for x in g]))
+        for s, g in zip(block, groups):
+            yield s, g, tuple(itertools.islice(ranges, len(g)))
 
 
 def verify_relation_preservation(
@@ -326,26 +358,23 @@ def verify_relation_preservation(
 
     Input pairs are drawn with exact Gaussian-integer entries so the input
     side is decided exactly; the image side by one :func:`common_dim` of the
-    image ranges that :func:`_image_ranges` reads (exact, or principal angles
-    at ``tol`` for maps that are not exact-capable).  Trials run in blocks of
-    ``_MAP_BLOCK``; the report is the one that checking a trial at a time
-    gives, in O(block·n²) memory for any ``trials``.  Fewer than one trial
-    raises ``ValueError``: a report over no pair shows nothing.
+    image ranges that :func:`_mapped` reads (exact, or principal angles at
+    ``tol`` for maps that are not exact-capable).  The report is the one that
+    checking a trial at a time gives, in O(block·n²) memory for any
+    ``trials``.  Fewer than one trial raises ``ValueError``: a report over no
+    pair shows nothing.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     violations: list[dict] = []
     names = ("abs_cont_ab", "abs_cont_ba", "singular")
-    for start in range(0, trials, _MAP_BLOCK):
-        block = range(start, min(start + _MAP_BLOCK, trials))
-        pairs = [_sampled_pair(spec.dimension, seed, k) for k in block]
-        ranges = _image_ranges(spec, [spec.operand(x) for pair in pairs for x in pair])
-        for k, (a, b), u, v in zip(block, pairs, ranges[::2], ranges[1::2]):
-            inter = common_dim(u, v, tol)
-            image = (inter == u.dim, inter == v.dim, inter == 0)
-            for name, want, got in zip(names, relation_triple(a, b), image):
-                if want != got:
-                    violations.append({"trial": k, "relation": name, "input": want, "image": got})
+    pairs = _mapped(spec, range(trials), lambda k: _sampled_pair(spec.dimension, seed, k))
+    for k, (a, b), (u, v) in pairs:
+        inter = common_dim(u, v, tol)
+        image = (inter == u.dim, inter == v.dim, inter == 0)
+        for name, want, got in zip(names, relation_triple(a, b), image):
+            if want != got:
+                violations.append({"trial": k, "relation": name, "input": want, "image": got})
     return PreservationReport(
         map_kind=spec.kind,
         dimension=spec.dimension,
@@ -394,8 +423,8 @@ def verify_range_form(
     seed: int = 0,
     tol: float = DEFAULT_TOL,
 ) -> RangeFormReport:
-    """Check ran φ(A) = T(ran A) on samples covering every rank, in blocks of
-    ``_MAP_BLOCK`` samples whose image ranges :func:`_image_ranges` reads.
+    """Check ran φ(A) = T(ran A) on samples covering every rank, reading the
+    image ranges through :func:`_mapped`.
 
     Each rank gets at least one sample, so ``trials=0`` still checks every
     rank; a negative count raises ``ValueError``.
@@ -408,13 +437,15 @@ def verify_range_form(
     per_rank = max(1, trials // (n + 1))
     t = spec.operand(t)
     samples = [(r, j) for r in range(n + 1) for j in range(per_rank)]
-    violations: list[dict] = []
-    for start in range(0, len(samples), _MAP_BLOCK):
-        block = samples[start : start + _MAP_BLOCK]
-        operands = [spec.operand(random_psd(n, r, derive_seed(seed, 31, r, j))) for r, j in block]
-        for (r, j), a, image in zip(block, operands, _image_ranges(spec, operands)):
-            if not image.equals(t.apply_subspace(a.range()), tol):
-                violations.append({"rank": r, "sample": j})
+
+    def operand(sample):
+        return (spec.operand(random_psd(n, sample[0], derive_seed(seed, 31, *sample))),)
+
+    violations = [
+        {"rank": r, "sample": j}
+        for (r, j), (a,), (image,) in _mapped(spec, samples, operand)
+        if not image.equals(t.apply_subspace(a.range()), tol)
+    ]
     return RangeFormReport(
         map_kind=spec.kind, dimension=n, samples=len(samples), violations=tuple(violations)
     )
@@ -448,64 +479,50 @@ def dim2_conditions(
 
     the zero operator stays fixed, invertibility is preserved both ways, and
     the induced action on lines (ranges of rank-one elements) is well defined
-    and injective on the sampled lines.  Fewer than one trial raises
-    ``ValueError``: three of the four criteria would go unchecked.
+    and injective on the sampled lines.  Every image range is read through
+    :func:`_mapped`; only the zero operator's image is mapped on its own.
+    Fewer than one trial raises ``ValueError``: three of the four criteria
+    would go unchecked.
     """
     if spec.dimension != 2:
         raise DimensionMismatchError("these conditions are specific to dimension 2")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
 
-    def image_of(a: PsdOperator) -> PsdOperator:
-        return apply_map(spec, spec.operand(a))
-
-    failures: list[str] = []
-
-    z_img = image_of(PsdOperator.zero(2, EXACT))
+    z_img = apply_map(spec, spec.operand(PsdOperator.zero(2, EXACT)))
     zero_fixed = z_img.rank == 0 and z_img.matrix.is_zero(tol)
-    if not zero_fixed:
-        failures.append("zero_fixed")
 
-    invertibility_preserved = True
-    for k in range(trials):
+    def sampled(k: int) -> tuple[PsdOperator]:
         rank = random.Random(derive_seed(seed, 41, k)).choice((0, 1, 2))
-        a = random_psd(2, rank, derive_seed(seed, 42, k))
-        img = image_of(a)
-        if (a.rank == 2) != (img.rank == 2):
-            invertibility_preserved = False
-            break
-    if not invertibility_preserved:
-        failures.append("invertibility_preserved")
+        return (random_psd(2, rank, derive_seed(seed, 42, k)),)
 
-    line_map_well_defined = True
-    line_map_injective = True
+    invertibility_preserved = all(
+        (a.rank == 2) == (image.dim == 2) for _, (a,), (image,) in _mapped(spec, range(trials), sampled)
+    )
+
     rand = random.Random(derive_seed(seed, 43))
-    for k in range(trials):
+
+    def lines(_k: int) -> tuple[PsdOperator, ...]:
+        """f f*, (c f)(c f)*, and g g* when g is off the line of f."""
         f = random_direction(2, rand)
         g = random_direction(2, rand)
-        rank_one_image = image_of(rank_one(f))
-        if rank_one_image.rank != 1:
-            line_map_well_defined = False
-            break
-        scaled = image_of(rank_one(f.scale(random_scalar(rand))))
-        if not rank_one_image.range().equals(scaled.range(), tol):
-            line_map_well_defined = False
-            break
-        if Matrix.hstack([f, g]).rank() == 2:
-            other = image_of(rank_one(g))
-            if other.rank == 1 and rank_one_image.range().equals(other.range(), tol):
-                line_map_injective = False
-                break
-    if not line_map_well_defined:
-        failures.append("line_map_well_defined")
-    if not line_map_injective:
-        failures.append("line_map_injective")
+        pair = (rank_one(f), rank_one(f.scale(random_scalar(rand))))
+        return pair + ((rank_one(g),) if Matrix.hstack([f, g]).rank() == 2 else ())
 
-    return Dim2Report(
-        zero_fixed=zero_fixed,
-        invertibility_preserved=invertibility_preserved,
-        line_map_well_defined=line_map_well_defined,
-        line_map_injective=line_map_injective,
-        first_failure=failures[0] if failures else None,
-        trials=trials,
-    )
+    line_map_well_defined = line_map_injective = True
+    for _, _, (line, scaled, *other) in _mapped(spec, range(trials), lines):
+        if line.dim != 1 or not line.equals(scaled, tol):
+            line_map_well_defined = False
+            break
+        if other and other[0].dim == 1 and line.equals(other[0], tol):
+            line_map_injective = False
+            break
+
+    verdicts = {
+        "zero_fixed": zero_fixed,
+        "invertibility_preserved": invertibility_preserved,
+        "line_map_well_defined": line_map_well_defined,
+        "line_map_injective": line_map_injective,
+    }
+    first_failure = next((name for name, ok in verdicts.items() if not ok), None)
+    return Dim2Report(**verdicts, first_failure=first_failure, trials=trials)

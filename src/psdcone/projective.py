@@ -54,12 +54,7 @@ class Line:
 
     _col: Matrix
 
-    def __init__(self, ambient_dim: int, entries):
-        if ambient_dim < 1:
-            raise ValueError("ambient dimension must be positive")
-        entries = tuple(entries)
-        if len(entries) != ambient_dim:
-            raise DimensionMismatchError("direction length differs from ambient dimension")
+    def __init__(self, entries):
         self._normalise(Matrix.exact([[c] for c in entries]))
 
     def _normalise(self, col: Matrix) -> None:
@@ -71,8 +66,7 @@ class Line:
     @classmethod
     def from_vector(cls, v) -> "Line":
         if not isinstance(v, Matrix):
-            entries = tuple(v)
-            return cls(len(entries), entries)
+            return cls(v)
         if v.cols != 1:
             raise DimensionMismatchError("expected a column vector")
         line = cls.__new__(cls)
@@ -178,7 +172,7 @@ def _solve_two(w1: Matrix, wj: Matrix, d: Matrix) -> tuple[GaussianRational, Gau
     return reduced.entry(0, 2), reduced.entry(1, 2)
 
 
-def reconstruct_semilinear(line_map: LineMap, dim: int | None = None) -> SemilinearOperator:
+def reconstruct_semilinear(line_map: LineMap) -> SemilinearOperator:
     """Recover (T, flavor) from a line map, up to one global scalar.
 
     Probes the images of the coordinate lines [e_j], the diagonal lines
@@ -189,9 +183,7 @@ def reconstruct_semilinear(line_map: LineMap, dim: int | None = None) -> Semilin
     :class:`NotSemilinearError` when the probed values are inconsistent with
     every operator.
     """
-    n = line_map.ambient_dim if dim is None else dim
-    if n != line_map.ambient_dim:
-        raise DimensionMismatchError("requested dimension differs from the map's")
+    n = line_map.ambient_dim
     if n < 2:
         raise DimensionMismatchError("reconstruction needs ambient dimension at least 2")
 
@@ -201,7 +193,7 @@ def reconstruct_semilinear(line_map: LineMap, dim: int | None = None) -> Semilin
 
     cols = [w[0]]
     for j in range(1, n):
-        diag = Line(n, tuple(1 if k in (0, j) else 0 for k in range(n)))
+        diag = Line(1 if k in (0, j) else 0 for k in range(n))
         alpha, beta = _solve_two(w[0], w[j], line_map(diag).column())
         if not alpha or not beta:
             raise NotSemilinearError(
@@ -210,7 +202,7 @@ def reconstruct_semilinear(line_map: LineMap, dim: int | None = None) -> Semilin
         cols.append(w[j].scale(beta / alpha))
     t = Matrix.hstack(cols)
 
-    probe = Line(n, ((1, 0), (0, 1)) + ((0, 0),) * (n - 2))
+    probe = Line(((1, 0), (0, 1)) + ((0, 0),) * (n - 2))
     image = line_map(probe)
     linear_target = Line.from_vector(cols[0] + cols[1].scale((0, 1)))
     conjugate_target = Line.from_vector(cols[0] - cols[1].scale((0, 1)))
@@ -284,7 +276,7 @@ def verify_projectivity(line_map: LineMap, trials: int = 50, seed: int = 0) -> P
 
     for i in range(n):
         for j in range(i + 1, n):
-            mixed = Line(n, tuple(1 if k in (i, j) else 0 for k in range(n)))
+            mixed = Line(1 if k in (i, j) else 0 for k in range(n))
             check("canonical", f"e{i},e{j},e{i}+e{j}", (units[i], units[j], mixed), True)
     for i in range(n):
         for j in range(i + 1, n):
@@ -323,7 +315,7 @@ def swap_counterexample_line_map(dim: int = 3) -> LineMap:
     if dim < 3:
         raise ValueError("the counterexample needs ambient dimension at least 3")
     swapped_a = unit_line(dim, 0)
-    swapped_b = Line(dim, (1, 1) + (0,) * (dim - 2))
+    swapped_b = Line((1, 1) + (0,) * (dim - 2))
 
     def fn(line: Line) -> Line:
         if line == swapped_a:

@@ -314,3 +314,67 @@ def per_trial_range_form(spec, t, trials, seed, tol):
     return RangeFormReport(
         map_kind=spec.kind, dimension=n, samples=samples, violations=tuple(violations)
     ).to_dict()
+
+
+def per_trial_dim2_conditions(spec, trials, seed, tol):
+    """``dim2_conditions`` mapping one operand at a time, as each criterion
+    needs it, and stopping at the first failure of a criterion: the report
+    the package's blocked reading of image ranges must reproduce.  Returns
+    the report as a dict."""
+    import random
+
+    from psdcone.generators import derive_seed, random_direction, random_psd, random_scalar, rank_one
+    from psdcone.linalg import EXACT, Matrix, PsdOperator
+    from psdcone.preserver import Dim2Report, apply_map
+
+    def image_of(a):
+        return apply_map(spec, spec.operand(a))
+
+    failures = []
+    z_img = image_of(PsdOperator.zero(2, EXACT))
+    zero_fixed = z_img.rank == 0 and z_img.matrix.is_zero(tol)
+    if not zero_fixed:
+        failures.append("zero_fixed")
+
+    invertibility_preserved = True
+    for k in range(trials):
+        rank = random.Random(derive_seed(seed, 41, k)).choice((0, 1, 2))
+        a = random_psd(2, rank, derive_seed(seed, 42, k))
+        if (a.rank == 2) != (image_of(a).rank == 2):
+            invertibility_preserved = False
+            break
+    if not invertibility_preserved:
+        failures.append("invertibility_preserved")
+
+    line_map_well_defined = True
+    line_map_injective = True
+    rand = random.Random(derive_seed(seed, 43))
+    for k in range(trials):
+        f = random_direction(2, rand)
+        g = random_direction(2, rand)
+        rank_one_image = image_of(rank_one(f))
+        if rank_one_image.rank != 1:
+            line_map_well_defined = False
+            break
+        scaled = image_of(rank_one(f.scale(random_scalar(rand))))
+        if not rank_one_image.range().equals(scaled.range(), tol):
+            line_map_well_defined = False
+            break
+        if Matrix.hstack([f, g]).rank() == 2:
+            other = image_of(rank_one(g))
+            if other.rank == 1 and rank_one_image.range().equals(other.range(), tol):
+                line_map_injective = False
+                break
+    if not line_map_well_defined:
+        failures.append("line_map_well_defined")
+    if not line_map_injective:
+        failures.append("line_map_injective")
+
+    return Dim2Report(
+        zero_fixed=zero_fixed,
+        invertibility_preserved=invertibility_preserved,
+        line_map_well_defined=line_map_well_defined,
+        line_map_injective=line_map_injective,
+        first_failure=failures[0] if failures else None,
+        trials=trials,
+    ).to_dict()

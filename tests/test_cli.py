@@ -157,6 +157,24 @@ def test_map_verify_skips_dim2_in_higher_dimension(tmp_path, capsys):
     assert doc["dim2"] is None and doc["passed"] is True
 
 
+def test_map_verify_checks_the_range_form_of_a_mixed_backend_composite(tmp_path, capsys):
+    spec_path = tmp_path / "map.json"
+    parts = [
+        PreserverSpec.congruence(random_semilinear(3, 21)),
+        PreserverSpec.congruence(random_semilinear(3, 22, flavor="conjugate").to_float()),
+        PreserverSpec(kind="wild", dimension=3, wild_seed=4),
+    ]
+    write_spec(spec_path, PreserverSpec.composite(parts))
+    code, out, _ = run_cli(
+        capsys, "map", "verify", str(spec_path), "--trials", "16", "--seed", "2"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["range_form"]["map_kind"] == "composite"
+    assert doc["range_form"]["passed"] is True and doc["range_form"]["violations"] == []
+    assert doc["passed"] is True
+
+
 def test_reconstruct_round_trip_via_files(tmp_path, capsys):
     spec_path = tmp_path / "map.json"
     write_spec(

@@ -7,10 +7,15 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from naive_oracles import per_operand_image, per_trial_range_form, per_trial_relation_preservation
+from naive_oracles import (
+    per_operand_image,
+    per_trial_dim2_conditions,
+    per_trial_range_form,
+    per_trial_relation_preservation,
+)
 from psdcone import preserver
 from psdcone.errors import BackendError, DimensionMismatchError
-from psdcone.generators import derive_seed, random_psd, random_semilinear
+from psdcone.generators import derive_seed, random_psd, random_semilinear, rank_one
 from psdcone.linalg import DEFAULT_TOL, EXACT, FLOAT, Matrix, PsdOperator, SemilinearOperator
 from psdcone.preserver import (
     PreserverSpec,
@@ -414,3 +419,162 @@ def test_an_image_overflowing_in_the_middle_of_a_block_raises_backend_error():
             warnings.simplefilter("error")
             with pytest.raises(BackendError, match="the map's image overflows the double range"):
                 verify(spec, 10, 1, DEFAULT_TOL)
+
+
+def _dim2_specs():
+    lin = random_semilinear(2, 71)
+    conj = random_semilinear(2, 72, flavor="conjugate")
+    wild = make_wild_map(73, 2)
+    return {
+        "exact_congruence": PreserverSpec.congruence(lin),
+        "float_conjugate_congruence": PreserverSpec.congruence(conj.to_float()),
+        "form_iv": PreserverSpec.form_iv(conj, WeightFamily.seeded(74)),
+        "wild": wild,
+        "congruence_then_wild": PreserverSpec.composite([PreserverSpec.congruence(conj), wild]),
+        "wild_then_form_iv": PreserverSpec.composite(
+            [wild, PreserverSpec.form_iv(lin, WeightFamily.seeded(75))]
+        ),
+    }
+
+
+def _squash_to_diagonal(monkeypatch):
+    """Make every congruence and float image the diagonal of the true one:
+    still PSD, but with its range scrambled."""
+    exact, stack = preserver._apply_congruence, preserver._map_stack
+
+    def exact_diagonal(op, a):
+        m = exact(op, a).matrix
+        diag = [[m.entry(i, j) if i == j else 0 for j in range(m.cols)] for i in range(m.rows)]
+        return PsdOperator.from_matrix(Matrix.exact(diag))
+
+    def float_diagonal(spec, x, ranks):
+        y = stack(spec, x, ranks)
+        return np.einsum("kii->ki", y)[:, :, None] * np.eye(y.shape[1])
+
+    monkeypatch.setattr(preserver, "_apply_congruence", exact_diagonal)
+    monkeypatch.setattr(preserver, "_map_stack", float_diagonal)
+
+
+@pytest.mark.parametrize("broken", [False, True])
+@pytest.mark.parametrize("block", [3, None])
+def test_dim2_conditions_report_what_the_per_trial_reference_reports(monkeypatch, block, broken):
+    # a block of 3 puts 1, a full block, a block plus one and several blocks
+    # in reach of small trial counts; ``None`` runs the package's block size
+    if block:
+        monkeypatch.setattr(preserver, "_MAP_BLOCK", block)
+    if broken:
+        _squash_to_diagonal(monkeypatch)
+    failures = set()
+    for name, spec in _dim2_specs().items():
+        for trials in (1, 3, 4, 7) if block else (7, 40):
+            for seed in (0, 5):
+                got = dim2_conditions(spec, trials=trials, seed=seed, tol=1e-8).to_dict()
+                assert got == per_trial_dim2_conditions(spec, trials, seed, 1e-8), (name, trials)
+                failures.update(k for k, v in got.items() if v is False)
+    # the broken images fail criteria, so the comparison covers failure branches
+    assert failures >= ({"invertibility_preserved", "line_map_well_defined"} if broken else set())
+    assert broken or not failures
+
+
+def test_dim2_conditions_match_the_reference_across_a_full_block():
+    spec = _dim2_specs()["form_iv"]
+    trials = preserver._MAP_BLOCK + 1
+    got = dim2_conditions(spec, trials=trials, seed=4)
+    assert got.passed and got.trials == trials
+    assert got.to_dict() == per_trial_dim2_conditions(spec, trials, 4, DEFAULT_TOL)
+
+
+def test_dim2_conditions_read_the_image_of_zero_itself(monkeypatch):
+    # a float image keeps the certified rank of its operand, so the image of
+    # 0 still has rank 0; only its matrix shows that 0 moved
+    stack = preserver._map_stack
+    monkeypatch.setattr(preserver, "_map_stack", lambda spec, x, r: stack(spec, x, r) + 1e-3 * np.eye(2))
+    spec = PreserverSpec.congruence(random_semilinear(2, 13).to_float())
+    rep = dim2_conditions(spec, trials=20, seed=1)
+    assert rep.first_failure == "zero_fixed" and not rep.zero_fixed
+    assert rep.invertibility_preserved and rep.line_map_well_defined and rep.line_map_injective
+    assert rep.to_dict() == per_trial_dim2_conditions(spec, 20, 1, DEFAULT_TOL)
+
+
+def test_dim2_conditions_fail_on_diagonal_images(monkeypatch):
+    # diag(|f1|², |f2|²) is invertible although f f* is not
+    _squash_to_diagonal(monkeypatch)
+    spec = PreserverSpec.congruence(random_semilinear(2, 13))
+    rep = dim2_conditions(spec, trials=20, seed=1)
+    assert rep.zero_fixed and rep.line_map_injective
+    assert not rep.invertibility_preserved and not rep.line_map_well_defined
+    assert rep.first_failure == "invertibility_preserved"
+    assert rep.to_dict() == per_trial_dim2_conditions(spec, 20, 1, DEFAULT_TOL)
+
+
+def test_dim2_conditions_fail_when_every_line_lands_on_one(monkeypatch):
+    exact = preserver._apply_congruence
+    e1 = rank_one(Matrix.exact([[1], [0]]))
+    monkeypatch.setattr(
+        preserver, "_apply_congruence", lambda op, a: e1 if a.rank == 1 else exact(op, a)
+    )
+    spec = PreserverSpec.congruence(random_semilinear(2, 13))
+    rep = dim2_conditions(spec, trials=20, seed=1)
+    assert rep.zero_fixed and rep.invertibility_preserved and rep.line_map_well_defined
+    assert rep.first_failure == "line_map_injective" and not rep.line_map_injective
+    assert rep.to_dict() == per_trial_dim2_conditions(spec, 20, 1, DEFAULT_TOL)
+
+
+def test_dim2_conditions_map_no_block_past_their_first_failures(monkeypatch):
+    # trials are drawn and mapped a block at a time, so a failure in the
+    # first block ends the work whatever the trial count
+    monkeypatch.setattr(preserver, "_MAP_BLOCK", 3)
+    _squash_to_diagonal(monkeypatch)
+    drawn = []
+    draw = preserver.random_psd
+    monkeypatch.setattr(preserver, "random_psd", lambda *args: drawn.append(args) or draw(*args))
+    rep = dim2_conditions(PreserverSpec.congruence(random_semilinear(2, 13)), trials=10**5, seed=1)
+    assert rep.first_failure == "invertibility_preserved" and not rep.line_map_well_defined
+    assert 0 < len(drawn) <= 3
+
+
+def test_dim2_conditions_judge_injectivity_only_before_a_well_definedness_failure(monkeypatch):
+    # rank-one images land on [e1] or [e2] by the trace of the operand, so
+    # scaling f can move its image (not well defined) and most pairs of
+    # lines share an image (not injective); after the first well-definedness
+    # failure no further trial is read
+    exact = preserver._apply_congruence
+    lines = [rank_one(Matrix.exact([[1], [0]])), rank_one(Matrix.exact([[0], [1]]))]
+
+    def by_trace(op, a):
+        if a.rank != 1:
+            return exact(op, a)
+        return lines[(a.matrix.entry(0, 0) + a.matrix.entry(1, 1)).re > 20]
+
+    monkeypatch.setattr(preserver, "_apply_congruence", by_trace)
+    spec = PreserverSpec.congruence(random_semilinear(2, 13))
+    for seed in range(4):
+        rep = dim2_conditions(spec, trials=20, seed=seed)
+        assert rep.first_failure == "line_map_well_defined" and rep.line_map_injective
+        assert rep.to_dict() == per_trial_dim2_conditions(spec, 20, seed, DEFAULT_TOL)
+
+
+def test_a_composite_is_induced_by_its_parts_operators_in_order():
+    t1 = random_semilinear(3, 81)
+    t2 = random_semilinear(3, 82, flavor="conjugate")
+    spec = PreserverSpec.composite([PreserverSpec.congruence(t1), PreserverSpec.congruence(t2)])
+    t = spec.inducing_operator
+    # x ↦ T2 conj(T1 x) = T2 conj(T1) conj(x)
+    assert t.t == t2.t @ t1.t.conj() and t.is_conjugate
+    assert spec.inducing_operator is t
+    assert verify_range_form(spec, t, trials=12, seed=3).passed
+    # the negative control: T1∘T2 is another operator, and it fails
+    swapped = t1.compose(t2)
+    assert swapped.t != t.t
+    assert not verify_range_form(spec, swapped, trials=12, seed=3).passed
+
+
+def test_a_wild_part_contributes_the_identity():
+    wild = make_wild_map(5, 3)
+    assert wild.inducing_operator.t == Matrix.identity(3, EXACT)
+    assert not wild.inducing_operator.is_conjugate
+    t = random_semilinear(3, 83, flavor="conjugate")
+    assert PreserverSpec.form_iv(t, WeightFamily.seeded(1)).inducing_operator is t
+    spec = PreserverSpec.composite([wild, PreserverSpec.congruence(t), make_wild_map(6, 3)])
+    assert spec.inducing_operator.t == t.t and spec.inducing_operator.is_conjugate
+    assert verify_range_form(spec, spec.inducing_operator, trials=12, seed=2).passed

@@ -64,8 +64,6 @@ def test_a_line_divides_once_and_keeps_its_column(monkeypatch):
 def test_line_rejects_zero_and_mismatch():
     with pytest.raises(ValueError):
         Line.from_vector([0, 0])
-    with pytest.raises(DimensionMismatchError):
-        Line(3, (1, 0))
 
 
 def test_line_map_caches_and_validates():

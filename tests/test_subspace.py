@@ -100,6 +100,27 @@ def test_preimage_characterization():
         assert pre.dim == expected
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_exact_intersect_and_preimage_bases_are_independent_as_returned(n):
+    # both return their basis without the constructor's rank check, since
+    # the kernel of [U | -V] already proves its columns independent
+    rand = random.Random(700 + n)
+    nontrivial = 0
+    for _ in range(8):
+        shared = _rand_exact(rand, n, rand.randint(1, n - 1))
+        u, v = (
+            column_space(Matrix.hstack([shared, _rand_exact(rand, n, rand.randint(0, n - 1))]))
+            for _ in range(2)
+        )
+        r = rand.randint(1, n)
+        m = _rand_exact(rand, n, r) @ _rand_exact(rand, r, n)
+        for got in (subspace_intersect(u, v), subspace_preimage(m, v), subspace_preimage(m, u)):
+            assert got.basis.rank() == got.dim
+            assert Subspace(got.basis).basis == got.basis
+            nontrivial += 0 < got.dim < n
+    assert nontrivial
+
+
 def test_preimage_of_full_space_is_full():
     m = Matrix.exact([[1, 2], [3, 4]])
     assert subspace_preimage(m, Subspace.full(2, EXACT)).dim == 2
