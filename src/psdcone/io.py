@@ -95,7 +95,10 @@ def _parse_rational(value, i: int, j: int) -> Fraction:
 def _parse_float_part(value, i: int, j: int) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _cell_error(i, j, f"expected a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:
+        raise _cell_error(i, j, "integer beyond the double range") from None
     if not math.isfinite(out):
         raise _cell_error(i, j, "non-finite entry")
     return out

@@ -429,10 +429,10 @@ class Matrix:
         return Matrix._trusted(vh[numerical_rank(s, *self.shape, tol) :].conj().T)
 
     def inverse(self) -> "Matrix":
+        """Inverse of an exact square matrix, by Gauss–Jordan elimination."""
+        self._need(EXACT)
         if not self.is_square:
             raise DimensionMismatchError("inverse needs a square matrix")
-        if self.backend == FLOAT:
-            return Matrix.from_float(np.linalg.inv(self._f))
         n = self.rows
         red, pivots = _rref(Matrix.hstack([self, Matrix.identity(n)]))
         if pivots[:n] != tuple(range(n)):

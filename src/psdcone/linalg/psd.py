@@ -17,8 +17,10 @@ or -1.  Every other exact operator is unfactored, and its range is
 eliminated and checked against its certified rank.
 
 Float operators keep their eigendecomposition the way exact ones keep G,
-computed once when first read: the range (the top ``rank`` eigenvectors),
-the square root and the pseudo-inverse root all read that one copy.
+computed once when first read: the range (the top ``rank`` eigenvectors, by
+:func:`eigen_range`, which also reads the map verifiers' stacked images), the
+square root and the pseudo-inverse root all read that one copy.  The zero
+operator is born with its range.
 """
 
 from __future__ import annotations
@@ -96,7 +98,9 @@ class PsdOperator:
 
     @classmethod
     def zero(cls, dim: int, backend: str = EXACT) -> "PsdOperator":
-        return cls(Matrix.zeros(dim, dim, backend), 0, _trusted=True)
+        op = cls(Matrix.zeros(dim, dim, backend), 0, _trusted=True)
+        object.__setattr__(op, "_range", Subspace.zero(dim, backend))
+        return op
 
     # ------------------------------------------------------------------
 
@@ -123,8 +127,7 @@ class PsdOperator:
             elif self.rank == 0:
                 sub = Subspace.zero(self.dim, FLOAT)
             else:
-                basis = self.eigh()[1][:, self.dim - self.rank :]
-                sub = Subspace(Matrix._trusted(basis), _validated=True)
+                sub = eigen_range(self.eigh()[1], self.rank)
             object.__setattr__(self, "_range", sub)
         return self._range
 
@@ -218,6 +221,12 @@ def finite_eigh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(eigval).all():
         raise BackendError("eigenvalues overflow the double range")
     return eigval, eigvec
+
+
+def eigen_range(eigvec: np.ndarray, rank: int) -> Subspace:
+    """Range of a float PSD matrix of certified ``rank``, read off its
+    ascending eigenvectors ``eigvec`` (n, n): the top ``rank`` of them."""
+    return Subspace(Matrix._trusted(eigvec[:, eigvec.shape[1] - rank :]), _validated=True)
 
 
 def spectral_roots(eigval, eigvec, ranks, inverse: bool = False) -> np.ndarray:

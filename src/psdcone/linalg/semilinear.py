@@ -59,13 +59,11 @@ class SemilinearOperator:
         return self.t @ arg
 
     def apply_subspace(self, u: Subspace) -> Subspace:
-        """Image subspace T(u); conjugation maps subspaces to subspaces too."""
+        """Image subspace T(u), spanned by the image of u's basis, which T (an
+        invertible semilinear map) keeps independent."""
         if u.ambient_dim != self.dim:
             raise DimensionMismatchError("ambient dimension mismatch")
-        if u.dim == 0:
-            return Subspace.zero(self.dim, u.backend)
-        img = self.apply_matrix(u.basis)
-        return column_space(img, rank_hint=u.dim)
+        return column_space(self.apply_matrix(u.basis), rank_hint=u.dim)
 
     def compose(self, other: "SemilinearOperator") -> "SemilinearOperator":
         """self ∘ other; flavors multiply like signs."""

@@ -1,13 +1,14 @@
 """Subspaces of C^n and the lattice operations on them.
 
-Exact backend: bases are pivot columns of the generating matrix.  Float
-backend: bases are kept orthonormal, cut at the rank of
-:func:`~psdcone.linalg.matrix.numerical_rank`.  Every range comparison in
-the package (inclusion, equality, intersection dimension, and through them
-absolute continuity and singularity) is decided by :func:`common_dim`: an
-exact rank on the exact backend, a count of principal angles on the float
-one, where the tolerance is an angle in radians (a direction counts as
-common when its sine is at most ``tol``).
+Bases come from, and are validated by, :func:`column_space`: pivot columns
+(exact) or orthonormal columns cut at the rank of
+:func:`~psdcone.linalg.matrix.numerical_rank` (float).  Every range
+comparison in the package (inclusion, equality, intersection dimension, and
+through them absolute continuity and singularity) is decided by
+:func:`common_dim`: an exact rank on the exact backend, a count of principal
+angles on the float one, where the tolerance is an angle in radians (a
+direction counts as common when its sine is at most ``tol``).  Equality is
+one inclusion at equal dimension; :func:`subspace_intersect` is exact only.
 """
 
 from __future__ import annotations
@@ -27,18 +28,14 @@ class Subspace:
     __slots__ = ("ambient_dim", "basis", "backend")
 
     def __init__(self, basis: Matrix, *, _validated: bool = False):
+        if not _validated and basis.cols:
+            span = column_space(basis)
+            if span.dim != basis.cols:
+                raise ValueError("basis columns are not linearly independent")
+            basis = span.basis
         object.__setattr__(self, "ambient_dim", basis.rows)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "backend", basis.backend)
-        if not _validated and basis.cols:
-            if basis.backend == EXACT:
-                if basis.rank() != basis.cols:
-                    raise ValueError("basis columns are not linearly independent")
-            else:
-                span = column_space(basis)
-                if span.dim != basis.cols:
-                    raise ValueError("basis columns are not numerically independent")
-                object.__setattr__(self, "basis", span.basis)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -76,10 +73,9 @@ class Subspace:
         return other.dim <= self.dim and common_dim(other, self, tol) == other.dim
 
     def equals(self, other: "Subspace", tol: float = DEFAULT_TOL) -> bool:
+        """Whether the subspaces coincide: at equal dimension one inclusion decides."""
         _check_pair(self, other)
-        if self.dim != other.dim:
-            return False
-        return self.contains(other, tol) and other.contains(self, tol)
+        return self.dim == other.dim and self.contains(other, tol)
 
 
 def _check_pair(u: Subspace, v: Subspace) -> None:
@@ -130,45 +126,33 @@ def common_dim(u: Subspace, v: Subspace, tol: float = DEFAULT_TOL) -> int:
 def column_space(m: Matrix, rank_hint: int | None = None) -> Subspace:
     """Range of ``m`` as a subspace.
 
-    Exact: the pivot columns of ``m`` form the basis.  Float: the leading
-    left singular vectors; ``rank_hint`` pins the dimension when the caller
-    knows the rank (e.g. it was certified exactly), bypassing the cutoff.
+    Exact: the pivot columns of ``m`` form the basis, or ``m`` itself when
+    ``rank_hint`` equals its column count.  Float: the leading left singular
+    vectors; ``rank_hint`` pins the dimension when the caller knows the rank
+    (e.g. it was certified exactly), bypassing the cutoff.
     """
     if m.backend == EXACT:
-        piv = m.pivot_columns()
-        return Subspace(m.take_columns(piv), _validated=True)
-    a = m.array
-    if a.size == 0:
-        return Subspace.zero(m.rows, FLOAT)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
+        if rank_hint != m.cols:
+            m = m.take_columns(m.pivot_columns())
+        return Subspace(m, _validated=True)
+    u, s, _ = np.linalg.svd(m.array, full_matrices=False)
     r = rank_hint if rank_hint is not None else numerical_rank(s, *m.shape)
     return Subspace(Matrix._trusted(u[:, :r]), _validated=True)
 
 
-def subspace_intersect(u: Subspace, v: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
-    """The subspace u ∩ v.
+def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
+    """The subspace u ∩ v of exact subspaces (float ones: :func:`common_dim`).
 
-    Exact: solve [U | -V] (x; y) = 0 and collect the points U x (the x-parts
-    of a kernel basis are independent because V has independent columns).
-    Float: the leading principal directions of u against v, as many as
-    :func:`common_dim` counts.
+    Solve [U | -V] (x; y) = 0 and collect the points U x (the x-parts of a
+    kernel basis are independent because V has independent columns).
     """
     _check_pair(u, v)
+    if u.backend != EXACT:
+        raise BackendError("subspace intersections require the exact backend")
     if u.dim == 0 or v.dim == 0:
-        return Subspace.zero(u.ambient_dim, u.backend)
-    if u.backend == EXACT:
-        aug = Matrix.hstack([u.basis, -v.basis])
-        kern = aug.null_space()
-        if kern.cols == 0:
-            return Subspace.zero(u.ambient_dim, EXACT)
-        return Subspace(u.basis @ kern.take_rows(range(u.dim)), _validated=True)
-    k = min(common_dim(u, v, tol), v.dim)
-    if k == 0:
-        return Subspace.zero(u.ambient_dim, FLOAT)
-    ub, vb = u.basis.array, v.basis.array
-    p, _, _ = np.linalg.svd(ub.conj().T @ vb)
-    basis = ub @ p[:, :k]
-    return Subspace(Matrix._trusted(basis), _validated=True)
+        return Subspace.zero(u.ambient_dim, EXACT)
+    kern = Matrix.hstack([u.basis, -v.basis]).null_space()
+    return Subspace(u.basis @ kern.take_rows(range(u.dim)), _validated=True)
 
 
 def subspace_preimage(m: Matrix, v: Subspace, tol: float = DEFAULT_TOL) -> Subspace:
@@ -188,9 +172,5 @@ def subspace_preimage(m: Matrix, v: Subspace, tol: float = DEFAULT_TOL) -> Subsp
     else:
         scale = max(1.0, aug.norm())
         kern = aug.null_space(tol=tol * scale)
-    if kern.cols == 0:
-        return Subspace.zero(n, m.backend)
-    x_part = kern.take_rows(range(n))
-    if m.backend == EXACT:
-        return Subspace(x_part, _validated=True)
-    return column_space(x_part, rank_hint=kern.cols)
+    # the x-parts of a kernel basis are independent, as V's columns are
+    return column_space(kern.take_rows(range(n)), rank_hint=kern.cols)

@@ -55,6 +55,7 @@ from .linalg import (
     hermitian_part,
     spectral_roots,
 )
+from .linalg.psd import eigen_range
 from .relations import relation_triple
 from .report import Verdict
 
@@ -387,20 +388,17 @@ def verify_relation_preservation(
 def _image_ranges(spec: PreserverSpec, operands) -> list[Subspace]:
     """Ranges of the images of ``operands`` (on the map's image backend).
 
-    Exact images are mapped one by one, and an image of rank 0 gets the zero
-    subspace with no elimination; float ones by one :func:`_map_stack` call,
-    each range read off one stacked ``eigh`` of the images themselves, as
-    :meth:`PsdOperator.range` reads it.  Never off S = T A T*: ran S is
-    T(ran A) by construction, so a check against it would not read the image.
+    Exact images are mapped one by one; float ones by one :func:`_map_stack`
+    call, each range read by :func:`eigen_range` off one stacked ``eigh`` of
+    the images themselves, as :meth:`PsdOperator.range` reads it.  Never off
+    S = T A T*: ran S is T(ran A) by construction, so a check against it
+    would not read the image.
     """
-    n = spec.dimension
     if spec.exact_capable:
-        images = (apply_map(spec, a) for a in operands)
-        return [x.range() if x.rank else Subspace.zero(n, EXACT) for x in images]
+        return [apply_map(spec, a).range() for a in operands]
     ranks = np.array([a.rank for a in operands])
     images = _map_stack(spec, np.stack([a.matrix.array for a in operands]), ranks)
-    eigvec = finite_eigh(images)[1]
-    return [Subspace(Matrix._trusted(v[:, n - r :]), _validated=True) for v, r in zip(eigvec, ranks)]
+    return [eigen_range(v, r) for v, r in zip(finite_eigh(images)[1], ranks)]
 
 
 @dataclass(frozen=True)
@@ -425,6 +423,11 @@ def verify_range_form(
 ) -> RangeFormReport:
     """Check ran φ(A) = T(ran A) on samples covering every rank, reading the
     image ranges through :func:`_mapped`.
+
+    For an exact-capable map both sides come from
+    :meth:`SemilinearOperator.apply_matrix` (the image of A = G G* is
+    factored by T G, and T(ran A) applies T to G), so the check confirms
+    ``t`` but not ``apply_matrix``: one that dropped a conjugation passes.
 
     Each rank gets at least one sample, so ``trials=0`` still checks every
     rank; a negative count raises ``ValueError``.

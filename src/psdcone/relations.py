@@ -28,19 +28,12 @@ def _check_pair(a: PsdOperator, b: PsdOperator) -> None:
         raise BackendError("mixed backends; convert one operand first")
 
 
-def _intersection_dim(a: PsdOperator, b: PsdOperator, tol: float) -> int:
-    """dim(ran a ∩ ran b), without forming a range when either operator is zero."""
-    if a.rank == 0 or b.rank == 0:
-        return 0
-    return common_dim(a.range(), b.range(), tol)
-
-
 def relation_triple(
     a: PsdOperator, b: PsdOperator, tol: float = DEFAULT_TOL
 ) -> tuple[bool, bool, bool]:
     """(a ≪ b, b ≪ a, a ⊥ b) from a single intersection computation."""
     _check_pair(a, b)
-    inter = _intersection_dim(a, b, tol)
+    inter = common_dim(a.range(), b.range(), tol)
     return (inter == a.rank, inter == b.rank, inter == 0)
 
 
@@ -123,7 +116,7 @@ def analyze_pair(a: PsdOperator, b: PsdOperator, tol: float = DEFAULT_TOL) -> Re
     """
     _check_pair(a, b)
     ra, rb = a.rank, b.rank
-    inter = _intersection_dim(a, b, tol)
+    inter = common_dim(a.range(), b.range(), tol)
     ac_ab = inter == ra
     ac_ba = inter == rb
     return RelationReport(

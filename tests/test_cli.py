@@ -586,6 +586,32 @@ def test_non_finite_float_file_is_a_usage_error(tmp_path, capsys, token):
     assert "non-finite" in err
 
 
+@pytest.mark.parametrize(
+    "document, argv",
+    [
+        ("matrix", ["analyze", "{}", "{}"]),
+        ("spec", ["map", "verify", "{}", "--trials", "2"]),
+        ("spec", ["map", "apply", "{}", DIAG10]),
+        ("spec", ["reconstruct", "{}"]),
+    ],
+)
+def test_float_integer_beyond_the_double_range_is_a_usage_error(tmp_path, capsys, document, argv):
+    # a float cell holding a JSON integer too large for a double used to
+    # escape float() as an OverflowError traceback with exit 1
+    path = tmp_path / f"{document}.json"
+    t = Matrix.from_float(np.eye(2))
+    if document == "matrix":
+        write_matrix(path, t)
+    else:
+        write_spec(path, PreserverSpec.congruence(SemilinearOperator(t)))
+    obj = json.loads(path.read_text())
+    (obj if document == "matrix" else obj["T"])["data"][1][0][0] = 10**400
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, *[str(path) if w == "{}" else w for w in argv])
+    assert_usage_error(code, out, err)
+    assert "row 1, column 0: integer beyond the double range" in err
+
+
 FORM_IV3 = str(SAMPLES / "form_iv3.json")
 FLOAT3_FULL = str(SAMPLES / "float3_full.json")
 FLOAT3_RANK2 = str(SAMPLES / "float3_rank2.json")

@@ -17,7 +17,9 @@ from psdcone.generators import (
     random_semilinear,
     rank_one,
 )
-from psdcone.linalg import FLAVORS, Matrix, PsdOperator, column_space, psd_certify_exact
+from psdcone.linalg import (
+    EXACT, FLAVORS, FLOAT, Matrix, PsdOperator, column_space, psd_certify_exact
+)
 from psdcone.preserver import PreserverSpec, apply_map, make_wild_map
 
 
@@ -70,6 +72,19 @@ def test_rank_and_range_read_the_factor_without_elimination(monkeypatch):
     assert op.range().basis is op.factor
     monkeypatch.undo()
     assert op.matrix is op.matrix
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_zero_operator_is_born_with_its_range(monkeypatch, backend):
+    zero = PsdOperator.zero(3, backend)
+
+    def refuse(*args):
+        raise AssertionError("the zero operator's range was computed")
+
+    for name in ("rank", "pivot_columns", "rref", "null_space"):
+        monkeypatch.setattr(Matrix, name, refuse)
+    monkeypatch.setattr(PsdOperator, "eigh", refuse)
+    assert zero.range().dim == 0 and zero.range().backend == backend
 
 
 def _wild_specs(dim):

@@ -116,6 +116,10 @@ def test_float_cells_reject_non_finite_and_non_numeric():
     m = json.loads('{"backend": "float", "rows": 1, "cols": 1, "data": [[[Infinity, 0]]]}')
     with pytest.raises(MatrixFileError, match="non-finite"):
         matrix_from_obj(m)
+    # an integer too large for a double does not parse to an infinity but overflows
+    obj["data"] = [[[10**400, 0]]]
+    with pytest.raises(MatrixFileError, match="row 0, column 0: integer beyond the double range"):
+        matrix_from_obj(obj)
 
 
 def test_loads_matrix_reports_invalid_json():

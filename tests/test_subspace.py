@@ -5,13 +5,17 @@ import random
 import numpy as np
 import pytest
 
-from psdcone.errors import DimensionMismatchError
+import psdcone.linalg.subspace as subspace_module
+from psdcone.errors import BackendError, DimensionMismatchError
+from psdcone.generators import derive_seed, random_semilinear
 from psdcone.linalg import (
     EXACT,
+    FLAVORS,
     FLOAT,
     Matrix,
     Subspace,
     column_space,
+    common_dim,
     subspace_intersect,
     subspace_preimage,
 )
@@ -69,10 +73,74 @@ def test_intersection_agrees_between_backends():
         a = _rand_exact(rand, n, rand.randint(1, n))
         b = _rand_exact(rand, n, rand.randint(1, n))
         exact_dim = subspace_intersect(column_space(a), column_space(b)).dim
-        float_dim = subspace_intersect(
-            column_space(a.to_float()), column_space(b.to_float())
-        ).dim
+        float_dim = common_dim(column_space(a.to_float()), column_space(b.to_float()))
         assert exact_dim == float_dim
+
+
+def test_float_intersection_is_refused():
+    u = column_space(Matrix.from_float([[1.0], [0.0]]))
+    with pytest.raises(BackendError):
+        subspace_intersect(u, u)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_equals_takes_one_intersection_and_agrees_with_two_way_contains(n, monkeypatch):
+    rand = random.Random(800 + n)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return common_dim(*args)
+
+    seen = set()
+    for k in range(12):
+        a = _rand_exact(rand, n, rand.randint(1, n - 1))
+        if k % 3 == 0:  # the same span on another basis, unless the mix is singular
+            b = a @ _rand_exact(rand, a.cols, a.cols)
+        elif k % 3 == 1:
+            b = _rand_exact(rand, n, a.cols)
+        else:
+            b = Matrix.hstack([a, _rand_exact(rand, n, n)])
+        for convert in (lambda m: m, Matrix.to_float):
+            u, v = column_space(convert(a)), column_space(convert(b))
+            two_way = u.contains(v) and v.contains(u)
+            calls.clear()
+            with monkeypatch.context() as patched:
+                patched.setattr(subspace_module, "common_dim", counting)
+                got = u.equals(v)
+            assert got == two_way
+            assert len(calls) == (u.dim == v.dim)
+            seen.add((u.backend, got, u.dim == v.dim))
+    for backend in (EXACT, FLOAT):
+        assert {(backend, True, True), (backend, False, True), (backend, False, False)} <= seen
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_exact_images_and_preimages_keep_their_basis_without_elimination(n, monkeypatch):
+    # T is invertible and the x-parts of a kernel basis are independent, so
+    # neither result needs a pivot search: each is its own eliminated basis
+    rand = random.Random(900 + n)
+
+    def refuse(*args):
+        raise AssertionError("a proven-independent basis was eliminated again")
+
+    nontrivial = 0
+    for k in range(6):
+        t = random_semilinear(n, derive_seed(9, n, k), FLAVORS[k % 2])
+        u = column_space(_rand_exact(rand, n, rand.randint(1, n)))
+        r = rand.randint(1, n)
+        m = _rand_exact(rand, n, r) @ _rand_exact(rand, r, n)
+        v = column_space(_rand_exact(rand, n, rand.randint(1, n - 1)))
+        with monkeypatch.context() as patched:
+            for name in ("pivot_columns", "rank"):
+                patched.setattr(Matrix, name, refuse)
+            image = t.apply_subspace(u)
+            pre = subspace_preimage(m, v)
+        assert image.basis == t.apply_matrix(u.basis) == column_space(image.basis).basis
+        assert pre.basis == column_space(pre.basis).basis
+        assert v.contains(column_space(m @ pre.basis))
+        nontrivial += 0 < pre.dim < n
+    assert nontrivial
 
 
 def test_preimage_frozen_case():
@@ -143,9 +211,10 @@ def test_float_preimage_matches_exact():
             )
 
 
-def test_dependent_float_basis_rejected():
-    dependent = Matrix.from_float([[1.0, 2.0], [1.0, 2.0]])
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_dependent_basis_rejected(backend):
+    dependent = {EXACT: Matrix.exact, FLOAT: Matrix.from_float}[backend]([[1, 2], [1, 2]])
+    with pytest.raises(ValueError, match="^basis columns are not linearly independent$"):
         Subspace(dependent)
 
 
