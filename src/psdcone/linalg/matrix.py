@@ -375,10 +375,10 @@ class Matrix:
         a = self.array
         return float(np.max(np.abs(a))) if a.size else 0.0
 
-    def is_zero(self, tol: float = 0.0) -> bool:
+    def is_zero(self) -> bool:
         if self.backend == EXACT:
             return not (self._re.any() or self._im.any())
-        return self.max_abs() <= tol
+        return not self._f.any()
 
     def is_hermitian(self, tol: float = 0.0) -> bool:
         if not self.is_square:

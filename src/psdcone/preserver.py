@@ -66,14 +66,6 @@ KIND_COMPOSITE = "composite"
 KINDS = (KIND_CONGRUENCE, KIND_FORM_IV, KIND_WILD, KIND_COMPOSITE)
 
 
-def _canonical_bytes(a: PsdOperator) -> bytes:
-    """Stable serialization of a float operator for keying weight families."""
-    m = a.matrix
-    # adding 0.0 turns -0.0 into 0.0 and leaves every other value alone
-    payload = (np.ascontiguousarray(m.array) + 0.0).tobytes()
-    return m.backend.encode() + b"|" + str(m.rows).encode() + b"|" + payload
-
-
 @dataclass(frozen=True, eq=False, slots=True)
 class WeightFamily:
     """Deterministic family A ↦ Z_A of invertible positive float weights.
@@ -91,15 +83,21 @@ class WeightFamily:
     def seeded(cls, seed: int) -> "WeightFamily":
         return cls(seed)
 
-    def z_for(self, a: PsdOperator) -> Matrix:
-        digest = hashlib.sha256(_canonical_bytes(a)).digest()
-        key = int.from_bytes(digest[:8], "big")
-        rng = np.random.default_rng((self.seed, key))
-        n = a.dim
-        re, im = rng.standard_normal((2, n, n))
+    def z_for(self, x: np.ndarray) -> np.ndarray:
+        """The weights (m, n, n) of the float operands stacked in ``x`` (m, n, n):
+        one stream per operand, keyed by the first 8 bytes of the sha256 of
+        ``float|n|`` and its bytes (−0.0 read as 0.0), one (2, n, n) standard
+        normal draw each, then G G* + I hermitized over the whole stack."""
+        n = x.shape[-1]
+        head = f"float|{n}|".encode()
+        # adding 0.0 turns -0.0 into 0.0 and leaves every other value alone
+        rows = x + 0.0
+        keys = (int.from_bytes(hashlib.sha256(head + r.tobytes()).digest()[:8], "big") for r in rows)
+        re, im = np.stack(
+            [np.random.default_rng((self.seed, k)).standard_normal((2, n, n)) for k in keys], axis=1
+        )
         g = (re + 1j * im) / np.sqrt(2)
-        z = g @ g.conj().T + np.eye(n)
-        return Matrix._trusted(hermitian_part(z))
+        return hermitian_part(g @ g.conj().swapaxes(-1, -2) + np.eye(n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,11 +262,11 @@ def _map_stack(spec: PreserverSpec, x: np.ndarray, ranks: np.ndarray) -> np.ndar
     The one float kernel: a pass over the stack per map part does to each
     operand, in the same order, what the part does to it alone.  Congruence
     is T X T* (T conj(X) T* for the conjugate flavor); form_iv takes one
-    stacked ``eigh`` of S = T X T*, the root of S at each rank, one ``z_for``
-    per operand, keyed on it, and root·Z·root; wild maps only the invertible
-    operands; a composite folds its parts.  Maps keep ranks, so ``ranks``
-    rank the images.  Each image is hermitized and checked once: products of
-    finite operands can overflow (:class:`BackendError`).
+    stacked ``eigh`` of S = T X T*, the root of S at each rank, the stack's
+    weights from one ``z_for`` call, and root·Z·root; wild maps only the
+    invertible operands; a composite folds its parts.  Maps keep ranks, so
+    ``ranks`` rank the images.  Each image is hermitized and checked once:
+    products of finite operands can overflow (:class:`BackendError`).
     """
     # every image is checked by ``_finite``, so overflow needs no warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -292,9 +290,7 @@ def _map_stack(spec: PreserverSpec, x: np.ndarray, ranks: np.ndarray) -> np.ndar
         if spec.kind == KIND_CONGRUENCE:
             return s
         root = hermitian_part(spectral_roots(*finite_eigh(s), ranks))
-        keys = (PsdOperator.certified(Matrix._trusted(m), r) for m, r in zip(x, ranks))
-        z = np.stack([spec.weights.z_for(a).array for a in keys])
-        return _finite(hermitian_part(root @ z @ root))
+        return _finite(hermitian_part(root @ spec.weights.z_for(x) @ root))
 
 
 def _finite(x: np.ndarray) -> np.ndarray:
@@ -340,11 +336,11 @@ def _mapped(spec: PreserverSpec, samples, operands):
     """(sample, operands(sample), ranges of their images) for each sample, in
     order and lazily: ``operands`` runs once per sample, and each block of
     ``_MAP_BLOCK`` samples takes one :func:`_image_ranges` call, so memory
-    stays O(block).  The operands are yielded as ``operands`` returns them."""
+    stays O(block).  Operands are imaged as ``operands`` returns them."""
     samples = iter(samples)
     while block := list(itertools.islice(samples, _MAP_BLOCK)):
         groups = [operands(s) for s in block]
-        ranges = iter(_image_ranges(spec, [spec.operand(x) for g in groups for x in g]))
+        ranges = iter(_image_ranges(spec, [x for g in groups for x in g]))
         for s, g in zip(block, groups):
             yield s, g, tuple(itertools.islice(ranges, len(g)))
 
@@ -386,13 +382,13 @@ def verify_relation_preservation(
 
 
 def _image_ranges(spec: PreserverSpec, operands) -> list[Subspace]:
-    """Ranges of the images of ``operands`` (on the map's image backend).
+    """Ranges of the images of ``operands``, exact or float as they come.
 
-    Exact images are mapped one by one; float ones by one :func:`_map_stack`
-    call, each range read by :func:`eigen_range` off one stacked ``eigh`` of
-    the images themselves, as :meth:`PsdOperator.range` reads it.  Never off
-    S = T A T*: ran S is T(ran A) by construction, so a check against it
-    would not read the image.
+    Exact-capable maps image them one by one; others by one :func:`_map_stack`
+    call on their stacked ``a.matrix.array`` (the bits of ``to_float()``),
+    each range read by :func:`eigen_range` off one stacked ``eigh`` of the
+    images themselves, as :meth:`PsdOperator.range` reads it.  Never off
+    S = T A T*: ran S is T(ran A), so a check against it reads no image.
     """
     if spec.exact_capable:
         return [apply_map(spec, a).range() for a in operands]
@@ -480,10 +476,10 @@ def dim2_conditions(
 ) -> Dim2Report:
     """Sampled necessary conditions for two-dimensional preserver candidates:
 
-    the zero operator stays fixed, invertibility is preserved both ways, and
-    the induced action on lines (ranges of rank-one elements) is well defined
-    and injective on the sampled lines.  Every image range is read through
-    :func:`_mapped`; only the zero operator's image is mapped on its own.
+    the image of zero is exactly zero, invertibility is preserved both ways,
+    and the induced action on lines (ranges of rank-one elements) is well
+    defined and injective on the sampled lines.  Every image range is read
+    through :func:`_mapped`; only the zero operator's image is mapped alone.
     Fewer than one trial raises ``ValueError``: three of the four criteria
     would go unchecked.
     """
@@ -493,7 +489,7 @@ def dim2_conditions(
         raise ValueError(f"trials must be positive, got {trials}")
 
     z_img = apply_map(spec, spec.operand(PsdOperator.zero(2, EXACT)))
-    zero_fixed = z_img.rank == 0 and z_img.matrix.is_zero(tol)
+    zero_fixed = z_img.matrix.is_zero()
 
     def sampled(k: int) -> tuple[PsdOperator]:
         rank = random.Random(derive_seed(seed, 41, k)).choice((0, 1, 2))

@@ -9,6 +9,7 @@ import pytest
 
 from naive_oracles import (
     per_operand_image,
+    per_operand_weight,
     per_trial_dim2_conditions,
     per_trial_range_form,
     per_trial_relation_preservation,
@@ -21,7 +22,6 @@ from psdcone.preserver import (
     PreserverSpec,
     WeightFamily,
     _apply_wild,
-    _canonical_bytes,
     _map_stack,
     apply_map,
     dim2_conditions,
@@ -90,23 +90,26 @@ def test_form_iv_preserves_rank_and_range():
 
 def test_weight_family_keyed_on_input():
     wf = WeightFamily.seeded(7)
-    a = random_psd(3, 2, seed=1).to_float()
-    b = random_psd(3, 2, seed=2).to_float()
-    za1, za2, zb = wf.z_for(a), wf.z_for(a), wf.z_for(b)
-    assert za1 == za2
-    assert za1 != zb
+    a = random_psd(3, 2, seed=1).to_float().matrix.array
+    b = random_psd(3, 2, seed=2).to_float().matrix.array
+    za1, za2, zb = wf.z_for(np.stack([a, a, b]))
+    assert np.array_equal(za1, za2)
+    assert not np.array_equal(za1, zb)
+    # a row's weight does not depend on the rows stacked with it
+    assert np.array_equal(wf.z_for(b[None])[0], zb)
     # invertible positive: smallest eigenvalue at least 1 by construction
-    assert np.linalg.eigvalsh(za1.array)[0] >= 1.0 - 1e-9
+    assert np.linalg.eigvalsh(za1)[0] >= 1.0 - 1e-9
 
 
 def test_weight_family_draws_its_normals_as_two_matrices():
-    # one (2, n, n) draw reads the stream that two (n, n) draws read
-    a = random_psd(4, 3, seed=8).to_float()
-    key = int.from_bytes(hashlib.sha256(_canonical_bytes(a)).digest()[:8], "big")
-    rng = np.random.default_rng((11, key))
+    # one (2, n, n) draw reads the stream that two (n, n) draws read, keyed
+    # by the first 8 bytes of sha256(b"float|<n>|" + the operand's bytes)
+    a = random_psd(4, 3, seed=8).to_float().matrix.array
+    digest = hashlib.sha256(b"float|4|" + (a + 0.0).tobytes()).digest()  # -0.0 read as 0.0
+    rng = np.random.default_rng((11, int.from_bytes(digest[:8], "big")))
     g = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / np.sqrt(2)
     z = g @ g.conj().T + np.eye(4)
-    assert np.array_equal(WeightFamily.seeded(11).z_for(a).array, (z + z.conj().T) / 2.0)
+    assert np.array_equal(WeightFamily.seeded(11).z_for(a[None])[0], (z + z.conj().T) / 2.0)
 
 
 def test_weight_family_ignores_signed_zeros():
@@ -116,9 +119,29 @@ def test_weight_family_ignores_signed_zeros():
     assert np.signbit(minus.matrix.array.real).any() and np.signbit(minus.matrix.array.imag).any()
     assert plus == minus
     wf = WeightFamily.seeded(7)
-    assert wf.z_for(plus) == wf.z_for(minus)
+    z_plus, z_minus = wf.z_for(np.stack([plus.matrix.array, minus.matrix.array]))
+    assert z_plus.tobytes() == z_minus.tobytes()
     spec = PreserverSpec.form_iv(random_semilinear(2, 3), wf)
     assert apply_map(spec, plus) == apply_map(spec, minus)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_stacked_weights_are_bit_identical_to_the_per_operand_reference(dim):
+    operands = [
+        random_psd(dim, rank, derive_seed(81, dim, rank, k)).to_float().matrix.array
+        for rank in range(dim + 1)
+        for k in range(2)
+    ]
+    twin = operands[-1].copy()
+    twin.imag[np.diag_indices(dim)] = -0.0  # a Hermitian diagonal is real
+    assert np.signbit(twin.imag).any() and np.array_equal(twin, operands[-1])
+    stack = np.stack(operands + [twin])
+    for seed in (0, 9):
+        weights = WeightFamily.seeded(seed).z_for(stack)
+        assert weights.shape == stack.shape
+        for x, z in zip(stack, weights):
+            assert z.tobytes() == per_operand_weight(seed, x).tobytes()
+        assert weights[-1].tobytes() == weights[-2].tobytes()
 
 
 def test_weight_family_rejects_negative_seed():
@@ -250,8 +273,8 @@ def test_range_form_reads_the_float_image_not_s(monkeypatch):
     t = random_semilinear(3, 8)
     spec = PreserverSpec.form_iv(t, WeightFamily.seeded(5))
     assert verify_range_form(spec, t, trials=12, seed=8).passed
-    collapsed = Matrix.from_float(np.diag([1.0, 0.0, 0.0]))
-    monkeypatch.setattr(WeightFamily, "z_for", lambda self, a: collapsed)
+    collapsed = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    monkeypatch.setattr(WeightFamily, "z_for", lambda self, x: np.broadcast_to(collapsed, x.shape))
     rep = verify_range_form(spec, t, trials=12, seed=8)
     assert {v["rank"] for v in rep.violations} == {2}
 
@@ -486,14 +509,19 @@ def test_dim2_conditions_match_the_reference_across_a_full_block():
 
 def test_dim2_conditions_read_the_image_of_zero_itself(monkeypatch):
     # a float image keeps the certified rank of its operand, so the image of
-    # 0 still has rank 0; only its matrix shows that 0 moved
+    # 0 still has rank 0; only its matrix shows that 0 moved.  Every map sends
+    # 0 to exactly 0, so even 1e-12·I, below any float tolerance, is a move
     stack = preserver._map_stack
-    monkeypatch.setattr(preserver, "_map_stack", lambda spec, x, r: stack(spec, x, r) + 1e-3 * np.eye(2))
     spec = PreserverSpec.congruence(random_semilinear(2, 13).to_float())
-    rep = dim2_conditions(spec, trials=20, seed=1)
-    assert rep.first_failure == "zero_fixed" and not rep.zero_fixed
-    assert rep.invertibility_preserved and rep.line_map_well_defined and rep.line_map_injective
-    assert rep.to_dict() == per_trial_dim2_conditions(spec, 20, 1, DEFAULT_TOL)
+    for shift in (1e-3, 1e-12):
+        def moved(spec, x, ranks, shift=shift):
+            return stack(spec, x, ranks) + shift * np.eye(2)
+
+        monkeypatch.setattr(preserver, "_map_stack", moved)
+        rep = dim2_conditions(spec, trials=20, seed=1)
+        assert rep.first_failure == "zero_fixed" and not rep.zero_fixed, shift
+        assert rep.invertibility_preserved and rep.line_map_well_defined and rep.line_map_injective
+        assert rep.to_dict() == per_trial_dim2_conditions(spec, 20, 1, DEFAULT_TOL)
 
 
 def test_dim2_conditions_fail_on_diagonal_images(monkeypatch):

@@ -4,19 +4,24 @@ Usage: ``python3 tools/report_sweep.py`` (no arguments).  The script imports
 psdcone from the ``src/`` of the checkout it sits in, runs a fixed seeded
 sweep and prints one sha256 per report family and one over all of them.
 
-To show that a change leaves every report byte-identical, copy this file
-into a checkout of the parent commit and run it in both checkouts on the
-same machine.  Float results enter the hashes bit for bit, so float hashes
-are only comparable between runs on one host.
+Each family is run once on exact operands and maps and once on float ones.
+Exact reports hold no float, so their hashes are the same on every host:
+``tests/test_report_golden.py`` runs the exact families through this module
+and asserts the committed hashes.  Float results enter the hashes bit for
+bit, so float hashes are only comparable between runs on one host: to show
+that a change leaves them byte-identical, copy this file into a checkout of
+the parent commit and run it in both checkouts on the same machine.
 
 Families:
-  analyze     ``analyze_pair`` on exact and float pairs
+  analyze     ``analyze_pair`` (on exact pairs without the float
+              ``min_domination_constant``, which LAPACK computes)
   relations   ``relation_triple``, and ``subspace_intersect`` on exact pairs
   subspaces   ``equals``/``contains``, ``apply_subspace``, ``subspace_preimage``
-              and basis validation, on both backends
-  lebesgue    ``decompose`` parts and ``verify_decomposition``
-  maps        the three map verifiers on 8 map families, dims 2-5,
-              1/7/40 trials, and the range form against a wrong T
+              and basis validation
+  lebesgue    ``decompose`` parts and ``verify_decomposition`` (float only)
+  maps        the three map verifiers on 4 exact-capable and 4 float map
+              families, dims 2-5, 1/7/40 trials, and the range form against
+              a wrong T
   reconstruct ``reconstruct_semilinear`` and ``verify_projectivity`` of the
               induced line maps
 """
@@ -94,21 +99,27 @@ def exact_pairs():
                 yield pc.random_psd(dim, ra, seed), pc.random_psd(dim, rb, seed + 1)
 
 
-def all_pairs():
+def pairs(backend):
+    """The exact pairs, converted to float for the float backend."""
     for a, b in exact_pairs():
-        yield a, b
-        yield a.to_float(), b.to_float()
+        yield (a, b) if backend == pc.EXACT else (a.to_float(), b.to_float())
 
 
-def analyze_family():
-    return [outcome(pc.analyze_pair, a, b) for a, b in all_pairs()]
-
-
-def relations_family():
+def analyze_family(backend):
     out = []
-    for a, b in all_pairs():
+    for a, b in pairs(backend):
+        report = pc.analyze_pair(a, b).to_dict()
+        if backend == pc.EXACT:
+            del report["min_domination_constant"]
+        out.append(canon(report))
+    return out
+
+
+def relations_family(backend):
+    out = []
+    for a, b in pairs(backend):
         out.append(outcome(pc.relation_triple, a, b))
-        if a.backend == pc.EXACT:
+        if backend == pc.EXACT:
             out.append(outcome(pc.subspace_intersect, a.range(), b.range()))
     return out
 
@@ -119,7 +130,8 @@ def _rand_matrix(rand, rows, cols):
     )
 
 
-def subspaces_family():
+def subspaces_family(backend):
+    conv = (lambda x: x) if backend == pc.EXACT else pc.Matrix.to_float
     rand = random.Random(2024)
     out = []
     for n in range(2, 7):
@@ -128,19 +140,21 @@ def subspaces_family():
             shared = _rand_matrix(rand, n, rand.randint(0, n))
             t = pc.random_semilinear(n, rand.randint(0, 999), rand.choice(pc.FLAVORS))
             sq = _rand_matrix(rand, n, n)
-            for conv, op in ((lambda x: x, t), (pc.Matrix.to_float, t.to_float())):
-                u = pc.column_space(conv(pc.Matrix.hstack([shared, m])))
-                v = pc.column_space(conv(pc.Matrix.hstack([w, shared])))
-                same = pc.column_space(conv(pc.Matrix.hstack([m, shared])))
-                out.append([u.equals(v), v.equals(u), u.equals(same), same.equals(u)])
-                out.append([u.contains(v), v.contains(u), u.contains(same), same.contains(u)])
-                out.append(outcome(op.apply_subspace, u))
-                out.append(outcome(pc.subspace_preimage, conv(sq), v))
-                out.append(accepted(conv(pc.Matrix.hstack([m, shared]))))
+            op = t if backend == pc.EXACT else t.to_float()
+            u = pc.column_space(conv(pc.Matrix.hstack([shared, m])))
+            v = pc.column_space(conv(pc.Matrix.hstack([w, shared])))
+            same = pc.column_space(conv(pc.Matrix.hstack([m, shared])))
+            out.append([u.equals(v), v.equals(u), u.equals(same), same.equals(u)])
+            out.append([u.contains(v), v.contains(u), u.contains(same), same.contains(u)])
+            out.append(outcome(op.apply_subspace, u))
+            out.append(outcome(pc.subspace_preimage, conv(sq), v))
+            out.append(accepted(conv(pc.Matrix.hstack([m, shared]))))
     return out
 
 
-def lebesgue_family():
+def lebesgue_family(backend):
+    if backend == pc.EXACT:
+        return []  # the split is float only
     out = []
     for k, (a, b) in enumerate(exact_pairs()):
         af, bf = a.to_float(), b.to_float()
@@ -150,15 +164,16 @@ def lebesgue_family():
     return out
 
 
-def map_specs(dim):
-    """The 8 map families: exact, conjugate and float congruences, form_iv
-    in both flavors, wild, an exact composite and a mixed composite."""
+def map_specs(dim, backend):
+    """The map families whose images are on ``backend``: exact and conjugate
+    congruences, wild and an exact composite; or a float congruence, form_iv
+    in both flavors and a mixed composite."""
     linear = pc.random_semilinear(dim, 3, pc.FLAVOR_LINEAR)
     conjugate = pc.random_semilinear(dim, 4, pc.FLAVOR_CONJUGATE)
     congruence = pc.PreserverSpec.congruence
     wild = pc.make_wild_map(5, dim)
     weights = pc.WeightFamily.seeded(6)
-    return {
+    specs = {
         "congruence": congruence(linear),
         "conjugate": congruence(conjugate),
         "float-congruence": congruence(conjugate.to_float()),
@@ -170,13 +185,15 @@ def map_specs(dim):
             [wild, pc.PreserverSpec.form_iv(conjugate, weights), congruence(linear.to_float())]
         ),
     }
+    exact = backend == pc.EXACT
+    return {name: spec for name, spec in specs.items() if spec.exact_capable == exact}
 
 
-def maps_family():
+def maps_family(backend):
     out = []
     for dim in DIMS:
         wrong = pc.random_semilinear(dim, 9)  # induces none of the maps: a negative control
-        for name, spec in map_specs(dim).items():
+        for name, spec in map_specs(dim, backend).items():
             for trials in TRIALS:
                 for seed in (0, 5):
                     out.append([name, dim, trials, seed])
@@ -190,10 +207,10 @@ def maps_family():
     return out
 
 
-def reconstruct_family():
+def reconstruct_family(backend):
     out = []
     for dim in DIMS:
-        for name, spec in map_specs(dim).items():
+        for name, spec in map_specs(dim, backend).items():
             line_map = pc.induced_line_map(spec)
             out.append([name, dim])
             out.append(outcome(pc.reconstruct_semilinear, line_map))
@@ -211,14 +228,24 @@ FAMILIES = {
 }
 
 
+def family_hashes(backend) -> dict[str, str]:
+    """sha256 of each family's canonical JSON on ``backend`` (families with
+    nothing on it left out)."""
+    out = {}
+    for name, family in FAMILIES.items():
+        if payload := family(backend):
+            text = json.dumps(payload, sort_keys=True, ensure_ascii=True).encode()
+            out[f"{backend}-{name}"] = hashlib.sha256(text).hexdigest()
+    return out
+
+
 def main() -> None:
     overall = hashlib.sha256()
-    for name, family in FAMILIES.items():
-        payload = json.dumps(family(), sort_keys=True, ensure_ascii=True).encode()
-        digest = hashlib.sha256(payload).hexdigest()
-        overall.update(f"{name}:{digest}\n".encode())
-        print(f"{name:<12} {digest}")
-    print(f"{'overall':<12} {overall.hexdigest()}")
+    for backend in (pc.EXACT, pc.FLOAT):
+        for name, digest in family_hashes(backend).items():
+            overall.update(f"{name}:{digest}\n".encode())
+            print(f"{name:<18} {digest}")
+    print(f"{'overall':<18} {overall.hexdigest()}")
 
 
 if __name__ == "__main__":
