@@ -155,7 +155,7 @@ def _cmd_map_verify(args) -> int:
         spec, trials=args.trials, seed=args.seed, tol=args.tol
     )
     range_form = verify_range_form(
-        spec, spec.inducing_operator, trials=max(8, args.trials // 4), seed=args.seed, tol=args.tol
+        spec, trials=max(8, args.trials // 4), seed=args.seed, tol=args.tol
     )
     out: dict = {
         "preservation": preservation.to_dict(),

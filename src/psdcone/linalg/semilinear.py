@@ -1,10 +1,9 @@
-"""Invertible linear / conjugate-linear operators acting on vectors and subspaces."""
+"""Invertible linear / conjugate-linear operators acting on vectors."""
 
 from __future__ import annotations
 
 from ..errors import DimensionMismatchError
 from .matrix import EXACT, FLOAT, Matrix
-from .subspace import Subspace, column_space
 
 FLAVOR_LINEAR = "linear"
 FLAVOR_CONJUGATE = "conjugate"
@@ -57,13 +56,6 @@ class SemilinearOperator:
             raise DimensionMismatchError("row count does not match the operator")
         arg = m.conj() if self.is_conjugate else m
         return self.t @ arg
-
-    def apply_subspace(self, u: Subspace) -> Subspace:
-        """Image subspace T(u), spanned by the image of u's basis, which T (an
-        invertible semilinear map) keeps independent."""
-        if u.ambient_dim != self.dim:
-            raise DimensionMismatchError("ambient dimension mismatch")
-        return column_space(self.apply_matrix(u.basis), rank_hint=u.dim)
 
     def compose(self, other: "SemilinearOperator") -> "SemilinearOperator":
         """self ∘ other; flavors multiply like signs."""

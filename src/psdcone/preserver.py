@@ -20,7 +20,9 @@ necessary conditions on finite samples and say so in their reports.  All
 three, :func:`dim2_conditions` included, read the ranges of their images
 through one blocked path, :func:`_mapped`: fixed blocks of trials, float
 images computed as (m, n, n) stacks with one stacked pass over each block's
-images, then one stacked ``eigh``.
+images, then one stacked ``eigh`` that ranks each image by its own spectrum.
+:func:`verify_range_form` transports each operand's exact range basis by the
+matrix of the T the spec names, so it shares no arithmetic with the map.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .linalg import (
     PsdOperator,
     SemilinearOperator,
     Subspace,
+    column_space,
     common_dim,
     finite_eigh,
     hermitian_part,
@@ -332,7 +335,7 @@ def _sampled_pair(dim: int, seed: int, k: int) -> tuple[PsdOperator, PsdOperator
 _MAP_BLOCK = 256
 
 
-def _mapped(spec: PreserverSpec, samples, operands):
+def _mapped(spec: PreserverSpec, samples, operands, tol: float):
     """(sample, operands(sample), ranges of their images) for each sample, in
     order and lazily: ``operands`` runs once per sample, and each block of
     ``_MAP_BLOCK`` samples takes one :func:`_image_ranges` call, so memory
@@ -340,7 +343,7 @@ def _mapped(spec: PreserverSpec, samples, operands):
     samples = iter(samples)
     while block := list(itertools.islice(samples, _MAP_BLOCK)):
         groups = [operands(s) for s in block]
-        ranges = iter(_image_ranges(spec, [x for g in groups for x in g]))
+        ranges = iter(_image_ranges(spec, [x for g in groups for x in g], tol))
         for s, g in zip(block, groups):
             yield s, g, tuple(itertools.islice(ranges, len(g)))
 
@@ -365,7 +368,7 @@ def verify_relation_preservation(
         raise ValueError(f"trials must be positive, got {trials}")
     violations: list[dict] = []
     names = ("abs_cont_ab", "abs_cont_ba", "singular")
-    pairs = _mapped(spec, range(trials), lambda k: _sampled_pair(spec.dimension, seed, k))
+    pairs = _mapped(spec, range(trials), lambda k: _sampled_pair(spec.dimension, seed, k), tol)
     for k, (a, b), (u, v) in pairs:
         inter = common_dim(u, v, tol)
         image = (inter == u.dim, inter == v.dim, inter == 0)
@@ -381,20 +384,24 @@ def verify_relation_preservation(
     )
 
 
-def _image_ranges(spec: PreserverSpec, operands) -> list[Subspace]:
+def _image_ranges(spec: PreserverSpec, operands, tol: float) -> list[Subspace]:
     """Ranges of the images of ``operands``, exact or float as they come.
 
-    Exact-capable maps image them one by one; others by one :func:`_map_stack`
-    call on their stacked ``a.matrix.array`` (the bits of ``to_float()``),
-    each range read by :func:`eigen_range` off one stacked ``eigh`` of the
-    images themselves, as :meth:`PsdOperator.range` reads it.  Never off
-    S = T A T*: ran S is T(ran A), so a check against it reads no image.
+    Exact-capable maps image them one by one.  Others take one
+    :func:`_map_stack` call on their stacked ``a.matrix.array`` (the bits of
+    ``to_float()``) and one stacked ``eigh`` of the images themselves.  Each is
+    ranked by its own spectrum, not its operand's rank: the eigenvalues above
+    ``tol`` times its largest (not n·eps times it, as in a matrix rank: rounding
+    in a chain of map parts can lift a zero one past that).  Its range is read
+    by :func:`eigen_range`, never off S = T A T*: ran S is T(ran A).
     """
     if spec.exact_capable:
         return [apply_map(spec, a).range() for a in operands]
     ranks = np.array([a.rank for a in operands])
     images = _map_stack(spec, np.stack([a.matrix.array for a in operands]), ranks)
-    return [eigen_range(v, r) for v, r in zip(finite_eigh(images)[1], ranks)]
+    eigval, eigvec = finite_eigh(images)
+    image_ranks = np.sum(eigval > tol * eigval[:, -1:], axis=1)
+    return [eigen_range(v, r) for v, r in zip(eigvec, image_ranks)]
 
 
 @dataclass(frozen=True)
@@ -412,39 +419,37 @@ class RangeFormReport(Verdict):
 
 def verify_range_form(
     spec: PreserverSpec,
-    t: SemilinearOperator,
     trials: int = 40,
     seed: int = 0,
     tol: float = DEFAULT_TOL,
 ) -> RangeFormReport:
-    """Check ran φ(A) = T(ran A) on samples covering every rank, reading the
-    image ranges through :func:`_mapped`.
+    """Check ran φ(A) = T(ran A), T the map's ``inducing_operator``, on
+    samples covering every rank, reading the image ranges through
+    :func:`_mapped`.
 
-    For an exact-capable map both sides come from
-    :meth:`SemilinearOperator.apply_matrix` (the image of A = G G* is
-    factored by T G, and T(ran A) applies T to G), so the check confirms
-    ``t`` but not ``apply_matrix``: one that dropped a conjugation passes.
+    T(ran A) is read off T's matrix and the drawn operand's exact range
+    basis G, as the span of T G (T conj(G) for the conjugate flavor) on the
+    images' backend, so no image arithmetic of the map is shared with it.
 
     Each rank gets at least one sample, so ``trials=0`` still checks every
     rank; a negative count raises ``ValueError``.
     """
-    if t.dim != spec.dimension:
-        raise DimensionMismatchError("witness operator size differs from map dimension")
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     n = spec.dimension
     per_rank = max(1, trials // (n + 1))
-    t = spec.operand(t)
+    t = spec.operand(spec.inducing_operator)
     samples = [(r, j) for r in range(n + 1) for j in range(per_rank)]
 
     def operand(sample):
-        return (spec.operand(random_psd(n, sample[0], derive_seed(seed, 31, *sample))),)
+        return (random_psd(n, sample[0], derive_seed(seed, 31, *sample)),)
 
-    violations = [
-        {"rank": r, "sample": j}
-        for (r, j), (a,), (image,) in _mapped(spec, samples, operand)
-        if not image.equals(t.apply_subspace(a.range()), tol)
-    ]
+    violations = []
+    for (r, j), (a,), (image,) in _mapped(spec, samples, operand, tol):
+        g = spec.operand(a.range().basis)
+        transported = column_space(t.t @ (g.conj() if t.is_conjugate else g), rank_hint=a.rank)
+        if not image.equals(transported, tol):
+            violations.append({"rank": r, "sample": j})
     return RangeFormReport(
         map_kind=spec.kind, dimension=n, samples=len(samples), violations=tuple(violations)
     )
@@ -495,9 +500,8 @@ def dim2_conditions(
         rank = random.Random(derive_seed(seed, 41, k)).choice((0, 1, 2))
         return (random_psd(2, rank, derive_seed(seed, 42, k)),)
 
-    invertibility_preserved = all(
-        (a.rank == 2) == (image.dim == 2) for _, (a,), (image,) in _mapped(spec, range(trials), sampled)
-    )
+    images = _mapped(spec, range(trials), sampled, tol)
+    invertibility_preserved = all((a.rank == 2) == (image.dim == 2) for _, (a,), (image,) in images)
 
     rand = random.Random(derive_seed(seed, 43))
 
@@ -509,7 +513,7 @@ def dim2_conditions(
         return pair + ((rank_one(g),) if Matrix.hstack([f, g]).rank() == 2 else ())
 
     line_map_well_defined = line_map_injective = True
-    for _, _, (line, scaled, *other) in _mapped(spec, range(trials), lines):
+    for _, _, (line, scaled, *other) in _mapped(spec, range(trials), lines, tol):
         if line.dim != 1 or not line.equals(scaled, tol):
             line_map_well_defined = False
             break

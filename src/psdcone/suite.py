@@ -178,13 +178,13 @@ def _range_form_section(dims, trials, seed, skip_float, tol):
     for dim in dims:
         t = random_semilinear(dim, derive_seed(seed, 8, dim))
         rep = verify_range_form(
-            PreserverSpec.congruence(t), t, trials=samples, seed=derive_seed(seed, 9, dim), tol=tol
+            PreserverSpec.congruence(t), trials=samples, seed=derive_seed(seed, 9, dim), tol=tol
         )
         sec.record(rep.passed, f"dim={dim}: congruence range covariance broken")
         if not skip_float:
             spec = PreserverSpec.form_iv(t, WeightFamily.seeded(derive_seed(seed, 10, dim)))
             rep_f = verify_range_form(
-                spec, t, trials=samples, seed=derive_seed(seed, 11, dim), tol=tol
+                spec, trials=samples, seed=derive_seed(seed, 11, dim), tol=tol
             )
             sec.record(rep_f.passed, f"dim={dim}: weighted-map range covariance broken")
     return sec.result()

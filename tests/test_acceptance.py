@@ -140,13 +140,11 @@ def test_image_ranges_are_the_transported_ranges():
     for idx, op in enumerate(_operator_pool()):
         trials = 3 * (op.dim + 1)  # three samples at every rank
         congruence = PreserverSpec.congruence(op)
-        rep = verify_range_form(congruence, op, trials=trials, seed=derive_seed(7401, idx))
+        rep = verify_range_form(congruence, trials=trials, seed=derive_seed(7401, idx))
         if not (rep.passed and rep.samples == trials):
             failures.append(("congruence", idx, rep.violations[:3]))
         weighted = PreserverSpec.form_iv(op, WeightFamily.seeded(derive_seed(7402, idx)))
-        rep = verify_range_form(
-            weighted, op, trials=trials, seed=derive_seed(7403, idx), tol=1e-8
-        )
+        rep = verify_range_form(weighted, trials=trials, seed=derive_seed(7403, idx), tol=1e-8)
         if not (rep.passed and rep.samples == trials):
             failures.append(("weighted", idx, rep.violations[:3]))
     assert failures == []
