@@ -3,13 +3,13 @@
 ``decompose(a, b)`` splits a into an absolutely continuous part (range
 dominated by b) and a singular part, via the domain
 M = {x : a^{1/2} x ∈ ran b}: the a.c. part is a^{1/2} P_M a^{1/2}.  The
-split is float-backend work (square roots are spectral); its defining
-invariants plus a sampled maximality oracle live in
-:func:`verify_decomposition`, which draws and checks its contractions as
-stacked arrays in fixed blocks, from the same random stream as one draw at a
-time.  Its range filter is decided by Frobenius bounds on the spectral
-residual, wide enough that it keeps and drops exactly the draws the spectral
-norms would; only a draw the bounds leave open pays for those norms.
+split is float-backend work (square roots are spectral); its invariants and
+a sampled maximality oracle live in :func:`verify_decomposition`, which
+draws its contractions in stacked blocks, from the same random stream as
+one draw at a time, each scaled by its largest |eigenvalue|.  Every norm it
+takes is of a Hermitian matrix and comes from one ``eigvalsh``; Frobenius
+bounds settle its range filter, keeping and dropping exactly the draws
+those norms would, and only a draw they leave open pays for the norms.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from .linalg import (
     Matrix,
     PsdOperator,
     Subspace,
+    hermitian_norm,
     hermitian_part,
     psd_sqrt,
-    spectral_norm,
     subspace_preimage,
 )
 from .relations import is_singular
@@ -105,13 +105,10 @@ class DecompositionCheck(Verdict):
 
 
 def _dominated_residual(c: np.ndarray, p_base: np.ndarray) -> np.ndarray:
-    """Spectral norm of (I-P) C (I-P), scaled, for each C of a (..., n, n) stack.
-
-    0 iff ran C ⊆ ran base.
-    """
+    """‖(I-P) C (I-P)‖₂ / max(1, ‖C‖₂) for each C of a (..., n, n) stack: 0 iff ran C ⊆ ran P."""
     q = np.eye(p_base.shape[-1]) - p_base
     r = q @ c @ q
-    return spectral_norm(r) / np.maximum(1.0, spectral_norm(c))
+    return hermitian_norm(r) / np.maximum(1.0, hermitian_norm(c))
 
 
 def _dominated(c: np.ndarray, p_base: np.ndarray, tol: float) -> np.ndarray:
@@ -146,22 +143,23 @@ def verify_decomposition(
 ) -> DecompositionCheck:
     """Check the defining invariants and sample the maximality property.
 
-    Maximality oracle: draw contractions 0 ≤ R ≤ I, form C = a^{1/2} R a^{1/2}
-    (every PSD C ≤ a arises this way), keep those whose range is dominated by
-    the base within tolerance, and demand C ≤ ac_part + tol·I.  The odd-indexed
-    draws are supported on the a.c. domain so the filter stays non-vacuous
-    when the base is rank deficient.  Draws are processed as stacks of
-    ``_ORACLE_BLOCK`` matrices: the random stream, and so every count, is
-    the one drawn one contraction at a time, while memory stays
-    O(block·n²) for any number of trials.
+    Maximality oracle: draw contractions R = (I + W/‖W‖₂)/2, 0 ≤ R ≤ I, for
+    Hermitian W, form C = a^{1/2} R a^{1/2} (every PSD C ≤ a arises this
+    way), keep those whose range is dominated by the base within tolerance,
+    and demand C ≤ ac_part + tol·I.  The odd-indexed draws are supported on
+    the a.c. domain so the filter stays non-vacuous when the base is rank
+    deficient.  Draws are processed as stacks of ``_ORACLE_BLOCK`` matrices:
+    the random stream, and so every count, is the one drawn one contraction
+    at a time, while memory stays O(block·n²) for any number of trials.
 
-    The range filter asks ‖(I-P) C (I-P)‖₂ / max(1, ‖C‖₂) ≤ tol, P
-    projecting onto ran base.  Frobenius norms, one reduction each instead
-    of an SVD, settle it (:func:`_dominated`): as ‖X‖₂ ≤ ‖X‖_F ≤ √n‖X‖₂,
-    they bound that residual from both sides with a factor of 2 to spare,
-    so every draw they keep or drop is one the spectral norms keep or drop.
-    Only draws between the bounds, in practice almost none, take the
-    spectral norms.
+    Every norm here is of a Hermitian matrix, so it is max |eigenvalue|, from
+    one ``eigvalsh`` (:func:`hermitian_norm`; ‖a‖ from ``a.eigh()``).  The
+    range filter asks ‖(I-P) C (I-P)‖₂ / max(1, ‖C‖₂) ≤ tol, P projecting
+    onto ran base.  Frobenius norms settle it (:func:`_dominated`): as
+    ‖X‖₂ ≤ ‖X‖_F ≤ √n‖X‖₂, they bound that residual from both sides with a
+    factor of 2 to spare, so every draw they keep or drop is one the
+    spectral norms keep or drop; only draws between the bounds, in practice
+    almost none, take the spectral norms.
 
     ``trials=0`` checks only the invariants; a negative count raises
     ``ValueError``, and ``a`` must act on the decomposition's space.
@@ -176,8 +174,8 @@ def verify_decomposition(
     ac = dec.ac_part.matrix.array
     sing = dec.singular_part.matrix.array
     total = ac + sing - a.matrix.array
-    scale_a = max(1.0, float(spectral_norm(a.matrix.array)))
-    sum_ok = float(spectral_norm(total)) <= tol * scale_a
+    scale_a = max(1.0, float(np.abs(a.eigh()[0]).max()))
+    sum_ok = float(hermitian_norm(total)) <= tol * scale_a
 
     p_base = dec.base.range().projector().array
     ac_ok = bool(_dominated_residual(ac, p_base) <= tol)
@@ -194,7 +192,7 @@ def verify_decomposition(
         z = rng.standard_normal((min(_ORACLE_BLOCK, trials - start), 2, n, n))
         w = z[:, 0] + 1j * z[:, 1]
         w = hermitian_part(w)
-        top = spectral_norm(w)
+        top = hermitian_norm(w)
         top[top == 0.0] = 1.0
         r = (np.eye(n) + w / top[:, None, None]) / 2.0  # eigenvalues in [0, 1]
         r[1::2] = p_dom @ r[1::2] @ p_dom  # still 0 ≤ R ≤ I, on the domain

@@ -1,7 +1,8 @@
 """Linear algebra layer: matrices, subspaces and PSD operators over two backends."""
 
 from .matrix import (
-    EXACT, FLOAT, Matrix, default_rank_tol, hermitian_part, psd_certify_exact, spectral_norm
+    EXACT, FLOAT, Matrix, default_rank_tol, hermitian_norm, hermitian_part, psd_certify_exact,
+    spectral_norm,
 )
 from .psd import PsdOperator, finite_eigh, psd_check, psd_sqrt, spectral_root, spectral_roots
 from .scalar import GaussianRational
@@ -42,5 +43,6 @@ __all__ = [
     "default_rank_tol",
     "psd_certify_exact",
     "spectral_norm",
+    "hermitian_norm",
     "hermitian_part",
 ]

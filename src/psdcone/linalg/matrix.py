@@ -44,10 +44,16 @@ def default_rank_tol(rows: int, cols: int, smax: float) -> float:
 def spectral_norm(x: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix of a (..., m, n) stack.
 
-    One LAPACK call, and the value ``np.linalg.norm(x, 2, axis=(-2, -1))``
-    takes from the same SVD.
+    The SVD value of ``np.linalg.norm(x, 2, axis=(-2, -1))``, read by the float
+    cutoff of :meth:`Matrix.pinv`; Hermitian stacks take :func:`hermitian_norm`.
     """
     return np.linalg.svd(x, compute_uv=False)[..., 0]
+
+
+def hermitian_norm(x: np.ndarray) -> np.ndarray:
+    """Spectral norm max |λ| of each Hermitian matrix of a (..., n, n) stack, from
+    one ``eigvalsh`` (about half an SVD's cost) that reads only lower triangles."""
+    return np.abs(np.linalg.eigvalsh(x)).max(axis=-1)
 
 
 def hermitian_part(x: np.ndarray) -> np.ndarray:
@@ -364,13 +370,6 @@ class Matrix:
         scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
         return bool(np.max(np.abs(a - b)) <= tol * scale) if a.size else True
 
-    def norm(self) -> float:
-        """Spectral norm (largest singular value); 0 for empty matrices."""
-        a = self.array
-        if a.size == 0:
-            return 0.0
-        return float(spectral_norm(a))
-
     def max_abs(self) -> float:
         a = self.array
         return float(np.max(np.abs(a))) if a.size else 0.0
@@ -419,14 +418,14 @@ class Matrix:
         self._need(EXACT)
         return _rref(self)
 
-    def null_space(self, tol: float | None = None) -> "Matrix":
+    def null_space(self) -> "Matrix":
         """Basis of the kernel as matrix columns (zero columns if trivial)."""
         if self.cols == 0:
             raise DimensionMismatchError("kernel of a zero-column matrix is degenerate")
         if self.backend == EXACT:
             return _exact_null_space(self)
         _, s, vh = np.linalg.svd(self._f)
-        return Matrix._trusted(vh[numerical_rank(s, *self.shape, tol) :].conj().T)
+        return Matrix._trusted(vh[numerical_rank(s, *self.shape) :].conj().T)
 
     def inverse(self) -> "Matrix":
         """Inverse of an exact square matrix, by Gauss–Jordan elimination."""

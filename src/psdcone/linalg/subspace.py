@@ -169,8 +169,9 @@ def subspace_preimage(m: Matrix, v: Subspace, tol: float = DEFAULT_TOL) -> Subsp
     aug = Matrix.hstack([m, -v.basis]) if v.dim else m
     if m.backend == EXACT:
         kern = aug.null_space()
-    else:
-        scale = max(1.0, aug.norm())
-        kern = aug.null_space(tol=tol * scale)
+    else:  # one SVD gives both the scale σ_max and the kernel
+        _, s, vh = np.linalg.svd(aug.array)
+        r = numerical_rank(s, *aug.shape, tol * max(1.0, s[0]))
+        kern = Matrix._trusted(vh[r:].conj().T)
     # the x-parts of a kernel basis are independent, as V's columns are
     return column_space(kern.take_rows(range(n)), rank_hint=kern.cols)

@@ -144,18 +144,20 @@ def per_trial_decomposition_check(dec, a, trials, seed, tol):
     from psdcone.linalg import psd_sqrt, subspace_preimage
     from psdcone.relations import is_singular
 
+    def two_norm(h):  # of a Hermitian matrix: its largest |eigenvalue|
+        return float(np.abs(np.linalg.eigvalsh(h)).max())
+
     def dominated_residual(c, p_base):
         q = np.eye(n) - p_base
         r = q @ c @ q
-        scale = max(1.0, float(np.linalg.norm(c, 2)))
-        return float(np.linalg.norm(r, 2)) / scale
+        return two_norm(r) / max(1.0, two_norm(c))
 
     n = a.dim
     ac = dec.ac_part.matrix.array
     sing = dec.singular_part.matrix.array
     total = ac + sing - a.matrix.array
     scale_a = max(1.0, float(np.linalg.norm(a.matrix.array, 2)))
-    sum_ok = float(np.linalg.norm(total, 2)) <= tol * scale_a
+    sum_ok = two_norm(total) <= tol * scale_a
     p_base = dec.base.range().projector().array
     ac_ok = dominated_residual(ac, p_base) <= tol
     singular_ok = is_singular(dec.singular_part, dec.base, tol)
@@ -171,7 +173,7 @@ def per_trial_decomposition_check(dec, a, trials, seed, tol):
     for k in range(trials):
         w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         w = (w + w.conj().T) / 2.0
-        top = float(np.linalg.norm(w, 2)) or 1.0
+        top = two_norm(w) or 1.0
         r = (np.eye(n) + w / top) / 2.0
         if k % 2 == 1:
             r = p_dom @ r @ p_dom

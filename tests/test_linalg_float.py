@@ -9,6 +9,8 @@ from psdcone.linalg import (
     FLOAT,
     Matrix,
     PsdOperator,
+    hermitian_norm,
+    hermitian_part,
     psd_check,
     psd_sqrt,
     spectral_norm,
@@ -49,6 +51,34 @@ def test_spectral_norm_is_the_two_norm_bit_for_bit():
                 assert np.array_equal(spectral_norm(x), want)
                 assert spectral_norm(x[0]) == np.linalg.norm(x[0], 2)
     assert spectral_norm(np.zeros((3, 3))) == 0.0
+
+
+def test_hermitian_norm_is_the_two_norm():
+    rng = np.random.default_rng(20231)
+    eps = np.finfo(np.float64).eps
+
+    def agrees(norm, h):  # with the SVD two-norm, within 4·n·eps relative
+        want = np.linalg.norm(h, 2, axis=(-2, -1))
+        got = norm(h)
+        return got.shape == want.shape and bool(
+            np.all(np.abs(got - want) <= 4 * h.shape[-1] * eps * want)
+        )
+
+    def top_eigenvalue(h):  # reads λ_max alone: the negative control
+        return np.linalg.eigvalsh(h)[..., -1]
+
+    for n in range(1, 8):
+        for count in (1, 7, 256):
+            for scale in (1e-5, 1.0, 1e5):
+                g = scale * (rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n)))
+                x = hermitian_part(g)
+                x[::5] = 0.0  # zero matrices included
+                assert agrees(hermitian_norm, x)
+                assert np.all(hermitian_norm(x[::5]) == 0.0)  # so the oracle's top == 0 guard fires
+                negative = -(g @ g.conj().swapaxes(-1, -2))  # −(G G*): λ_max ≤ 0 < ‖·‖₂
+                assert agrees(hermitian_norm, negative)
+                assert not agrees(top_eigenvalue, negative)
+    assert hermitian_norm(np.zeros((3, 3))) == 0.0
 
 
 def test_from_float_accepts_transposed_views():
@@ -145,6 +175,6 @@ def test_psd_sqrt_requires_float_backend():
 
 def test_norms_and_max_abs():
     m = Matrix.from_float([[3.0, 0.0], [0.0, -4.0]])
-    assert m.norm() == pytest.approx(4.0)
+    assert spectral_norm(m.array) == pytest.approx(4.0)
     assert m.max_abs() == pytest.approx(4.0)
     assert m.backend == FLOAT
