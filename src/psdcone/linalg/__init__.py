@@ -1,8 +1,8 @@
 """Linear algebra layer: matrices, subspaces and PSD operators over two backends."""
 
 from .matrix import (
-    EXACT, FLOAT, Matrix, default_rank_tol, hermitian_norm, hermitian_part, psd_certify_exact,
-    spectral_norm,
+    EXACT, FLOAT, Matrix, default_rank_tol, hermitian_norm, hermitian_part, hstack_rank,
+    psd_certify_exact, spectral_norm,
 )
 from .psd import PsdOperator, finite_eigh, psd_check, psd_sqrt, spectral_root, spectral_roots
 from .scalar import GaussianRational
@@ -45,4 +45,5 @@ __all__ = [
     "spectral_norm",
     "hermitian_norm",
     "hermitian_part",
+    "hstack_rank",
 ]

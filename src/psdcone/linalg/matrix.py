@@ -121,9 +121,9 @@ class Matrix:
         return _exact(re, im, den)
 
     @classmethod
-    def from_gaussian_ints(cls, parts: np.ndarray) -> "Matrix":
-        """Exact matrix from a rows × cols × 2 object array of Python ints (re, im)."""
-        return _exact(parts[..., 0], parts[..., 1])
+    def from_gaussian_ints(cls, parts: np.ndarray, den: int = 1) -> "Matrix":
+        """Exact matrix from a rows × cols × 2 object array of int (re, im) over ``den``."""
+        return _exact(parts[..., 0], parts[..., 1], den)
 
     @classmethod
     def from_float(cls, data) -> "Matrix":
@@ -236,10 +236,10 @@ class Matrix:
         k = next((k for k, z in enumerate(zip(self._re.flat, self._im.flat)) if any(z)), None)
         return None if k is None else divmod(k, self.cols)
 
-    def over_entry(self, i: int, j: int) -> "Matrix":
-        """This exact matrix divided by its nonzero (i, j) entry, in integers only."""
+    def gaussian_ints(self) -> tuple[int, list[int], list[int]]:
+        """(den, re, im) of an exact matrix in lowest terms, numerators row-major."""
         self._need(EXACT)
-        return _divide(self._re, self._im, self._re[i, j], self._im[i, j])
+        return self._den, self._re.ravel().tolist(), self._im.ravel().tolist()
 
     def _need(self, backend: str) -> None:
         if self.backend != backend:
@@ -419,13 +419,11 @@ class Matrix:
         return _rref(self)
 
     def null_space(self) -> "Matrix":
-        """Basis of the kernel as matrix columns (zero columns if trivial)."""
+        """Basis of the kernel as matrix columns, zero columns if trivial (exact backend)."""
+        self._need(EXACT)
         if self.cols == 0:
             raise DimensionMismatchError("kernel of a zero-column matrix is degenerate")
-        if self.backend == EXACT:
-            return _exact_null_space(self)
-        _, s, vh = np.linalg.svd(self._f)
-        return Matrix._trusted(vh[numerical_rank(s, *self.shape) :].conj().T)
+        return _exact_null_space(self)
 
     def inverse(self) -> "Matrix":
         """Inverse of an exact square matrix, by Gauss–Jordan elimination."""
@@ -537,6 +535,16 @@ def _sweep(re, im, m, n, jordan):
 
 def _bareiss(m: Matrix):
     return _sweep(m._re.tolist(), m._im.tolist(), m.rows, m.cols, False)
+
+
+def hstack_rank(parts: Sequence[Matrix]) -> int:
+    """Exact rank of [parts…] from each part's numerators; a positive column scale keeps rank."""
+    if any(p.backend != EXACT or p.rows != parts[0].rows for p in parts):
+        raise DimensionMismatchError("hstack_rank needs exact parts with matching row counts")
+    # Bareiss on the transpose, whose rows are the parts' columns
+    re = [row for p in parts for row in p._re.T.tolist()]
+    im = [row for p in parts for row in p._im.T.tolist()]
+    return len(_sweep(re, im, len(re), parts[0].rows, False)[0])
 
 
 def _rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import BackendError, DimensionMismatchError
-from .matrix import EXACT, FLOAT, Matrix, numerical_rank
+from .matrix import EXACT, FLOAT, Matrix, hstack_rank, numerical_rank
 
 #: default angle tolerance (radians) for float subspace decisions
 DEFAULT_TOL = 1e-8
@@ -119,7 +119,7 @@ def common_dim(u: Subspace, v: Subspace, tol: float = DEFAULT_TOL) -> int:
     if u.dim == 0 or v.dim == 0:
         return 0
     if u.backend == EXACT:
-        return u.dim + v.dim - Matrix.hstack([u.basis, v.basis]).rank()
+        return u.dim + v.dim - hstack_rank([u.basis, v.basis])
     return int(np.sum(principal_sines(u, v) <= tol))
 
 

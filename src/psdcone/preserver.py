@@ -56,6 +56,7 @@ from .linalg import (
     common_dim,
     finite_eigh,
     hermitian_part,
+    hstack_rank,
     spectral_roots,
 )
 from .linalg.psd import eigen_range
@@ -510,7 +511,7 @@ def dim2_conditions(
         f = random_direction(2, rand)
         g = random_direction(2, rand)
         pair = (rank_one(f), rank_one(f.scale(random_scalar(rand))))
-        return pair + ((rank_one(g),) if Matrix.hstack([f, g]).rank() == 2 else ())
+        return pair + ((rank_one(g),) if hstack_rank([f, g]) == 2 else ())
 
     line_map_well_defined = line_map_injective = True
     for _, _, (line, scaled, *other) in _mapped(spec, range(trials), lines, tol):

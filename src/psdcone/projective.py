@@ -1,11 +1,14 @@
 """Lines, line maps, and reconstruction of the operator behind a line map.
 
-A :class:`Line` is a one-dimensional subspace stored as one exact n×1 matrix,
-scaled once so its first nonzero entry is 1; exact matrices are kept in lowest
-terms, which makes projective equality and hashing plain matrix equality and
-hashing.  A cone map that sends rank-one operators to rank-one operators
-induces a map on lines via Ψ([f]) = ran φ(f f*); :func:`induced_line_map`
-builds it for any :class:`~psdcone.preserver.PreserverSpec`.
+A :class:`Line` is a one-dimensional subspace whose direction is divided once
+by its first nonzero entry.  It compares and hashes by an integer key, the
+lowest-terms denominator and Gaussian-integer numerators of that divided
+direction, so projective equality is tuple equality; the same direction is
+kept as an exact n×1 matrix for arithmetic.  Coplanarity and independence
+are exact ranks of side-by-side columns, :func:`~psdcone.linalg.hstack_rank`.
+A cone map that sends rank-one operators to rank-one operators induces a map
+on lines via Ψ([f]) = ran φ(f f*); :func:`induced_line_map` builds it for any
+:class:`~psdcone.preserver.PreserverSpec`.
 
 :func:`reconstruct_semilinear` inverts the construction: from the values of a
 line map on 2n probes it recovers an operator T (unique up to a scalar) and
@@ -17,8 +20,9 @@ ambient dimension at least 3, where coplanarity carries information.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -32,6 +36,7 @@ from .linalg import (
     GaussianRational,
     Matrix,
     SemilinearOperator,
+    hstack_rank,
 )
 from .preserver import PreserverSpec, apply_map
 from .report import Verdict
@@ -50,18 +55,29 @@ _PIVOT_CUT = 1e-6
 
 @dataclass(frozen=True, init=False, repr=False)
 class Line:
-    """A point of projective space: a 1-d subspace with a canonical direction."""
+    """A point of projective space; Lines compare and hash by their integer key."""
 
-    _col: Matrix
+    _key: tuple
+    _col: Matrix = field(compare=False)
 
     def __init__(self, entries):
         self._normalise(Matrix.exact([[c] for c in entries]))
 
     def _normalise(self, col: Matrix) -> None:
-        at = col.first_nonzero()
-        if at is None:
+        # the key is (den, re…, im…) of v / (a + bi) = v·(a − bi) / (a² + b²) for the
+        # first nonzero entry a + bi, in lowest terms; v's own denominator cancels
+        _, re, im = col.gaussian_ints()
+        k = next((k for k, (x, y) in enumerate(zip(re, im)) if x or y), None)
+        if k is None:
             raise ValueError("a line needs a nonzero direction")
-        object.__setattr__(self, "_col", col.over_entry(*at))
+        a, b = re[k], im[k]
+        den = a * a + b * b
+        re, im = [x * a + y * b for x, y in zip(re, im)], [y * a - x * b for x, y in zip(re, im)]
+        g = math.gcd(den, *re, *im)
+        den, re, im = den // g, [x // g for x in re], [y // g for y in im]
+        parts = np.array([re, im], dtype=object).T.reshape(-1, 1, 2)
+        object.__setattr__(self, "_key", (den, *re, *im))
+        object.__setattr__(self, "_col", Matrix.from_gaussian_ints(parts, den))
 
     @classmethod
     def from_vector(cls, v) -> "Line":
@@ -85,12 +101,10 @@ class Line:
 
 
 def unit_line(n: int, j: int) -> Line:
-    """The line of e_j, built in normal form: its one nonzero entry is already 1."""
+    """The line of e_j."""
     if not 0 <= j < n:
         raise ValueError("a unit line needs 0 <= j < n")
-    line = Line.__new__(Line)
-    object.__setattr__(line, "_col", Matrix.identity(n).column(j))
-    return line
+    return Line.from_vector(Matrix.identity(n).column(j))
 
 
 class LineMap:
@@ -188,7 +202,7 @@ def reconstruct_semilinear(line_map: LineMap) -> SemilinearOperator:
         raise DimensionMismatchError("reconstruction needs ambient dimension at least 2")
 
     w = [line_map(unit_line(n, j)).column() for j in range(n)]
-    if Matrix.hstack(w).rank() != n:
+    if hstack_rank(w) != n:
         raise NotSemilinearError("images of the coordinate lines are linearly dependent")
 
     cols = [w[0]]
@@ -264,7 +278,7 @@ def verify_projectivity(line_map: LineMap, trials: int = 50, seed: int = 0) -> P
 
     def check(kind: str, label, triple, want_rank_two: bool):
         nonlocal coplanar, independent
-        got = Matrix.hstack([line_map(ln).column() for ln in triple]).rank()
+        got = hstack_rank([line_map(ln).column() for ln in triple])
         if want_rank_two:
             coplanar += 1
             if got > 2:
@@ -288,7 +302,7 @@ def verify_projectivity(line_map: LineMap, trials: int = 50, seed: int = 0) -> P
     while made < trials:
         u = random_direction(n, rand)
         v = random_direction(n, rand)
-        if Matrix.hstack([u, v]).rank() != 2:
+        if hstack_rank([u, v]) != 2:
             continue
         combo = u.scale(random_scalar(rand)) + v.scale(random_scalar(rand))
         if combo.is_zero():
@@ -296,7 +310,7 @@ def verify_projectivity(line_map: LineMap, trials: int = 50, seed: int = 0) -> P
         triple = (Line.from_vector(u), Line.from_vector(v), Line.from_vector(combo))
         check("random", f"seeded#{made}", triple, True)
         x = random_direction(n, rand)
-        if Matrix.hstack([u, v, x]).rank() == 3:
+        if hstack_rank([u, v, x]) == 3:
             check("random", f"seeded#{made}/independent", (triple[0], triple[1], Line.from_vector(x)), False)
         made += 1
 

@@ -7,7 +7,7 @@ import pytest
 
 from psdcone.errors import DimensionMismatchError
 from psdcone.generators import random_psd
-from psdcone.linalg import EXACT, GaussianRational, Matrix
+from psdcone.linalg import EXACT, FLOAT, GaussianRational, Matrix, hstack_rank
 from psdcone.linalg.matrix import psd_certify_exact
 
 from naive_oracles import grid_of, naive_matmul, naive_rank
@@ -29,6 +29,28 @@ def test_rank_matches_naive_elimination():
         cols = rand.randint(1, 5)
         m = _random_exact(rand, rows, cols, span=2)
         assert m.rank() == naive_rank(grid_of(m))
+
+
+def test_hstack_rank_matches_the_stacked_rank():
+    # mixed denominators, Gaussian-rational entries and dependent columns
+    rand = random.Random(1919)
+    for _ in range(120):
+        rows = rand.randint(2, 6)
+        parts = []
+        for _ in range(rand.randint(1, 4)):
+            part = _random_exact(rand, rows, rand.randint(1, 3), span=2)
+            part = part.scale((Fraction(rand.randint(-4, 4), rand.randint(1, 6)), Fraction(1, rand.randint(1, 5))))
+            parts.append(part)
+            if rand.random() < 0.4:
+                # a combination of earlier columns, over yet another denominator
+                combo = parts[0].column(0).scale(Fraction(2, 3)) + part.column(0).scale((0, Fraction(1, 7)))
+                parts.append(combo)
+        assert hstack_rank(parts) == Matrix.hstack(parts).rank()
+    assert hstack_rank([Matrix.zeros(3, 2), Matrix.zeros(3, 0)]) == 0
+    with pytest.raises(DimensionMismatchError):
+        hstack_rank([Matrix.zeros(3, 1), Matrix.zeros(2, 1)])
+    with pytest.raises(DimensionMismatchError):
+        hstack_rank([Matrix.zeros(3, 1), Matrix.zeros(3, 1, FLOAT)])
 
 
 def test_rref_shape_and_idempotence():

@@ -36,8 +36,11 @@ def test_computed_float_results_are_read_only():
     # results wrapped without a copy must still be immutable
     m = Matrix.from_float([[1.0, 2j], [0.5, 3.0]])
     for r in (m @ m, m + m, m - m, -m, m.conj(), m.H, m.hermitize(), m.column(1),
-              Matrix.hstack([m, m]), m.null_space(), Matrix.identity(2, FLOAT)):
+              Matrix.hstack([m, m]), Matrix.identity(2, FLOAT)):
         assert not r.array.flags.writeable
+    # kernels are exact-only: a float kernel's cutoff belongs to its caller
+    with pytest.raises(BackendError):
+        m.null_space()
 
 
 def test_spectral_norm_is_the_two_norm_bit_for_bit():

@@ -1,9 +1,12 @@
 """Line geometry: induced maps, reconstruction, coplanarity checks."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from psdcone.errors import DimensionMismatchError, LineMapError, NotSemilinearError
-from psdcone.generators import derive_seed, random_semilinear
+from psdcone.generators import derive_seed, random_direction, random_semilinear
 from psdcone.linalg import EXACT, FLAVOR_CONJUGATE, FLAVOR_LINEAR, Matrix
 from psdcone.preserver import PreserverSpec, WeightFamily, make_wild_map
 from psdcone.projective import (
@@ -59,6 +62,29 @@ def test_a_line_divides_once_and_keeps_its_column(monkeypatch):
     assert line.column() == v.scale(divide(GaussianRational.coerce(1), v.entry(1, 0)))
     assert line == Line.from_vector(v.scale(7)) and hash(line) == hash(Line.from_vector(v.scale(7)))
     assert line.ambient_dim == 4
+
+
+def test_lines_compare_by_key_under_every_scalar():
+    # Line(v) == Line(λ·v) for λ imaginary, with a denominator, or both
+    rand = random.Random(19)
+    for n in range(1, 7):
+        for _ in range(6):
+            v = random_direction(n, rand).scale(Fraction(1, rand.randint(1, 9)))
+            line = Line.from_vector(v)
+            for lam in ((0, 3), Fraction(-2, 7), (Fraction(1, 3), Fraction(-5, 2)), (0, Fraction(-1, 4))):
+                other = Line.from_vector(v.scale(lam))
+                assert other == line and hash(other) == hash(line)
+                assert other.column() == line.column() and repr(other) == repr(line)
+            w = random_direction(n, rand)
+            if n > 1 and Matrix.hstack([v, w]).rank() == 2:
+                assert Line.from_vector(w) != line
+
+
+def test_line_column_and_repr_are_the_divided_direction():
+    assert repr(Line.from_vector([0, (0, 2), 4, (1, -3)])) == "Line(0, 1, -2i, -3/2-1/2i)"
+    line = Line.from_vector(Matrix.exact([[(1, 3)], [2], [(0, 1)]]).scale(Fraction(5, 3)))
+    assert repr(line) == "Line(1, 1/5-3/5i, 3/10+1/10i)"
+    assert line.column() == Matrix.exact([[1], [("1/5", "-3/5")], [("3/10", "1/10")]])
 
 
 def test_line_rejects_zero_and_mismatch():
