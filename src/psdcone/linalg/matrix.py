@@ -7,11 +7,12 @@ lowest terms (the gcd of ``den`` and every numerator is 1) so that equality
 and hashing compare values.  Products, sums, conjugates and slices are
 whole-array integer operations that clear the denominator once per matrix,
 not once per entry.  Rank uses fraction-free Bareiss elimination on the
-numerators, PSD certification a diagonally pivoted fraction-free LDL*, and
-``rref`` fraction-free Gauss–Jordan elimination, all on rows of Python ints
-and with no rounding.  Single entries are handed out as reduced
-:class:`~psdcone.linalg.scalar.GaussianRational` scalars.  The ``float``
-backend stores complex128 arrays and relies on numpy's SVD/eigh
+numerators, PSD certification a diagonally pivoted fraction-free LDL* on the
+upper half, and kernels a fraction-free Gauss–Jordan grid read with one
+division (only ``rref``, ``inverse`` and ``pinv`` divide the whole grid), all
+on rows of Python ints and with no rounding.  Single entries are handed out
+as reduced :class:`~psdcone.linalg.scalar.GaussianRational` scalars.  The
+``float`` backend stores complex128 arrays and relies on numpy's SVD/eigh
 with the usual ``max(m, n) * eps * sigma_max`` rank cutoff, applied by
 :func:`numerical_rank` alone.  Float input is copied and checked for
 finiteness where it enters (:meth:`Matrix.from_float`); results computed
@@ -423,7 +424,7 @@ class Matrix:
         self._need(EXACT)
         if self.cols == 0:
             raise DimensionMismatchError("kernel of a zero-column matrix is degenerate")
-        return _exact_null_space(self)
+        return hstack_kernel([self])[1]
 
     def inverse(self) -> "Matrix":
         """Inverse of an exact square matrix, by Gauss–Jordan elimination."""
@@ -510,13 +511,16 @@ def _sweep(re, im, m, n, jordan):
         rr, ri = re[r], im[r]
         # a complex prev divides as conj(prev) / |prev|^2
         div = prev_re * prev_re + prev_im * prev_im if prev_im else prev_re
+        # left of c the pivot row is 0: rows above scale free entries, take the new pivot
+        above = [j for j in range(c) if j not in pivots] + list(range(c + 1, n)) if jordan else ()
         for i in range(0 if jordan else r + 1, m):
             if i == r:
                 continue
             xr, xi = re[i], im[i]
             br, bi = xr[c], xi[c]
-            # below the pivot row everything left of column c is already zero
-            for j in range(c + 1 if i > r else 0, n):
+            if i < r:
+                xr[pivots[i]], xi[pivots[i]] = ar, ai
+            for j in above if i < r else range(c + 1, n):
                 ur = ar * xr[j] - ai * xi[j] - br * rr[j] + bi * ri[j]
                 ui = ar * xi[j] + ai * xr[j] - br * ri[j] - bi * rr[j]
                 if prev_im:
@@ -570,50 +574,66 @@ def psd_certify_exact(m: Matrix) -> tuple[bool, int]:
     vanishing trailing block is equivalent to PSD-ness, and the pivot count
     is the rank.  Non-Hermitian input returns (False, 0).  The positive
     common denominator changes neither, so the numerators are certified.
+    Each pivot updates the Hermitian Schur complement on and above the diagonal.
     """
-    if not m.is_hermitian():
+    re, im, n = m._re.tolist(), m._im.tolist(), m.rows
+    # im[i][i] == -im[i][i] rejects a non-real diagonal
+    if not m.is_square or any(
+        re[i][j] != re[j][i] or im[i][j] != -im[j][i] for i in range(n) for j in range(i, n)
+    ):
         return (False, 0)
-    re, im = m._re.tolist(), m._im.tolist()
-    active = list(range(m.rows))
+    active = list(range(n))
     prev = 1
     rank = 0
     while active:
-        pivot_idx = None
-        p = 0
-        for i in active:
-            if im[i][i] != 0:
-                raise ArithmeticError("non-real diagonal on a Hermitian grid")
-            if re[i][i] < 0:
-                return (False, rank)
-            if re[i][i] > p:
-                p = re[i][i]
-                pivot_idx = i
-        if pivot_idx is None:
+        diag = [re[i][i] for i in active]
+        if min(diag) < 0:
+            return (False, rank)
+        p = max(diag)
+        if p == 0:
             # all remaining diagonal entries vanish: PSD iff the block is zero
             return (not any(re[i][j] or im[i][j] for i in active for j in active), rank)
-        active.remove(pivot_idx)
-        kr, ki = re[pivot_idx], im[pivot_idx]
-        for i in active:
+        piv = active.pop(diag.index(p))
+        kr, ki = re[piv], im[piv]
+        for a, i in enumerate(active):
             xr, xi = re[i], im[i]
-            gr, gi = xr[pivot_idx], xi[pivot_idx]
-            for j in active:
-                xr[j], er = divmod(p * xr[j] - gr * kr[j] + gi * ki[j], prev)
-                xi[j], ei = divmod(p * xi[j] - gr * ki[j] - gi * kr[j], prev)
+            gr, gi = xr[piv], xi[piv]
+            for j in active[a:]:
+                ur, er = divmod(p * xr[j] - gr * kr[j] + gi * ki[j], prev)
+                ui, ei = divmod(p * xi[j] - gr * ki[j] - gi * kr[j], prev)
                 if er or ei:
                     raise ArithmeticError("non-exact division in fraction-free elimination")
+                xr[j], xi[j], re[j][i], im[j][i] = ur, ui, ur, -ui
         prev = p
         rank += 1
     return (True, rank)
 
 
-def _exact_null_space(m: Matrix) -> Matrix:
-    """Kernel basis from the rref: one column per free variable, set to 1."""
-    red, pivots = m.rref()
-    free = [c for c in range(m.cols) if c not in pivots]
-    re = np.zeros((m.cols, len(free)), dtype=object)
-    im = np.zeros((m.cols, len(free)), dtype=object)
-    re[free, range(len(free))] = red._den
-    rows = list(pivots)
-    re[rows] = -red._re[: len(rows)][:, free]
-    im[rows] = -red._im[: len(rows)][:, free]
-    return _exact(re, im, red._den)
+def _kernel(parts: Sequence[Matrix]):
+    """(pivots, kre, kim, d) of one Gauss–Jordan sweep of [parts…] over a common
+    denominator.  Every pivot equals the last one, d, so (kre + i·kim) / d, with d
+    at each free column f and −grid[r][f] at the r-th pivot column, spans the kernel."""
+    den = math.lcm(*(p._den for p in parts))
+    re, im = (np.hstack(x).tolist() for x in zip(*(p._over(den) for p in parts)))
+    cols = len(re[0])
+    pivots, d = _sweep(re, im, len(re), cols, True)
+    free = [c for c in range(cols) if c not in pivots]
+    kern = np.zeros((2, cols, len(free)), dtype=object)
+    kern[:, free, range(len(free))] = np.array(d, dtype=object)[:, None]
+    kern[:, pivots] = -np.array([re, im], dtype=object)[:, : len(pivots)][:, :, free]
+    return tuple(pivots), kern[0], kern[1], d
+
+
+def hstack_kernel(parts: Sequence[Matrix]) -> tuple[tuple[int, ...], Matrix]:
+    """Pivot columns and kernel basis of exact [parts…], with no stacked matrix built."""
+    pivots, kre, kim, (dr, di) = _kernel(parts)
+    return pivots, _divide(kre, kim, dr, di)
+
+
+def column_intersection(u: Matrix, v: Matrix) -> Matrix:
+    """Basis of span U ∩ span V for exact U, V of independent columns: the kernel
+    of [U | V] pairs x (its first p rows) with y where U x = −V y, so the points
+    −U·x take one product and one division by −d·den(U)."""
+    _, kre, kim, (dr, di) = _kernel([u, v])
+    kr, ki, ur, ui = kre[: u.cols], kim[: u.cols], u._re, u._im
+    return _divide(ur @ kr - ui @ ki, ur @ ki + ui @ kr, -dr * u._den, -di * u._den)

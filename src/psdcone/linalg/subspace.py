@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import BackendError, DimensionMismatchError
-from .matrix import EXACT, FLOAT, Matrix, hstack_rank, numerical_rank
+from .matrix import EXACT, FLOAT, Matrix, column_intersection, hstack_rank, numerical_rank
 
 #: default angle tolerance (radians) for float subspace decisions
 DEFAULT_TOL = 1e-8
@@ -143,16 +143,15 @@ def column_space(m: Matrix, rank_hint: int | None = None) -> Subspace:
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
     """The subspace u ∩ v of exact subspaces (float ones: :func:`common_dim`).
 
-    Solve [U | -V] (x; y) = 0 and collect the points U x (the x-parts of a
-    kernel basis are independent because V has independent columns).
+    Solve [U | -V] (x; y) = 0 by one sweep of the numerators and collect the points
+    U x (the x-parts of a kernel basis are independent, as V's columns are).
     """
     _check_pair(u, v)
     if u.backend != EXACT:
         raise BackendError("subspace intersections require the exact backend")
     if u.dim == 0 or v.dim == 0:
         return Subspace.zero(u.ambient_dim, EXACT)
-    kern = Matrix.hstack([u.basis, -v.basis]).null_space()
-    return Subspace(u.basis @ kern.take_rows(range(u.dim)), _validated=True)
+    return Subspace(column_intersection(u.basis, v.basis), _validated=True)
 
 
 def subspace_preimage(m: Matrix, v: Subspace, tol: float = DEFAULT_TOL) -> Subspace:

@@ -38,6 +38,7 @@ from .linalg import (
     SemilinearOperator,
     hstack_rank,
 )
+from .linalg.matrix import hstack_kernel
 from .preserver import PreserverSpec, apply_map
 from .report import Verdict
 
@@ -176,14 +177,13 @@ def induced_line_map(spec: PreserverSpec) -> LineMap:
 
 def _solve_two(w1: Matrix, wj: Matrix, d: Matrix) -> tuple[GaussianRational, GaussianRational]:
     """Exact coefficients (α, β) with d = α·w1 + β·wj, or a failure."""
-    aug = Matrix.hstack([w1, wj, d])
-    reduced, pivots = aug.rref()
+    pivots, kern = hstack_kernel([w1, wj, d])
     # a nonzero entry of d below row 2 would have made column 2 a pivot
     if pivots != (0, 1):
         raise NotSemilinearError(
             "image of a diagonal probe leaves the plane spanned by the coordinate images"
         )
-    return reduced.entry(0, 2), reduced.entry(1, 2)
+    return -kern.entry(0, 0), -kern.entry(1, 0)  # the kernel column is (−α, −β, 1)
 
 
 def reconstruct_semilinear(line_map: LineMap) -> SemilinearOperator:

@@ -96,6 +96,55 @@ def naive_rank(grid):
     return rank
 
 
+def naive_psd(grid):
+    """(is_psd, rank) of a square grid: a Hermitian matrix is PSD iff every
+    principal minor is real and nonnegative.  ``rank`` is the naive rank of a
+    PSD grid, 0 for a non-Hermitian one and None for any other."""
+    n = len(grid)
+    if any(grid[i][j] != (grid[j][i][0], -grid[j][i][1]) for i in range(n) for j in range(n)):
+        return (False, 0)
+    for mask in range(1, 2**n):
+        idx = [i for i in range(n) if mask >> i & 1]
+        if naive_det([[grid[i][j] for j in idx] for i in idx])[0] < 0:
+            return (False, None)
+    return (True, naive_rank(grid))
+
+
+def naive_rref(grid):
+    """Reduced row echelon form (pivots scaled to 1) and pivot columns."""
+    work = [list(row) for row in grid]
+    cols = len(work[0])
+    pivots = []
+    for col in range(cols):
+        r = len(pivots)
+        found = next((i for i in range(r, len(work)) if work[i][col] != CZERO), None)
+        if found is None:
+            continue
+        work[r], work[found] = work[found], work[r]
+        inv = cdiv(CONE, work[r][col])
+        work[r] = [cmul(inv, x) for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col] != CZERO:
+                f = work[i][col]
+                work[i] = [csub(x, cmul(f, y)) for x, y in zip(work[i], work[r])]
+        pivots.append(col)
+    return work, pivots
+
+
+def naive_null_space(grid):
+    """Kernel basis read off the divided rref, as a grid: one column per free
+    column f, 1 at f and −rref[r][f] at the r-th pivot column."""
+    red, pivots = naive_rref(grid)
+    cols = len(grid[0])
+    free = [c for c in range(cols) if c not in pivots]
+    out = [[CZERO] * len(free) for _ in range(cols)]
+    for k, f in enumerate(free):
+        out[f][k] = CONE
+        for r, c in enumerate(pivots):
+            out[c][k] = (-red[r][f][0], -red[r][f][1])
+    return out
+
+
 def min_constant_bisect(a, b, *, bits: int = 40, cap: int = 2**60):
     """Smallest c with a <= c*b, by bisection over exact feasibility.
 

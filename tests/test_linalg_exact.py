@@ -5,12 +5,17 @@ from fractions import Fraction
 
 import pytest
 
+import psdcone.linalg.matrix as matrix_module
 from psdcone.errors import DimensionMismatchError
 from psdcone.generators import random_psd
-from psdcone.linalg import EXACT, FLOAT, GaussianRational, Matrix, hstack_rank
-from psdcone.linalg.matrix import psd_certify_exact
+from psdcone.linalg import (
+    EXACT, FLOAT, GaussianRational, Matrix, column_space, hstack_rank, subspace_intersect,
+)
+from psdcone.linalg.matrix import hstack_kernel, psd_certify_exact
 
-from naive_oracles import grid_of, naive_matmul, naive_rank
+from naive_oracles import (
+    grid_of, naive_matmul, naive_null_space, naive_psd, naive_rank, naive_rref,
+)
 
 
 def _random_exact(rand, rows, cols, span=3):
@@ -139,6 +144,92 @@ def test_psd_certificate_rejections():
     # zero diagonal with a nonzero row cannot be PSD
     trap = Matrix.exact([[0, 1], [1, 5]])
     assert psd_certify_exact(trap)[0] is False
+
+
+def _psd_cases(rand, n):
+    """Hermitian and broken matrices of size n, over mixed denominators."""
+    def gram(k):
+        g = _random_rational(rand, n, k) if k else Matrix.zeros(n, 1)
+        return g @ g.H
+
+    full, low = gram(n), gram(rand.randint(0, n - 1))
+    cases = [full, low, full.scale(Fraction(3, 7)) + low, low - gram(1), gram(1) - full]
+    # a zero diagonal entry whose row is not zero
+    k = rand.randrange(n)
+    trap = [[(0, 0) if k in (i, j) else low.entry(i, j) for j in range(n)] for i in range(n)]
+    if n > 1:
+        j = (k + 1) % n
+        trap[k][j], trap[j][k] = (Fraction(1, 5), 1), (Fraction(1, 5), -1)
+    cases.append(Matrix.exact(trap))
+    # one off-diagonal entry broken, and a non-real diagonal entry
+    broken = [list(row) for row in full.exact_rows]
+    if n > 1:
+        broken[0][n - 1] = broken[0][n - 1] + GaussianRational(Fraction(1, 3))
+        cases.append(Matrix.exact(broken))
+    unreal = [list(row) for row in full.exact_rows]
+    unreal[k][k] = unreal[k][k] + GaussianRational(0, Fraction(1, 2))
+    cases.append(Matrix.exact(unreal))
+    return cases
+
+
+def test_psd_certificate_matches_the_principal_minor_oracle():
+    rand = random.Random(2020)
+    for n in range(1, 7):
+        for _ in range(4 if n < 6 else 2):
+            for m in _psd_cases(rand, n):
+                ok, rank = psd_certify_exact(m)
+                want_ok, want_rank = naive_psd(grid_of(m))
+                assert ok == want_ok
+                if want_rank is not None:
+                    assert rank == want_rank
+
+
+def test_psd_certificate_updates_half_the_active_block(monkeypatch):
+    # a pivot leaving s active rows updates the s(s+1)/2 entries on and above
+    # the diagonal, two divisions each; the full block would cost 2·s^2
+    calls = []
+
+    def counting_divmod(a, b):
+        calls.append(b)
+        return divmod(a, b)
+
+    monkeypatch.setattr(matrix_module, "divmod", counting_divmod, raising=False)
+    for n, r, want in ((5, 5, 40), (5, 3, 38), (6, 6, 70), (1, 1, 0)):
+        m = random_psd(n, r, seed=n + r).matrix
+        calls.clear()
+        assert psd_certify_exact(m) == (True, r)
+        assert len(calls) == want, (n, r)
+
+
+def _reference_kernel(m):
+    rows = naive_null_space(grid_of(m))
+    return Matrix.exact(rows) if rows[0] else Matrix.zeros(m.cols, 0)
+
+
+def test_kernels_equal_the_divided_rref_reference():
+    rand = random.Random(2121)
+    for _ in range(60):
+        rows = rand.randint(1, 5)
+        m = _random_rational(rand, rows, rand.randint(1, 6))
+        if rand.random() < 0.5:  # dependent columns over another denominator
+            m = Matrix.hstack([m, m.column(0).scale((Fraction(2, 5), Fraction(-1, 3)))])
+        assert m.null_space() == _reference_kernel(m)
+        parts = [m, _random_rational(rand, rows, rand.randint(1, 2))]
+        pivots, kern = hstack_kernel(parts)
+        stacked = Matrix.hstack(parts)
+        assert kern == _reference_kernel(stacked)
+        assert list(pivots) == naive_rref(grid_of(stacked))[1]
+    for n in range(2, 7):
+        for _ in range(8):
+            # the shared columns make the intersection nontrivial
+            shared = _random_rational(rand, n, rand.randint(0, 2))
+            u = column_space(Matrix.hstack([shared, _random_rational(rand, n, rand.randint(1, 2))]))
+            v = column_space(Matrix.hstack([_random_rational(rand, n, rand.randint(1, 2)), shared]))
+            if not (u.dim and v.dim):
+                continue
+            kern = _reference_kernel(Matrix.hstack([u.basis, -v.basis]))
+            want = u.basis @ kern.take_rows(range(u.dim)) if kern.cols else Matrix.zeros(n, 0)
+            assert subspace_intersect(u, v).basis == want
 
 
 def _random_rational(rand, rows, cols):

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from psdcone.generators import derive_seed, random_pair_with_relation, random_psd
@@ -171,6 +172,19 @@ def test_report_constant_follows_its_own_domination_decision():
     assert rep.min_domination_constant is not None
     # the public function decides on the same backend, so it names the same constant
     assert min_domination_constant(a, b) == rep.min_domination_constant
+
+
+def test_report_orders_only_what_its_ranges_allow():
+    # a ≤ b forces ran a ⊆ ran b; within tol the float order used to accept
+    # diag(1, 1e-9) ≤ diag(1, 0) beside abs_cont_ab=False and no constant
+    a = PsdOperator.from_matrix(Matrix.from_float(np.diag([1.0, 1e-9])))
+    b = PsdOperator.from_matrix(Matrix.from_float(np.diag([1.0, 0.0])))
+    assert leq(a, b, 1e-8)  # the bare order test is unchanged
+    rep = analyze_pair(a, b, 1e-8)
+    assert (rep.rank_a, rep.rank_b) == (2, 1)
+    assert not rep.abs_cont_ab and not rep.leq_ab
+    assert rep.min_domination_constant is None
+    assert rep.abs_cont_ba and rep.leq_ba is leq(b, a, 1e-8)
 
 
 def test_float_report_matches_exact_on_integer_data():

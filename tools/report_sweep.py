@@ -16,6 +16,8 @@ Families:
   analyze     ``analyze_pair`` (on exact pairs without the float
               ``min_domination_constant``, which LAPACK computes)
   relations   ``relation_triple``, and ``subspace_intersect`` on exact pairs
+  loewner     ``leq`` both ways, both 2^60 ladders and the LDL* certificate
+              of a − b (exact only)
   subspaces   ``equals``/``contains``, the image T(u) of a subspace,
               ``subspace_preimage`` and basis validation
   lebesgue    ``decompose`` parts and ``verify_decomposition`` (float only)
@@ -123,6 +125,17 @@ def relations_family(backend):
     return out
 
 
+def loewner_family(backend):
+    if backend != pc.EXACT:
+        return []  # the LDL* certificate is exact only
+    out = []
+    for a, b in exact_pairs():
+        ladders = [pc.leq(a, b.scaled(2**60)), pc.leq(b, a.scaled(2**60))]
+        certificate = pc.linalg.psd_certify_exact(a.matrix - b.matrix)
+        out.append([pc.leq(a, b), pc.leq(b, a), *ladders, certificate])
+    return out
+
+
 def _rand_matrix(rand, rows, cols):
     return pc.Matrix.exact(
         [[(rand.randint(-2, 2), rand.randint(-2, 2)) for _ in range(cols)] for _ in range(rows)]
@@ -216,6 +229,7 @@ def reconstruct_family(backend):
 FAMILIES = {
     "analyze": analyze_family,
     "relations": relations_family,
+    "loewner": loewner_family,
     "subspaces": subspaces_family,
     "lebesgue": lebesgue_family,
     "maps": maps_family,
