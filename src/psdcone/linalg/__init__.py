@@ -2,7 +2,7 @@
 
 from .matrix import (
     EXACT, FLOAT, Matrix, default_rank_tol, hermitian_norm, hermitian_part, hstack_rank,
-    psd_certify_exact, spectral_norm,
+    psd_certify_exact,
 )
 from .psd import PsdOperator, finite_eigh, psd_check, psd_sqrt, spectral_root, spectral_roots
 from .scalar import GaussianRational
@@ -42,7 +42,6 @@ __all__ = [
     "finite_eigh",
     "default_rank_tol",
     "psd_certify_exact",
-    "spectral_norm",
     "hermitian_norm",
     "hermitian_part",
     "hstack_rank",

@@ -8,9 +8,9 @@ and hashing compare values.  Products, sums, conjugates and slices are
 whole-array integer operations that clear the denominator once per matrix,
 not once per entry.  Rank uses fraction-free Bareiss elimination on the
 numerators, PSD certification a diagonally pivoted fraction-free LDL* on the
-upper half, and kernels a fraction-free Gauss–Jordan grid read with one
-division (only ``rref``, ``inverse`` and ``pinv`` divide the whole grid), all
-on rows of Python ints and with no rounding.  Single entries are handed out
+upper half, and kernels and inverses a fraction-free Gauss–Jordan grid read
+with one division (only ``rref`` divides the whole grid), all on rows of
+Python ints and with no rounding.  Single entries are handed out
 as reduced :class:`~psdcone.linalg.scalar.GaussianRational` scalars.  The
 ``float`` backend stores complex128 arrays and relies on numpy's SVD/eigh
 with the usual ``max(m, n) * eps * sigma_max`` rank cutoff, applied by
@@ -40,15 +40,6 @@ _EPS = float(np.finfo(np.float64).eps)
 def default_rank_tol(rows: int, cols: int, smax: float) -> float:
     """Singular-value cutoff for numerical rank: max(m, n) * eps * sigma_max."""
     return max(rows, cols, 1) * _EPS * smax
-
-
-def spectral_norm(x: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix of a (..., m, n) stack.
-
-    The SVD value of ``np.linalg.norm(x, 2, axis=(-2, -1))``, read by the float
-    cutoff of :meth:`Matrix.pinv`; Hermitian stacks take :func:`hermitian_norm`.
-    """
-    return np.linalg.svd(x, compute_uv=False)[..., 0]
 
 
 def hermitian_norm(x: np.ndarray) -> np.ndarray:
@@ -415,9 +406,13 @@ class Matrix:
         return tuple(_bareiss(self)[0])
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        """Reduced row echelon form and pivot columns (exact backend)."""
+        """Reduced row echelon form and pivot columns (exact backend): the
+        Gauss–Jordan grid divided by its last pivot."""
         self._need(EXACT)
-        return _rref(self)
+        re, im = self._re.tolist(), self._im.tolist()
+        pivots, (dr, di) = _sweep(re, im, self.rows, self.cols, True)
+        red = _divide(np.array(re, dtype=object), np.array(im, dtype=object), dr, di)
+        return red, tuple(pivots)
 
     def null_space(self) -> "Matrix":
         """Basis of the kernel as matrix columns, zero columns if trivial (exact backend)."""
@@ -427,30 +422,25 @@ class Matrix:
         return hstack_kernel([self])[1]
 
     def inverse(self) -> "Matrix":
-        """Inverse of an exact square matrix, by Gauss–Jordan elimination."""
+        """Inverse of an exact square matrix, read off the kernel of [A | I]: A is
+        invertible iff the sweep pivots on its n columns, and then the kernel
+        column of free column n + k has A x = −d·e_k, so its top block is −d·A^{-1}."""
         self._need(EXACT)
         if not self.is_square:
             raise DimensionMismatchError("inverse needs a square matrix")
         n = self.rows
-        red, pivots = _rref(Matrix.hstack([self, Matrix.identity(n)]))
-        if pivots[:n] != tuple(range(n)):
+        pivots, kre, kim, (dr, di) = _kernel([self, Matrix.identity(n)])
+        if pivots != tuple(range(n)):
             raise ZeroDivisionError("matrix is singular")
-        return red.take_columns(range(n, 2 * n))
+        return _divide(kre[:n], kim[:n], -dr, -di)
 
     def pinv(self) -> "Matrix":
-        """Moore–Penrose pseudoinverse.
+        """Moore–Penrose pseudoinverse (exact backend).
 
-        Exact backend: full-rank factorization m = F G (pivot columns times
-        nonzero echelon rows) and m+ = G* (F* m G*)^{-1} F*.  Float backend:
-        numpy's SVD-based pinv with the standard cutoff.
+        Full-rank factorization m = F G (pivot columns times nonzero echelon
+        rows) and m+ = G* (F* m G*)^{-1} F*.
         """
-        if self.backend == FLOAT:
-            a = self._f
-            if a.size == 0 or not a.any():
-                return Matrix.zeros(self.cols, self.rows, FLOAT)
-            smax = float(spectral_norm(a))
-            cut = default_rank_tol(self.rows, self.cols, smax)
-            return Matrix.from_float(np.linalg.pinv(a, rcond=cut / smax if smax else 0.0))
+        self._need(EXACT)
         if self.cols == 0:
             raise DimensionMismatchError("pseudoinverse of a zero-column matrix is empty")
         red, pivots = self.rref()
@@ -549,13 +539,6 @@ def hstack_rank(parts: Sequence[Matrix]) -> int:
     re = [row for p in parts for row in p._re.T.tolist()]
     im = [row for p in parts for row in p._im.T.tolist()]
     return len(_sweep(re, im, len(re), parts[0].rows, False)[0])
-
-
-def _rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form: the Gauss–Jordan grid divided by its last pivot d."""
-    re, im = m._re.tolist(), m._im.tolist()
-    pivots, (dr, di) = _sweep(re, im, m.rows, m.cols, True)
-    return _divide(np.array(re, dtype=object), np.array(im, dtype=object), dr, di), tuple(pivots)
 
 
 def _divide(re: np.ndarray, im: np.ndarray, dr: int, di: int) -> Matrix:

@@ -124,9 +124,9 @@ def analyze_pair(a: PsdOperator, b: PsdOperator, tol: float = DEFAULT_TOL) -> Re
         dim=a.dim,
         rank_a=ra,
         rank_b=rb,
-        # a ≤ b forces ran a ⊆ ran b (Douglas); leq runs first, so overflow still refuses
-        leq_ab=leq(a, b, tol) and ac_ab,
-        leq_ba=leq(b, a, tol) and ac_ba,
+        # a ≤ b forces ran a ⊆ ran b (Douglas)
+        leq_ab=ac_ab and leq(a, b, tol),
+        leq_ba=ac_ba and leq(b, a, tol),
         abs_cont_ab=ac_ab,
         abs_cont_ba=ac_ba,
         singular=inter == 0,

@@ -24,7 +24,6 @@ from .linalg import (
     FLAVOR_CONJUGATE,
     FLAVOR_LINEAR,
     GaussianRational,
-    Matrix,
     subspace_intersect,
 )
 from .preserver import (
@@ -274,41 +273,6 @@ def _agreement_section(dims, trials, seed, skip_float, tol):
     return sec.result()
 
 
-def _pinv_section(dims, trials, seed, skip_float, tol):
-    sec = _Section()
-    for dim in dims:
-        for k in range(max(3, trials // 20)):
-            rand = random.Random(derive_seed(seed, 22, dim, k))
-            rows = dim
-            cols = rand.randint(1, dim + 1)
-            m = Matrix.exact(
-                [
-                    [(rand.randint(-3, 3), rand.randint(-3, 3)) for _ in range(cols)]
-                    for _ in range(rows)
-                ]
-            )
-            p = m.pinv()
-            tag = f"dim={dim} k={k}"
-            ok = (
-                m @ p @ m == m
-                and p @ m @ p == p
-                and (m @ p).H == m @ p
-                and (p @ m).H == p @ m
-                and p.rank() == m.rank()
-            )
-            sec.record(ok, f"{tag}: exact pseudoinverse identities broken")
-            if not skip_float:
-                mf = m.to_float()
-                pf = mf.pinv()
-                okf = (
-                    (mf @ pf @ mf).allclose(mf, 1e-9)
-                    and (pf @ mf @ pf).allclose(pf, 1e-9)
-                    and pf.rank() == m.rank()
-                )
-                sec.record(okf, f"{tag}: float pseudoinverse identities broken")
-    return sec.result()
-
-
 #: (report key, section, whether the section needs the float backend), in
 #: running order; every section takes (dims, trials, seed, skip_float, tol)
 #: and returns its report entry and failure count
@@ -320,7 +284,6 @@ _SECTIONS = (
     ("projective", _projective_section, False),
     ("lebesgue", _lebesgue_section, True),
     ("backend_agreement", _agreement_section, True),
-    ("pinv", _pinv_section, False),
 )
 
 

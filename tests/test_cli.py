@@ -551,14 +551,28 @@ def test_map_verify_image_overflowing_mid_block_is_a_usage_error(tmp_path, capsy
 
 
 def test_loewner_difference_beyond_half_the_double_range_is_a_usage_error(tmp_path, capsys):
-    # both operands hermitize fine, but B - A has entries of 1.6e308; the
-    # Loewner test used to end in a ValueError traceback with exit 1
+    # ran a ⊆ ran b, so the order is decided on B - A, whose entries reach
+    # 1.5e308; the Loewner test used to end in a ValueError traceback with exit 1
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    write_matrix(a, Matrix.from_float(8e307 * np.array([[1.0, 1.0], [1.0, 1.0]])))
+    write_matrix(
+        b, Matrix.from_float(7e307 * np.array([[1.0, -1.0], [-1.0, 1.0]]) + 1e307 * np.eye(2))
+    )
+    code, out, err = run_cli(capsys, "analyze", str(a), str(b))
+    assert_usage_error(code, out, err)
+    assert "overflow" in err
+
+
+def test_singular_pair_near_the_double_range_is_decided_by_its_ranges(tmp_path, capsys):
+    # B - A would overflow, but a ⊥ b refutes both orders before it is formed
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     write_matrix(a, Matrix.from_float(8e307 * np.array([[1.0, 1.0], [1.0, 1.0]])))
     write_matrix(b, Matrix.from_float(8e307 * np.array([[1.0, -1.0], [-1.0, 1.0]])))
     code, out, err = run_cli(capsys, "analyze", str(a), str(b))
-    assert_usage_error(code, out, err)
-    assert "overflow" in err
+    assert code == 0 and "Traceback" not in err
+    report = json.loads(out)
+    assert report["singular"]
+    assert not report["leq_ab"] and not report["leq_ba"]
 
 
 def test_decompose_near_the_double_range_warns_nothing(tmp_path, capsys):

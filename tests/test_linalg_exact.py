@@ -104,6 +104,24 @@ def test_inverse_and_singular_error():
         found += 1
 
 
+def test_inverse_of_rational_matrices_is_the_right_block_of_the_rref():
+    # denominators other than 1, so the grid runs over a common denominator
+    rand = random.Random(1212)
+    for n in range(1, 7):
+        for k in range(6):
+            m = _random_rational(rand, n, n)
+            if k == 0:  # a dependent last column: the singular case at every n
+                last = m.column(0).scale((Fraction(1, 3), Fraction(-2, 5)) if n > 1 else 0)
+                m = Matrix.hstack([m.take_columns(range(n - 1)), last])
+            if m.rank() < n:
+                with pytest.raises(ZeroDivisionError):
+                    m.inverse()
+                continue
+            red, pivots = naive_rref(grid_of(Matrix.hstack([m, Matrix.identity(n)])))
+            assert pivots[:n] == list(range(n))
+            assert grid_of(m.inverse()) == [row[n:] for row in red]
+
+
 def test_pinv_satisfies_penrose_identities():
     rand = random.Random(606)
     for _ in range(40):

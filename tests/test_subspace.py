@@ -231,3 +231,12 @@ def test_projector_is_idempotent_and_hermitian():
     assert (p @ p).allclose(p, 1e-12)
     assert p.is_hermitian(1e-12)
     assert Subspace.zero(2, FLOAT).projector().is_zero()
+
+
+@pytest.mark.parametrize("eps, shared", [(3e-9, 1), (3e-8, 0)])
+def test_common_dim_flips_at_its_sine_cut(eps, shared):
+    # unit scale, tol = 1e-8: the line through (1, ε) meets e₁ at sine ≈ ε,
+    # so a cut moved tenfold either way changes one of the two answers
+    line = Subspace(Matrix.from_float([[1.0], [eps]]))
+    e1 = Subspace(Matrix.from_float([[1.0], [0.0]]))
+    assert common_dim(line, e1, 1e-8) == shared
