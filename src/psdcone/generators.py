@@ -21,6 +21,7 @@ from .linalg import (
     Matrix,
     PsdOperator,
     SemilinearOperator,
+    hermitian_part,
 )
 from .relations import relation_triple
 
@@ -104,8 +105,7 @@ def random_psd(dim: int, rank: int, seed: int, backend: str = EXACT) -> PsdOpera
         g = (rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))) / np.sqrt(2)
         s = np.linalg.svd(g, compute_uv=False)
         if s[-1] / s[0] > 1e-6:
-            g = Matrix.from_float(g)
-            return PsdOperator.certified((g @ g.H).hermitize(), rank)
+            return PsdOperator.certified(Matrix._trusted(hermitian_part(g @ g.conj().T)), rank)
     raise GenerationError("could not draw a well-conditioned float factor")
 
 

@@ -72,8 +72,8 @@ def decompose(a: PsdOperator, b: PsdOperator, tol: float = DEFAULT_TOL) -> Lebes
     root, domain = _root_and_domain(a, b, tol)
     p = domain.projector().array
     s = root.array
-    ac = Matrix._trusted(s @ p @ s).hermitize()
-    singular = Matrix._trusted(s @ (np.eye(n) - p) @ s).hermitize()
+    ac = Matrix._trusted(hermitian_part(s @ p @ s))
+    singular = Matrix._trusted(hermitian_part(s @ (np.eye(n) - p) @ s))
     return LebesgueDecomposition(
         ac_part=PsdOperator.certified(ac, domain.dim - (n - a.rank)),
         singular_part=PsdOperator.certified(singular, n - domain.dim),

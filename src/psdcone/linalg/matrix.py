@@ -7,17 +7,23 @@ lowest terms (the gcd of ``den`` and every numerator is 1) so that equality
 and hashing compare values.  Products, sums, conjugates and slices are
 whole-array integer operations that clear the denominator once per matrix,
 not once per entry.  Rank uses fraction-free Bareiss elimination on the
-numerators, PSD certification a diagonally pivoted fraction-free LDL* on the
-upper half, and kernels and inverses a fraction-free Gauss–Jordan grid read
-with one division (only ``rref`` divides the whole grid), all on rows of
-Python ints and with no rounding.  Single entries are handed out
-as reduced :class:`~psdcone.linalg.scalar.GaussianRational` scalars.  The
+numerators (every exact rank, ``Matrix.rank``'s included, is
+:func:`hstack_rank`'s), PSD certification a diagonally pivoted fraction-free
+LDL* on the upper half, and kernels and inverses a fraction-free
+Gauss–Jordan grid read with one division (only ``rref`` divides the whole
+grid), all on rows of Python ints and with no rounding.  Single entries are
+handed out as reduced :class:`~psdcone.linalg.scalar.GaussianRational` scalars.  The
 ``float`` backend stores complex128 arrays and relies on numpy's SVD/eigh
 with the usual ``max(m, n) * eps * sigma_max`` rank cutoff, applied by
 :func:`numerical_rank` alone.  Float input is copied and checked for
 finiteness where it enters (:meth:`Matrix.from_float`); results computed
 from matrices already held are wrapped as they are, with no copy and no
 second check, so code whose arithmetic can overflow checks its own result.
+
+:class:`Matrix` holds values and does arithmetic; it takes no decision that
+has a home elsewhere.  The float Hermitian cut and the hermitized form a
+float operator stores belong to the PSD test (``psd._psd_test``), and the
+exact Hermitian test to :func:`psd_certify_exact`.
 """
 
 from __future__ import annotations
@@ -334,7 +340,7 @@ class Matrix:
         return _exact(self._re.T, -self._im.T, self._den)
 
     # ------------------------------------------------------------------
-    # comparisons and norms
+    # comparisons
     # ------------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -362,48 +368,24 @@ class Matrix:
         scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
         return bool(np.max(np.abs(a - b)) <= tol * scale) if a.size else True
 
-    def max_abs(self) -> float:
-        a = self.array
-        return float(np.max(np.abs(a))) if a.size else 0.0
-
     def is_zero(self) -> bool:
         if self.backend == EXACT:
             return not (self._re.any() or self._im.any())
         return not self._f.any()
-
-    def is_hermitian(self, tol: float = 0.0) -> bool:
-        if not self.is_square:
-            return False
-        if self.backend == EXACT:
-            return np.array_equal(self._re, self._re.T) and np.array_equal(
-                self._im, -self._im.T
-            )
-        scale = max(1.0, self.max_abs())
-        return bool(np.max(np.abs(self._f - self._f.conj().T)) <= tol * scale)
-
-    def hermitize(self) -> "Matrix":
-        """(A + A*) / 2 — useful to scrub float asymmetry."""
-        if self.backend == EXACT:
-            return (self + self.H).scale(Fraction(1, 2))
-        return Matrix._trusted(hermitian_part(self._f))
 
     # ------------------------------------------------------------------
     # rank / elimination
     # ------------------------------------------------------------------
 
     def rank(self) -> int:
-        if self.cols == 0:
-            return 0
         if self.backend == EXACT:
-            return len(_bareiss(self)[0])
+            return hstack_rank([self])
         return numerical_rank(np.linalg.svd(self._f, compute_uv=False), *self.shape)
 
     def pivot_columns(self) -> tuple[int, ...]:
         """Column indices where exact elimination places pivots."""
         self._need(EXACT)
-        if self.cols == 0:
-            return ()
-        return tuple(_bareiss(self)[0])
+        return tuple(_sweep(self._re.tolist(), self._im.tolist(), self.rows, self.cols, False)[0])
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         """Reduced row echelon form and pivot columns (exact backend): the
@@ -525,10 +507,6 @@ def _sweep(re, im, m, n, jordan):
         if len(pivots) == m:
             break
     return pivots, (prev_re, prev_im)
-
-
-def _bareiss(m: Matrix):
-    return _sweep(m._re.tolist(), m._im.tolist(), m.rows, m.cols, False)
 
 
 def hstack_rank(parts: Sequence[Matrix]) -> int:

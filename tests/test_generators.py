@@ -43,7 +43,7 @@ def test_random_psd_certified_rank_every_requested_value():
             op = random_psd(dim, r, seed=derive_seed(3, dim, r))
             assert op.rank == r
             assert op.range().dim == r
-            assert op.matrix.is_hermitian()
+            assert op.matrix == op.matrix.H
 
 
 def test_random_psd_float_backend():

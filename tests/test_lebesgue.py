@@ -138,6 +138,27 @@ def test_verify_flags_understated_dominated_part():
     assert check.maximality_violations and check.worst_excess > 0
 
 
+@pytest.mark.parametrize("delta, ok", [(3e-9, True), (3e-8, False)])
+def test_sum_check_flips_at_its_cut(delta, ok):
+    # unit scale, tol = 1e-8: parts overshooting a = I by δ·I pass at 0.3× the cut, not at 3×
+    eye = _fop(np.eye(2))
+    zero = PsdOperator.zero(2, "float")
+    split = LebesgueDecomposition(_fop((1 + delta) * np.eye(2)), zero, eye)
+    assert verify_decomposition(split, eye, trials=0, tol=1e-8).sum_ok is ok
+
+
+@pytest.mark.parametrize("over, violations", [(3e-13, 0), (3e-12, 18)])
+def test_maximality_oracle_flips_at_its_slack(over, violations):
+    # dimension 1: every contraction R is 0 or 1, so C = R and an a.c. part
+    # 1 − ε understates the candidate C = 1 by ε − tol beyond the cushion;
+    # with ‖a‖ = 1 that excess counts only past the slack of 1e-12
+    tol = 1e-8
+    eps = tol + over
+    split = LebesgueDecomposition(_fop([[1.0 - eps]]), _fop([[eps]]), _fop([[1.0]]))
+    check = verify_decomposition(split, _fop([[1.0]]), trials=40, seed=0, tol=tol)
+    assert check.maximality_violations == violations
+
+
 def _seeded_splits():
     for dim in (2, 3, 4, 5):
         for k, kind in enumerate(("ac", "singular", "incomparable")):

@@ -316,9 +316,3 @@ def test_scaling_accepts_only_nonnegative_reals():
         assert a.scaled(c).matrix == a.matrix.scale(c)
     for zero in (0, Fraction(0), (0, 0), GaussianRational(0)):
         assert a.scaled(zero).rank == 0 and a.scaled(zero).matrix.is_zero()
-
-
-def test_hermitize_fixes_hermitian_part():
-    m = Matrix.exact([[1, (2, 1)], [(2, -1), 3]])
-    assert m.is_hermitian()
-    assert m.hermitize() == m

@@ -34,8 +34,9 @@ def test_from_float_copies_its_input():
 def test_computed_float_results_are_read_only():
     # results wrapped without a copy must still be immutable
     m = Matrix.from_float([[1.0, 2j], [0.5, 3.0]])
-    for r in (m @ m, m + m, m - m, -m, m.conj(), m.H, m.hermitize(), m.column(1),
-              Matrix.hstack([m, m]), Matrix.identity(2, FLOAT)):
+    for r in (m @ m, m + m, m - m, -m, m.conj(), m.H, m.column(1),
+              Matrix.hstack([m, m]), Matrix.identity(2, FLOAT),
+              PsdOperator.from_matrix(m @ m.H).matrix):  # stored hermitized
         assert not r.array.flags.writeable
     # kernels are exact-only: a float kernel's cutoff belongs to its caller
     with pytest.raises(BackendError):
@@ -160,7 +161,7 @@ def test_psd_sqrt_requires_float_backend():
 def test_norms_and_max_abs():
     m = Matrix.from_float([[3.0, 0.0], [0.0, -4.0]])
     assert np.linalg.norm(m.array, 2) == pytest.approx(4.0)
-    assert m.max_abs() == pytest.approx(4.0)
+    assert np.abs(m.array).max() == pytest.approx(4.0)
     assert m.backend == FLOAT
 
 
@@ -174,3 +175,9 @@ def test_psd_check_flips_at_its_eigenvalue_dip(delta, psd):
 def test_float_rank_flips_at_its_eigenvalue_cut(delta, rank):
     # unit scale, tol = 1e-8: an eigenvalue of δ counts at 3× the cut, not at 0.3×
     assert PsdOperator.from_matrix(Matrix.from_float(np.diag([1.0, delta])), 1e-8).rank == rank
+
+
+@pytest.mark.parametrize("delta, hermitian", [(3e-9, True), (3e-8, False)])
+def test_psd_check_flips_at_its_asymmetry_cut(delta, hermitian):
+    # unit scale, tol = 1e-8: an asymmetry |A − A*|max of δ passes at 0.3× the cut, not at 3×
+    assert psd_check(Matrix.from_float([[1.0, delta], [0.0, 1.0]]), 1e-8) is hermitian

@@ -189,6 +189,22 @@ def test_snap_rejects_irrational_directions():
     assert _snap_direction(noisy) == Matrix.exact([["1"], ["1/2"], [(0, "-1/4")]])
 
 
+@pytest.mark.parametrize("r", [3e-6, 3e-7])
+def test_snap_pivot_flips_at_its_cut(r):
+    from psdcone.projective import _snap_direction
+    import numpy as np
+
+    # [1, 1/r]: at 3× the 1e-6 cut the leading 1 is the pivot and [1, 1e6/3]
+    # is a rational point; at 0.3× the pivot moves to 1/r, and the leading
+    # entry divided by it, 3e-7, sits at no rational point
+    v = np.array([1.0, 1.0 / r], dtype=complex)
+    if r > 1e-6:
+        assert _snap_direction(v) == Matrix.exact([[1], [Fraction(10**6, 3)]])
+    else:
+        with pytest.raises(LineMapError):
+            _snap_direction(v)
+
+
 def test_induced_map_refuses_rank_breaking_specs(monkeypatch):
     # if a map fails to keep rank-one images rank one the induced map must
     # refuse rather than pick an arbitrary direction

@@ -229,7 +229,7 @@ def test_projector_is_idempotent_and_hermitian():
     u = column_space(Matrix.from_float([[1.0, 0.0], [1.0, 1.0], [0.0, 2.0]]))
     p = u.projector()
     assert (p @ p).allclose(p, 1e-12)
-    assert p.is_hermitian(1e-12)
+    assert p.allclose(p.H, 1e-12)
     assert Subspace.zero(2, FLOAT).projector().is_zero()
 
 
