@@ -163,9 +163,10 @@ def _factor(dim: int, rank: int, sub: int, attempt: int) -> Matrix:
 
 
 def _operator_from_factor(g: Matrix, rank: int) -> PsdOperator | None:
+    """G G* when ``g`` has full column rank ``rank`` (the zero operator at 0), else None."""
     if g.rank() != rank:
         return None
-    return PsdOperator.from_factor(g)
+    return PsdOperator.from_factor(g) if rank else PsdOperator.zero(g.rows)
 
 
 def _pair_ac(dim: int, seed: int) -> tuple[PsdOperator, PsdOperator]:
@@ -178,8 +179,6 @@ def _pair_ac(dim: int, seed: int) -> tuple[PsdOperator, PsdOperator]:
         b = _operator_from_factor(h, rb)
         if b is None:
             continue
-        if ra == 0:
-            return PsdOperator.zero(dim), b
         m = _factor(rb, ra, derive_seed(seed, 203, dim), attempt)
         g = h @ m
         a = _operator_from_factor(g, ra)
@@ -196,12 +195,8 @@ def _pair_singular(dim: int, seed: int) -> tuple[PsdOperator, PsdOperator]:
     for attempt in range(RETRY_BUDGET):
         ra = rand.randint(0, dim - 1)
         rb = rand.randint(0 if ra else 1, dim - ra)
-        a = _operator_from_factor(
-            _factor(dim, ra, derive_seed(seed, 302, dim), attempt), ra
-        ) if ra else PsdOperator.zero(dim)
-        b = _operator_from_factor(
-            _factor(dim, rb, derive_seed(seed, 303, dim), attempt), rb
-        ) if rb else PsdOperator.zero(dim)
+        a = _operator_from_factor(_factor(dim, ra, derive_seed(seed, 302, dim), attempt), ra)
+        b = _operator_from_factor(_factor(dim, rb, derive_seed(seed, 303, dim), attempt), rb)
         if a is None or b is None:
             continue
         if relation_triple(a, b)[2]:

@@ -34,14 +34,7 @@ import math
 from fractions import Fraction
 
 from .errors import MatrixFileError
-from .linalg import (
-    EXACT,
-    FLAVORS,
-    FLOAT,
-    GaussianRational,
-    Matrix,
-    SemilinearOperator,
-)
+from .linalg import EXACT, FLAVORS, FLOAT, Matrix, SemilinearOperator
 from .preserver import (
     KIND_COMPOSITE,
     KIND_CONGRUENCE,
@@ -50,6 +43,7 @@ from .preserver import (
     KINDS,
     PreserverSpec,
     WeightFamily,
+    make_wild_map,
 )
 
 
@@ -128,11 +122,7 @@ def matrix_from_obj(obj) -> Matrix:
             if not isinstance(cell, list) or len(cell) != 2:
                 raise _cell_error(i, j, "each cell is a [re, im] pair")
             if backend == EXACT:
-                out_row.append(
-                    GaussianRational(
-                        _parse_rational(cell[0], i, j), _parse_rational(cell[1], i, j)
-                    )
-                )
+                out_row.append((_parse_rational(cell[0], i, j), _parse_rational(cell[1], i, j)))
             else:
                 out_row.append(
                     complex(_parse_float_part(cell[0], i, j), _parse_float_part(cell[1], i, j))
@@ -227,7 +217,7 @@ def _spec_from_obj(obj) -> PreserverSpec:
             weights = WeightFamily.seeded(_require_seed(obj, "z_seed"))
             spec = PreserverSpec.form_iv(operator, weights)
     elif kind == KIND_WILD:
-        spec = PreserverSpec(KIND_WILD, dimension, wild_seed=_require_seed(obj, "seed"))
+        spec = make_wild_map(_require_seed(obj, "seed"), dimension)
     else:
         parts = obj.get("parts")
         if not isinstance(parts, list) or not parts:

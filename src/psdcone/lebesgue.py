@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BackendError, DimensionMismatchError
+from .errors import DimensionMismatchError
 from .generators import derive_seed
 from .linalg import (
     DEFAULT_TOL,
-    FLOAT,
     Matrix,
     PsdOperator,
     Subspace,
@@ -66,8 +65,9 @@ def decompose(a: PsdOperator, b: PsdOperator, tol: float = DEFAULT_TOL) -> Lebes
     they are PSD by construction and sum to a up to rounding.  As ker S ⊆ M,
     rank ac = dim M − (n − rank a) and rank singular = n − dim M; eigenvalues
     would mistake a zero part's rounding noise for rank or for negativity.
+    An exact ``a`` is refused by its ``eigh``, and an exact or wrongly sized
+    ``b`` by :func:`subspace_preimage`.
     """
-    _check(a, b)
     n = a.dim
     root, domain = _root_and_domain(a, b, tol)
     p = domain.projector().array
@@ -162,10 +162,9 @@ def verify_decomposition(
     almost none, take the spectral norms.
 
     ``trials=0`` checks only the invariants; a negative count raises
-    ``ValueError``, and ``a`` must act on the decomposition's space.
+    ``ValueError``, and ``a`` must act on the decomposition's space (an exact
+    ``a`` is refused by its ``eigh``).
     """
-    if a.backend != FLOAT:
-        raise BackendError("verification runs on the float backend")
     if a.dim != dec.dim:
         raise DimensionMismatchError("operators act on different spaces")
     if trials < 0:
@@ -214,11 +213,3 @@ def verify_decomposition(
         worst_excess=worst,
     )
 
-
-def _check(a: PsdOperator, b: PsdOperator) -> None:
-    if a.backend != FLOAT or b.backend != FLOAT:
-        raise BackendError(
-            "lebesgue decomposition uses spectral square roots; convert to the float backend"
-        )
-    if a.dim != b.dim:
-        raise DimensionMismatchError("operators act on different spaces")

@@ -20,10 +20,12 @@ finiteness where it enters (:meth:`Matrix.from_float`); results computed
 from matrices already held are wrapped as they are, with no copy and no
 second check, so code whose arithmetic can overflow checks its own result.
 
-:class:`Matrix` holds values and does arithmetic; it takes no decision that
-has a home elsewhere.  The float Hermitian cut and the hermitized form a
-float operator stores belong to the PSD test (``psd._psd_test``), and the
-exact Hermitian test to :func:`psd_certify_exact`.
+:class:`Matrix` holds values and does arithmetic; it runs no tolerance
+test and takes no decision that has a home elsewhere.  The float Hermitian
+cut and the hermitized form a float operator stores belong to the PSD test
+(``psd._psd_test``), the exact Hermitian test to :func:`psd_certify_exact`,
+and whether two float matrices agree to the check that needs it (a Lebesgue
+split's sum, ``lebesgue.verify_decomposition``).
 """
 
 from __future__ import annotations
@@ -43,8 +45,9 @@ FLOAT = "float"
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def default_rank_tol(rows: int, cols: int, smax: float) -> float:
-    """Singular-value cutoff for numerical rank: max(m, n) * eps * sigma_max."""
+def default_rank_tol(rows: int, cols: int, smax: float = 1.0) -> float:
+    """Singular-value cutoff for numerical rank: max(m, n) * eps * sigma_max
+    (with sigma_max left at 1, a cut relative to the caller's own scale)."""
     return max(rows, cols, 1) * _EPS * smax
 
 
@@ -360,13 +363,6 @@ class Matrix:
         if self.backend == EXACT:
             return hash((self.rows, self.cols, self._den, *self._re.flat, *self._im.flat))
         return hash((self.rows, self.cols, self._f.tobytes()))
-
-    def allclose(self, other: "Matrix", tol: float = 1e-12) -> bool:
-        if self.shape != other.shape:
-            return False
-        a, b = self.array, other.array
-        scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-        return bool(np.max(np.abs(a - b)) <= tol * scale) if a.size else True
 
     def is_zero(self) -> bool:
         if self.backend == EXACT:

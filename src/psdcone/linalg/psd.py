@@ -76,7 +76,7 @@ class PsdOperator:
         """Validate PSD-ness and compute the rank.
 
         Exact input is certified; float input is checked against
-        ``max(m,n)*eps*scale`` (or ``tol``) and stored hermitized.  Raises
+        ``max(m,n)*eps*scale`` (or ``tol*scale``) and stored hermitized.  Raises
         ``ValueError`` naming why ``m`` is not PSD.
         """
         reason, stored, rank = _psd_test(m, tol)
@@ -144,7 +144,7 @@ class PsdOperator:
     def to_float(self) -> "PsdOperator":
         if self.backend == FLOAT:
             return self
-        return PsdOperator(self.matrix.to_float(), self.rank, _trusted=True)
+        return PsdOperator.certified(self.matrix.to_float(), self.rank)
 
     def scaled(self, c) -> "PsdOperator":
         """c * A for a nonnegative real scalar c of any numeric or exact type."""
@@ -153,7 +153,7 @@ class PsdOperator:
             raise ValueError("scaling by anything but a nonnegative real leaves the PSD cone")
         if r == 0:
             return PsdOperator.zero(self.dim, self.backend)
-        return PsdOperator(self.matrix.scale(c), self.rank, _trusted=True)
+        return PsdOperator.certified(self.matrix.scale(c), self.rank)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PsdOperator):
@@ -181,10 +181,10 @@ def _psd_test(m: Matrix, tol: float | None) -> tuple[str | None, Matrix, int]:
     """The one PSD test: (why ``m`` is not PSD or None, the matrix to store, its rank).
 
     Exact: the LDL* certificate of :func:`psd_certify_exact` decides, with
-    no tolerance.  Float: with scale = max(1, max |m_ij|) and cut = ``tol``
-    or max(m,n)·eps·scale, ``m`` must be Hermitian within cut (relative to
-    scale), and its hermitized form, which is what gets stored, may dip no
-    lower than −cut·scale; eigenvalues above cut·scale count toward the rank.
+    no tolerance.  Float: with scale = max(1, max |m_ij|) and the relative
+    cut = ``tol`` or max(m,n)·eps, ``m`` must be Hermitian within cut·scale,
+    and its hermitized form, which is what gets stored, may dip no lower than
+    −cut·scale; eigenvalues above cut·scale count toward the rank.
     Float entries too large to hermitize, or a spectrum beyond the double
     range, raise :class:`BackendError`.
     """
@@ -195,7 +195,7 @@ def _psd_test(m: Matrix, tol: float | None) -> tuple[str | None, Matrix, int]:
     scale = max(1.0, float(np.abs(a).max(initial=0.0)))
     if scale > _HERMITIZABLE:
         raise BackendError("float entries beyond half the double range overflow when hermitized")
-    cut = tol if tol is not None else default_rank_tol(m.rows, m.cols, scale)
+    cut = tol if tol is not None else default_rank_tol(m.rows, m.cols)
     if not (m.is_square and np.max(np.abs(a - a.conj().T)) <= cut * scale):
         return "matrix is not Hermitian within tolerance", m, 0
     h = Matrix._trusted(hermitian_part(a))
@@ -257,5 +257,5 @@ def spectral_root(a: PsdOperator, inverse: bool = False) -> np.ndarray:
 def psd_sqrt(a: PsdOperator) -> PsdOperator:
     """The PSD square root (float backend only), of exactly the rank of ``a``."""
     root = Matrix._trusted(hermitian_part(spectral_root(a)))
-    return PsdOperator(root, a.rank, _trusted=True)
+    return PsdOperator.certified(root, a.rank)
 

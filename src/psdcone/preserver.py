@@ -131,7 +131,7 @@ class PreserverSpec:
         if kind == KIND_WILD:
             if self.wild_seed is None:
                 raise ValueError("wild needs a seed")
-            self.wild_data()  # V is drawn here, once
+            self.wild_data  # V is drawn here, once
         if kind == KIND_COMPOSITE:
             if not isinstance(self.parts, tuple) or not self.parts:
                 raise ValueError("composite needs a non-empty tuple of parts")
@@ -167,17 +167,14 @@ class PreserverSpec:
         return self.kind == KIND_WILD
 
     @cached_property
-    def _wild(self) -> tuple[Matrix, int]:
-        rand = random.Random(derive_seed(self.wild_seed, 901, self.dimension))
-        exponent = rand.choice((1, -1))
-        v = random_semilinear(self.dimension, derive_seed(self.wild_seed, 902, self.dimension)).t
-        return v, exponent
-
     def wild_data(self) -> tuple[Matrix, int]:
         """(V, exponent) of a wild map, drawn when the spec is built."""
         if self.kind != KIND_WILD:
             raise ValueError("not a wild map")
-        return self._wild
+        rand = random.Random(derive_seed(self.wild_seed, 901, self.dimension))
+        exponent = rand.choice((1, -1))
+        v = random_semilinear(self.dimension, derive_seed(self.wild_seed, 902, self.dimension)).t
+        return v, exponent
 
     @cached_property
     def inducing_operator(self) -> SemilinearOperator:
@@ -239,7 +236,7 @@ def apply_map(spec: PreserverSpec, a: PsdOperator) -> PsdOperator:
         return a
     if spec.kind == KIND_CONGRUENCE:
         return _apply_congruence(spec.operator, a)
-    return _apply_wild(a, *spec.wild_data())
+    return _apply_wild(a, *spec.wild_data)
 
 
 def _apply_congruence(op: SemilinearOperator, a: PsdOperator) -> PsdOperator:
@@ -282,7 +279,7 @@ def _map_stack(spec: PreserverSpec, x: np.ndarray, ranks: np.ndarray) -> np.ndar
             moved = ranks == spec.dimension
             if not moved.any():
                 return x
-            v, exponent = spec.wild_data()
+            v, exponent = spec.wild_data
             v = v.to_float().array
             core = x[moved] if exponent == 1 else hermitian_part(np.linalg.inv(x[moved]))
             out = x.copy()

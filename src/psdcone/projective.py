@@ -30,6 +30,7 @@ import numpy as np
 from .errors import DimensionMismatchError, LineMapError, NotSemilinearError
 from .generators import derive_seed, random_direction, random_scalar, rank_one
 from .linalg import (
+    DEFAULT_TOL,
     EXACT,
     FLAVOR_CONJUGATE,
     FLAVOR_LINEAR,
@@ -39,7 +40,7 @@ from .linalg import (
     hstack_rank,
 )
 from .linalg.matrix import hstack_kernel
-from .preserver import PreserverSpec, apply_map
+from .preserver import PreserverSpec, _image_ranges
 from .report import Verdict
 
 # Rational reconstruction bounds.  Directions arising here are ratios of
@@ -152,19 +153,21 @@ def _snap_direction(v: np.ndarray) -> Matrix:
 def induced_line_map(spec: PreserverSpec) -> LineMap:
     """The action of a cone map on lines, Ψ([f]) = ran φ(f f*).
 
-    Exact-capable maps stay exact; spectral maps are evaluated on the float
-    backend and the resulting direction is snapped back to exact rational
-    coordinates (raising :class:`LineMapError` when the image is not rank one
-    or does not sit at a rational point).
+    The image's range is read as the map verifiers read it, by
+    :func:`~psdcone.preserver._image_ranges`: exact-capable maps stay exact,
+    and a spectral map's float image is ranked by its own spectrum and its
+    direction snapped back to exact rational coordinates.  An image that is
+    not rank one, or does not sit at a rational point, raises
+    :class:`LineMapError`.
     """
     n = spec.dimension
     snap = not spec.exact_capable
 
     def fn(line: Line) -> Line:
-        image = apply_map(spec, spec.operand(rank_one(line.column())))
-        if image.rank != 1:
+        (image,) = _image_ranges(spec, [spec.operand(rank_one(line.column()))], DEFAULT_TOL)
+        if image.dim != 1:
             raise LineMapError("rank-one input mapped to an image of different rank")
-        basis = image.range().basis
+        basis = image.basis
         return Line.from_vector(_snap_direction(basis.array[:, 0]) if snap else basis)
 
     return LineMap(n, fn)

@@ -24,6 +24,7 @@ from .linalg import (
     FLAVOR_CONJUGATE,
     FLAVOR_LINEAR,
     GaussianRational,
+    PsdOperator,
     subspace_intersect,
 )
 from .preserver import (
@@ -105,11 +106,12 @@ def _relations_section(dims, trials, seed, skip_float, tol):
                 f"{tag}: domination oracle disagrees with range inclusion",
             )
             sec.record(
-                rep.dim_range_sum == rep.rank_a + rep.rank_b - rep.dim_range_intersection,
+                # ran(a + b) = ran a + ran b, ranked by the LDL* certificate
+                rep.dim_range_sum == PsdOperator.from_matrix(a.matrix + b.matrix).rank,
                 f"{tag}: rank lattice identity broken",
             )
             sec.record(
-                rep.singular == (rep.dim_range_intersection == 0),
+                rep.singular == (subspace_intersect(a.range(), b.range()).dim == 0),
                 f"{tag}: singularity flag out of step with intersection",
             )
     return sec.result()
@@ -250,7 +252,7 @@ def _lebesgue_section(dims, trials, seed, skip_float, tol):
         dec = decompose(any_a, inv, tol)
         sec.record(
             dec.singular_part.rank == 0
-            and dec.ac_part.matrix.allclose(any_a.matrix, tol),
+            and verify_decomposition(dec, any_a, trials=0, tol=tol).sum_ok,
             f"dim={dim}: invertible base must absorb everything",
         )
     return sec.result()

@@ -316,7 +316,7 @@ def per_operand_image(spec, a):
             return finite(root @ z @ root), rank
         if rank < n:
             return x, rank
-        v, exponent = spec.wild_data()
+        v, exponent = spec.wild_data
         v = v.to_float().array
         if exponent == -1:
             x = np.linalg.inv(x)

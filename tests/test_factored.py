@@ -92,7 +92,7 @@ def _wild_specs(dim):
     found = {}
     for seed in range(40):
         spec = make_wild_map(seed, dim)
-        found.setdefault(spec.wild_data()[1], spec)
+        found.setdefault(spec.wild_data[1], spec)
     assert set(found) == {1, -1}
     return [found[1], found[-1]]
 

@@ -82,8 +82,9 @@ def test_invariants_on_generated_pairs():
         af, bf = a.to_float(), b.to_float()
         dec = decompose(af, bf)
         # the two parts add back to a
-        total = dec.ac_part.matrix + dec.singular_part.matrix
-        assert total.allclose(af.matrix, 1e-10)
+        total = (dec.ac_part.matrix + dec.singular_part.matrix).array
+        want = af.matrix.array
+        assert np.allclose(total, want, rtol=0, atol=1e-10 * max(1.0, np.abs(want).max()))
         if dec.ac_part.rank:
             assert analyze_pair(dec.ac_part, bf).abs_cont_ab
         if dec.singular_part.rank:
@@ -256,6 +257,23 @@ def test_decompose_requires_float_backend():
     b = random_psd(2, 2, seed=4)
     with pytest.raises(BackendError):
         decompose(a, b)
+
+
+def test_decompose_refuses_an_exact_base():
+    with pytest.raises(BackendError):
+        decompose(random_psd(2, 1, seed=3).to_float(), random_psd(2, 2, seed=4))
+
+
+def test_decompose_refuses_operands_of_different_sizes():
+    with pytest.raises(DimensionMismatchError):
+        decompose(_fop(np.eye(2)), _fop(np.eye(3)))
+
+
+def test_verify_refuses_an_exact_operand():
+    a = random_psd(2, 1, seed=3)
+    dec = decompose(a.to_float(), a.to_float())
+    with pytest.raises(BackendError):
+        verify_decomposition(dec, a, trials=0)
 
 
 def test_one_square_root_per_split_and_per_check(monkeypatch):

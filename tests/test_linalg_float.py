@@ -148,7 +148,8 @@ def test_psd_sqrt_squares_back():
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         a = PsdOperator.from_matrix(Matrix.from_float(g @ g.conj().T))
         root = psd_sqrt(a)
-        assert (root.matrix @ root.matrix).allclose(a.matrix, 1e-9)
+        r, want = root.matrix.array, a.matrix.array
+        assert np.allclose(r @ r, want, rtol=0, atol=1e-9 * max(1.0, np.abs(want).max()))
         assert root.rank == a.rank
 
 
@@ -181,3 +182,13 @@ def test_float_rank_flips_at_its_eigenvalue_cut(delta, rank):
 def test_psd_check_flips_at_its_asymmetry_cut(delta, hermitian):
     # unit scale, tol = 1e-8: an asymmetry |A − A*|max of δ passes at 0.3× the cut, not at 3×
     assert psd_check(Matrix.from_float([[1.0, delta], [0.0, 1.0]]), 1e-8) is hermitian
+
+
+# the default cut is n·eps relative to max |m_ij|: the matrix's scale enters once, not twice
+@pytest.mark.parametrize("diag, rank", [([1e9, 1.0], 2), ([5e307] * 3, 3)])
+def test_default_rank_cut_scales_with_the_matrix_once(diag, rank):
+    assert PsdOperator.from_matrix(Matrix.from_float(np.diag(diag))).rank == rank
+
+
+def test_default_dip_cut_scales_with_the_matrix_once():
+    assert not psd_check(Matrix.from_float(np.diag([1e200, -1e199])))

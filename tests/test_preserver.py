@@ -175,7 +175,7 @@ def test_wild_frozen_example():
 
 def test_wild_map_fixes_non_invertibles_and_moves_invertibles():
     spec = make_wild_map(7, 3)
-    v, exponent = spec.wild_data()
+    v, exponent = spec.wild_data
     assert exponent in (1, -1)
     moved = 0
     for k in range(40):

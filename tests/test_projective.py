@@ -215,10 +215,22 @@ def test_induced_map_refuses_rank_breaking_specs(monkeypatch):
         "psdcone.preserver.apply_map",
         lambda s, a: PsdOperator.from_matrix(Matrix.exact([[1, 0], [0, 1]])),
     )
-    monkeypatch.setattr(
-        "psdcone.projective.apply_map",
-        lambda s, a: PsdOperator.from_matrix(Matrix.exact([[1, 0], [0, 1]])),
-    )
     lm = induced_line_map(spec)
     with pytest.raises(LineMapError):
         lm(unit_line(2, 0))
+
+
+def test_spectral_line_map_ranks_the_image_by_its_own_spectrum(monkeypatch):
+    # a float image is ranked by its spectrum, not by its operand's certified
+    # rank: a form_iv map whose images gain a full-rank term must refuse
+    import numpy as np
+
+    from psdcone import preserver
+
+    spec = PreserverSpec.form_iv(random_semilinear(3, 6), WeightFamily.seeded(2))
+    lift = preserver._map_stack
+    monkeypatch.setattr(
+        preserver, "_map_stack", lambda sp, x, ranks: lift(sp, x, ranks) + 1e-3 * np.eye(3)
+    )
+    with pytest.raises(LineMapError, match="different rank"):
+        induced_line_map(spec)(unit_line(3, 0))

@@ -227,9 +227,9 @@ def test_ambient_mismatch():
 
 def test_projector_is_idempotent_and_hermitian():
     u = column_space(Matrix.from_float([[1.0, 0.0], [1.0, 1.0], [0.0, 2.0]]))
-    p = u.projector()
-    assert (p @ p).allclose(p, 1e-12)
-    assert p.allclose(p.H, 1e-12)
+    p = u.projector().array
+    assert np.allclose(p @ p, p, rtol=0, atol=1e-12)
+    assert np.allclose(p, p.conj().T, rtol=0, atol=1e-12)
     assert Subspace.zero(2, FLOAT).projector().is_zero()
 
 

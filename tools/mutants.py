@@ -145,6 +145,20 @@ MUTANTS = (
         "_PIVOT_CUT = 1e-3",
         ("tests/test_projective.py",),
     ),
+    Mutant(
+        "psd-default-cut-twice",
+        "src/psdcone/linalg/psd.py",
+        "default_rank_tol(m.rows, m.cols)",
+        "default_rank_tol(m.rows, m.cols, scale)",
+        ("tests/test_linalg_float.py",),
+    ),
+    Mutant(
+        "line-map-rank-unchecked",
+        "src/psdcone/projective.py",
+        "image.dim != 1",
+        "image.dim == 0",
+        ("tests/test_projective.py",),
+    ),
 )
 
 
