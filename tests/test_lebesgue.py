@@ -10,6 +10,7 @@ from psdcone.lebesgue import (
     LebesgueDecomposition,
     _dominated,
     _dominated_residual,
+    _gaps_certified,
     _root_and_domain,
     decompose,
     verify_decomposition,
@@ -160,6 +161,18 @@ def test_maximality_oracle_flips_at_its_slack(over, violations):
     assert check.maximality_violations == violations
 
 
+@pytest.mark.parametrize(
+    "low, certified", [(-0.5, True), (-1.5, False), (np.nan, False), (np.inf, False), (1e200, False)]
+)
+def test_gap_certificate_flips_at_its_shift(low, certified):
+    # δ = 1e-12 at unit scale: a least eigenvalue of −0.5δ is certified by the
+    # Cholesky of K + δI, one of −1.5δ is left to eigvalsh, and so is a stack
+    # that is non-finite or whose Frobenius norm overflows, failing the guard
+    delta = 1e-12
+    k = np.array([np.eye(3), np.diag([1.0, 0.5, low * delta])])
+    assert _gaps_certified(k, delta) is certified
+
+
 def _seeded_splits():
     for dim in (2, 3, 4, 5):
         for k, kind in enumerate(("ac", "singular", "incomparable")):
@@ -291,7 +304,58 @@ def test_one_square_root_per_split_and_per_check(monkeypatch):
     dec = decompose(af, bf)
     assert len(calls) == 1
     assert verify_decomposition(dec, af, trials=6, seed=1).passed
-    assert len(calls) == 2
+    assert len(calls) == 1
+    # a hand-built split, and the split checked at another tol, take their own
+    # root, and still report what the per-trial reference reports
+    hand_built = LebesgueDecomposition(dec.ac_part, dec.singular_part, dec.base)
+    assert hand_built == dec
+    for split, tol in ((hand_built, DEFAULT_TOL), (dec, 1e-6)):
+        got = verify_decomposition(split, af, trials=40, seed=1, tol=tol).to_dict()
+        assert got == per_trial_decomposition_check(split, af, 40, 1, tol)
+    assert len(calls) == 3
+
+
+def test_invariants_alone_take_no_root_and_no_svd(monkeypatch):
+    # trials=0, as the suite's invertible-base check calls it, samples nothing,
+    # so it needs neither a^{1/2} nor the a.c. domain's preimage SVD
+    import psdcone.lebesgue as lebesgue
+
+    a = _fop([[2.0, 1.0], [1.0, 1.0]])
+    eye = _fop(np.eye(2))
+    splits = [decompose(a, eye), LebesgueDecomposition(a, PsdOperator.zero(2, "float"), eye)]
+    seen = []
+    sqrt, svd = lebesgue.psd_sqrt, np.linalg.svd
+    monkeypatch.setattr(lebesgue, "psd_sqrt", lambda op: seen.append("psd_sqrt") or sqrt(op))
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: seen.append("svd") or svd(*args, **kw))
+    for split in splits:
+        assert verify_decomposition(split, a, trials=0).passed
+    assert seen == []
+
+
+@pytest.mark.parametrize("trials", [100, _ORACLE_BLOCK + 45])
+def test_a_made_split_takes_one_eigvalsh_per_oracle_block(monkeypatch, trials):
+    # on a split made by decompose, one stacked Cholesky certifies every
+    # block's gaps, so the only eigvalsh left per block is the one that
+    # normalises its draws; the one 2-D call is the sum check's norm
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(x, *args, **kwargs):
+        shapes.append(x.shape)
+        return eigvalsh(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    blocks = [min(_ORACLE_BLOCK, trials - start) for start in range(0, trials, _ORACLE_BLOCK)]
+    for dim in range(2, 7):
+        for k, kind in enumerate(("ac", "singular", "incomparable")):
+            if kind == "incomparable" and dim < 3:
+                continue
+            a, b = random_pair_with_relation(dim, kind, derive_seed(89, dim, k))
+            af, bf = a.to_float(), b.to_float()
+            dec = decompose(af, bf)
+            shapes.clear()
+            assert verify_decomposition(dec, af, trials=trials, seed=k).passed, (kind, dim)
+            assert shapes == [(dim, dim)] + [(m, dim, dim) for m in blocks], (kind, dim)
 
 
 def test_each_float_operand_is_eigendecomposed_once(monkeypatch):

@@ -159,6 +159,13 @@ MUTANTS = (
         "image.dim == 0",
         ("tests/test_projective.py",),
     ),
+    Mutant(
+        "gap-cert-10slack",
+        "src/psdcone/lebesgue.py",
+        "delta = slack / 2",
+        "delta = 10 * slack",
+        ("tests/test_lebesgue.py",),
+    ),
 )
 
 
