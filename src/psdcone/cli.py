@@ -135,9 +135,9 @@ def _cmd_decompose(args) -> int:
 def _cmd_map_apply(args) -> int:
     spec = read_spec(args.spec)
     m = read_matrix(args.operand)
-    spectral = m.backend == EXACT and not spec.exact_capable
-    a = _operand(m.to_float() if spectral else m, args.tol, f"{args.operand}: ")
-    if spectral:
+    x = spec.operand(m)
+    a = _operand(x, args.tol, f"{args.operand}: ")
+    if x is not m:
         _note("note: converted exact input to the float backend for a spectral map")
     image = apply_map(spec, a)
     _note(f"image rank {image.rank} on the {image.backend} backend")

@@ -96,9 +96,9 @@ def random_psd(dim: int, rank: int, seed: int, backend: str = EXACT) -> PsdOpera
     if backend == EXACT:
         rand = random.Random(derive_seed(seed, 101, dim, rank))
         for _ in range(RETRY_BUDGET):
-            g = _gauss_int_matrix(dim, rank, rand)
-            if g.rank() == rank:
-                return PsdOperator.from_factor(g)
+            op = _operator_from_factor(_gauss_int_matrix(dim, rank, rand), rank)
+            if op is not None:
+                return op
         raise GenerationError("could not draw a full-column-rank exact factor")
     rng = np.random.default_rng(derive_seed(seed, 102, dim, rank))
     for _ in range(RETRY_BUDGET):

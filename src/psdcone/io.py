@@ -25,6 +25,10 @@ Map document::
       "seed": 7,                           # wild
       "parts": [<map documents>]           # composite
     }
+
+Every reader turns any defect of its input into a :class:`MatrixFileError`:
+one JSON parser serves strings and files, and a map document's values (a
+singular T, an unknown flavor) are checked by the objects they build.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import math
 from fractions import Fraction
 
 from .errors import MatrixFileError
-from .linalg import EXACT, FLAVORS, FLOAT, Matrix, SemilinearOperator
+from .linalg import EXACT, FLOAT, Matrix, SemilinearOperator
 from .preserver import (
     KIND_COMPOSITE,
     KIND_CONGRUENCE,
@@ -61,11 +65,7 @@ def matrix_to_obj(m: Matrix) -> dict:
     if m.backend == EXACT:
         data = [[list(v.to_strings()) for v in row] for row in m.exact_rows]
     else:
-        arr = m.array
-        data = [
-            [[float(arr[i, j].real), float(arr[i, j].imag)] for j in range(m.cols)]
-            for i in range(m.rows)
-        ]
+        data = [[[z.real, z.imag] for z in row] for row in m.array.tolist()]
     return {"backend": m.backend, "rows": m.rows, "cols": m.cols, "data": data}
 
 
@@ -133,20 +133,21 @@ def matrix_from_obj(obj) -> Matrix:
     return Matrix.from_float(grid)
 
 
-def loads_matrix(text: str) -> Matrix:
+def _parse_json(load, source):
+    """``load(source)`` with every JSON fault a :class:`MatrixFileError`."""
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return load(source)
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, runaway nesting
         raise MatrixFileError(f"invalid JSON: {exc}") from None
-    return matrix_from_obj(obj)
+
+
+def loads_matrix(text: str) -> Matrix:
+    return matrix_from_obj(_parse_json(json.loads, text))
 
 
 def _read_json(path):
     with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, runaway nesting
-            raise MatrixFileError(f"invalid JSON: {exc}") from None
+        return _parse_json(json.load, fh)
 
 
 def read_matrix(path) -> Matrix:
@@ -190,7 +191,7 @@ def spec_from_obj(obj) -> PreserverSpec:
         return _spec_from_obj(obj)
     except MatrixFileError:
         raise
-    except ValueError as exc:  # e.g. a singular T or a negative weight seed
+    except ValueError as exc:  # e.g. a singular T, an unknown flavor or a negative weight seed
         raise MatrixFileError(str(exc)) from None
 
 
@@ -206,11 +207,7 @@ def _spec_from_obj(obj) -> PreserverSpec:
     if kind in (KIND_CONGRUENCE, KIND_FORM_IV):
         if "T" not in obj:
             raise MatrixFileError(f"{kind} needs a T matrix")
-        flavor = obj.get("flavor", "linear")
-        if flavor not in FLAVORS:
-            raise MatrixFileError(f"unknown flavor {flavor!r}")
-        t = matrix_from_obj(obj["T"])
-        operator = SemilinearOperator(t, flavor)
+        operator = SemilinearOperator(matrix_from_obj(obj["T"]), obj.get("flavor", "linear"))
         if kind == KIND_CONGRUENCE:
             spec = PreserverSpec.congruence(operator)
         else:

@@ -279,11 +279,15 @@ class Matrix:
     # arithmetic
     # ------------------------------------------------------------------
 
-    def _combine(self, other: "Matrix", op) -> "Matrix":
+    def _check_operand(self, other: "Matrix") -> None:
+        """Refuse a second operand that is not a Matrix on this backend."""
         if not isinstance(other, Matrix):
             raise TypeError("expected a Matrix")
         if self.backend != other.backend:
             raise BackendError("mixed backends; convert explicitly first")
+
+    def _combine(self, other: "Matrix", op) -> "Matrix":
+        self._check_operand(other)
         if self.shape != other.shape:
             raise DimensionMismatchError(f"shape {self.shape} vs {other.shape}")
         if self.backend == FLOAT:
@@ -314,10 +318,7 @@ class Matrix:
         return _exact(re, im, self._den * q)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            raise TypeError("expected a Matrix")
-        if self.backend != other.backend:
-            raise BackendError("mixed backends; convert explicitly first")
+        self._check_operand(other)
         if self.cols != other.rows:
             raise DimensionMismatchError(
                 f"cannot multiply {self.shape} by {other.shape}"

@@ -2,13 +2,15 @@
 
 Bases come from, and are validated by, :func:`column_space`: pivot columns
 (exact) or orthonormal columns cut at the rank of
-:func:`~psdcone.linalg.matrix.numerical_rank` (float).  Every range
-comparison in the package (inclusion, equality, intersection dimension, and
-through them absolute continuity and singularity) is decided by
-:func:`common_dim`: an exact rank on the exact backend, a count of principal
-angles on the float one, where the tolerance is an angle in radians (a
-direction counts as common when its sine is at most ``tol``).  Equality is
-one inclusion at equal dimension; :func:`subspace_intersect` is exact only.
+:func:`~psdcone.linalg.matrix.numerical_rank` (float).  Every comparison of
+two subspaces (inclusion, equality, intersection dimension, and through
+``relations.range_relations`` absolute continuity and singularity) is
+decided by :func:`common_dim`: an exact rank on the exact backend, a count
+of principal angles on the float one, where the tolerance is an angle in
+radians (a direction counts as common when its sine is at most ``tol``).
+Equality is one inclusion at equal dimension; :func:`subspace_intersect` is
+exact only.  A float Lebesgue split's own checks test a matrix's range
+against the base by a residual instead (``lebesgue._dominated``).
 """
 
 from __future__ import annotations
@@ -60,8 +62,6 @@ class Subspace:
         """Orthogonal projector onto the subspace (float backend)."""
         if self.backend != FLOAT:
             raise BackendError("projector requires the float backend")
-        if self.dim == 0:
-            return Matrix.zeros(self.ambient_dim, self.ambient_dim, FLOAT)
         b = self.basis.array
         return Matrix._trusted(b @ b.conj().T)
 
@@ -165,7 +165,7 @@ def subspace_preimage(m: Matrix, v: Subspace, tol: float = DEFAULT_TOL) -> Subsp
     n = m.rows
     if v.dim == n:
         return Subspace.full(n, m.backend)
-    aug = Matrix.hstack([m, -v.basis]) if v.dim else m
+    aug = Matrix.hstack([m, -v.basis])
     if m.backend == EXACT:
         kern = aug.null_space()
     else:  # one SVD gives both the scale σ_max and the kernel

@@ -53,14 +53,13 @@ from .linalg import (
     SemilinearOperator,
     Subspace,
     column_space,
-    common_dim,
     finite_eigh,
     hermitian_part,
     hstack_rank,
     spectral_roots,
 )
 from .linalg.psd import eigen_range
-from .relations import relation_triple
+from .relations import range_relations, relation_triple
 from .report import Verdict
 
 KIND_CONGRUENCE = "congruence"
@@ -355,7 +354,7 @@ def verify_relation_preservation(
     """Sample pairs, compare domination/singularity before and after the map.
 
     Input pairs are drawn with exact Gaussian-integer entries so the input
-    side is decided exactly; the image side by one :func:`common_dim` of the
+    side is decided exactly; the image side by :func:`range_relations` on the
     image ranges that :func:`_mapped` reads (exact, or principal angles at
     ``tol`` for maps that are not exact-capable).  The report is the one that
     checking a trial at a time gives, in O(block·n²) memory for any
@@ -368,8 +367,7 @@ def verify_relation_preservation(
     names = ("abs_cont_ab", "abs_cont_ba", "singular")
     pairs = _mapped(spec, range(trials), lambda k: _sampled_pair(spec.dimension, seed, k), tol)
     for k, (a, b), (u, v) in pairs:
-        inter = common_dim(u, v, tol)
-        image = (inter == u.dim, inter == v.dim, inter == 0)
+        image = range_relations(u, v, tol)[1:]
         for name, want, got in zip(names, relation_triple(a, b), image):
             if want != got:
                 violations.append({"trial": k, "relation": name, "input": want, "image": got})

@@ -5,10 +5,10 @@ is trivial range intersection, so both come down to one number,
 dim(ran a ∩ ran b): a ≪ b iff it equals rank a, a ⊥ b iff it is 0.  That
 number is decided by :func:`~psdcone.linalg.subspace.common_dim` (exact
 rank, or principal angles at ``tol`` radians on the float backend), and
-every range predicate here reads it through :func:`relation_triple` or
-:func:`analyze_pair`.  The Loewner order is decided by
-:func:`~psdcone.linalg.psd.psd_check`.  Nothing in this module forks on the
-backend.
+:func:`range_relations` alone reads ≪, ≫ and ⊥ off it.  The Loewner order
+is decided by :func:`~psdcone.linalg.psd.psd_check`.  Nothing here forks on
+the backend or checks operands: ``common_dim`` and ``Matrix`` arithmetic
+refuse operators on different spaces or backends.
 """
 
 from __future__ import annotations
@@ -17,29 +17,28 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .errors import BackendError, DimensionMismatchError
-from .linalg import DEFAULT_TOL, PsdOperator, common_dim, hermitian_part, psd_check, spectral_root
+from .linalg import (
+    DEFAULT_TOL, PsdOperator, Subspace, common_dim, hermitian_part, psd_check, spectral_root,
+)
 
 
-def _check_pair(a: PsdOperator, b: PsdOperator) -> None:
-    if a.dim != b.dim:
-        raise DimensionMismatchError("operators act on different spaces")
-    if a.backend != b.backend:
-        raise BackendError("mixed backends; convert one operand first")
+def range_relations(
+    u: Subspace, v: Subspace, tol: float = DEFAULT_TOL
+) -> tuple[int, bool, bool, bool]:
+    """(dim(u ∩ v), u ⊆ v, v ⊆ u, u ∩ v = 0) from one :func:`common_dim`."""
+    inter = common_dim(u, v, tol)
+    return inter, inter == u.dim, inter == v.dim, inter == 0
 
 
 def relation_triple(
     a: PsdOperator, b: PsdOperator, tol: float = DEFAULT_TOL
 ) -> tuple[bool, bool, bool]:
     """(a ≪ b, b ≪ a, a ⊥ b) from a single intersection computation."""
-    _check_pair(a, b)
-    inter = common_dim(a.range(), b.range(), tol)
-    return (inter == a.rank, inter == b.rank, inter == 0)
+    return range_relations(a.range(), b.range(), tol)[1:]
 
 
 def leq(a: PsdOperator, b: PsdOperator, tol: float | None = None) -> bool:
     """Loewner order: whether b - a is PSD."""
-    _check_pair(a, b)
     return psd_check(b.matrix - a.matrix, tol)
 
 
@@ -114,11 +113,8 @@ def analyze_pair(a: PsdOperator, b: PsdOperator, tol: float = DEFAULT_TOL) -> Re
     (dim sum = rank_a + rank_b - dim intersection, singular ⟺ trivial
     intersection, same range class ⟺ mutual absolute continuity).
     """
-    _check_pair(a, b)
     ra, rb = a.rank, b.rank
-    inter = common_dim(a.range(), b.range(), tol)
-    ac_ab = inter == ra
-    ac_ba = inter == rb
+    inter, ac_ab, ac_ba, singular = range_relations(a.range(), b.range(), tol)
     return RelationReport(
         backend=a.backend,
         dim=a.dim,
@@ -129,7 +125,7 @@ def analyze_pair(a: PsdOperator, b: PsdOperator, tol: float = DEFAULT_TOL) -> Re
         leq_ba=ac_ba and leq(b, a, tol),
         abs_cont_ab=ac_ab,
         abs_cont_ba=ac_ba,
-        singular=inter == 0,
+        singular=singular,
         same_range_class=ac_ab and ac_ba,
         dim_range_sum=ra + rb - inter,
         dim_range_intersection=inter,

@@ -41,7 +41,7 @@ from .projective import (
     swap_counterexample_line_map,
     verify_projectivity,
 )
-from .relations import analyze_pair, leq
+from .relations import analyze_pair, is_abs_continuous, is_singular, leq
 
 _DOMINATION_EXPONENT = 60
 
@@ -125,7 +125,7 @@ def _witness_section(dims, trials, seed, skip_float, tol):
             inter = subspace_intersect(a.range(), b.range())
             if inter.dim == 0:
                 sec.record(
-                    analyze_pair(a, b).singular,
+                    is_singular(a, b),
                     f"{tag}: empty intersection but pair not flagged singular",
                 )
                 continue
@@ -237,12 +237,12 @@ def _lebesgue_section(dims, trials, seed, skip_float, tol):
             sec.record(chk.passed, f"{tag}: decomposition check failed")
             if dec.ac_part.rank:
                 sec.record(
-                    analyze_pair(dec.ac_part, bf, tol).abs_cont_ab,
+                    is_abs_continuous(dec.ac_part, bf, tol),
                     f"{tag}: dominated part not dominated",
                 )
             if dec.singular_part.rank:
                 sec.record(
-                    analyze_pair(dec.singular_part, bf, tol).singular,
+                    is_singular(dec.singular_part, bf, tol),
                     f"{tag}: singular part not singular",
                 )
         inv = random_psd(dim, dim, derive_seed(seed, 18, dim)).to_float()

@@ -201,6 +201,20 @@ def test_reconstruct_notes_the_dim2_limitation(tmp_path, capsys):
     assert "dimension 2" in doc["note"]
 
 
+def test_reconstruct_of_an_irrational_float_map_fails(tmp_path, capsys):
+    # 1/√2 above the diagonal puts some image line at no rational point
+    r = 1 / np.sqrt(2)
+    spec_path = tmp_path / "map.json"
+    t = Matrix.from_float([[1.0, r, r], [0.0, 1.0, r], [0.0, 0.0, 1.0]])
+    write_spec(spec_path, PreserverSpec.congruence(SemilinearOperator(t)))
+    code, out, err = run_cli(capsys, "reconstruct", str(spec_path))
+    assert (code, out) == (1, "")
+    assert err == (
+        "not induced by an invertible semilinear operator: "
+        "direction does not sit at a rational point\n"
+    )
+
+
 def test_reconstruct_in_dimension_one_is_a_usage_error(tmp_path, capsys):
     # a line map on a one-dimensional space used to end in a ValueError traceback
     path = tmp_path / "wild1.json"

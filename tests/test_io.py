@@ -127,6 +127,12 @@ def test_loads_matrix_reports_invalid_json():
         loads_matrix("{not json")
 
 
+def test_loads_matrix_refuses_runaway_nesting():
+    # escaped as RecursionError, while read_matrix refused the same text
+    with pytest.raises(MatrixFileError, match="invalid JSON"):
+        loads_matrix("[" * 100_000)
+
+
 def _same_spec(a: PreserverSpec, b: PreserverSpec) -> bool:
     return spec_to_obj(a) == spec_to_obj(b)
 

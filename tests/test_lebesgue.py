@@ -203,6 +203,20 @@ def test_stacked_oracle_matches_the_per_trial_reference(trials):
         assert worst > 0  # reports with violations were among those compared
 
 
+@pytest.mark.parametrize("dim", [10, 12])
+def test_made_splits_above_the_gap_guard_match_the_per_trial_reference(dim):
+    # from n = 10 the gap certificate's 64·n² rounding guard refuses some
+    # oracle blocks of a made split, which fall back to their gaps' eigvalsh;
+    # either way the report is the one drawn a contraction at a time
+    for k, kind in enumerate(("ac", "singular", "incomparable")):
+        a, b = random_pair_with_relation(dim, kind, derive_seed(88, dim, k))
+        af, bf = a.to_float(), b.to_float()
+        dec = decompose(af, bf)
+        got = verify_decomposition(dec, af, trials=100, seed=k).to_dict()
+        assert got == per_trial_decomposition_check(dec, af, 100, k, DEFAULT_TOL), kind
+        assert got["passed"], kind
+
+
 def _band_stack(n, rng):
     # C = α·(PSD on ran P) + ε·(PSD on ker P) + a Hermitian cross term, so that
     # ‖(I-P) C (I-P)‖₂ = ε exactly in exact arithmetic while ‖C‖₂ ~ α; ε sweeps

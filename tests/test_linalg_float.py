@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from psdcone.errors import BackendError
+from psdcone.generators import rank_one
 from psdcone.linalg import (
     EXACT,
     FLOAT,
     Matrix,
     PsdOperator,
+    column_space,
     hermitian_norm,
     hermitian_part,
     psd_check,
@@ -151,6 +153,23 @@ def test_psd_sqrt_squares_back():
         r, want = root.matrix.array, a.matrix.array
         assert np.allclose(r @ r, want, rtol=0, atol=1e-9 * max(1.0, np.abs(want).max()))
         assert root.rank == a.rank
+
+
+def test_rank_one_of_a_float_column_spans_its_line():
+    f = Matrix.from_float([[1.0], [2.0j], [-0.5]])
+    op = rank_one(f)
+    assert (op.backend, op.rank) == (FLOAT, 1)
+    assert op.range().equals(column_space(f))
+
+
+def test_scaling_a_float_operator_keeps_its_rank():
+    a = PsdOperator.from_matrix(Matrix.from_float([[2.0, 1.0j], [-1.0j, 1.0]]))
+    b = PsdOperator.from_matrix(Matrix.from_float([[1.0, 1.0], [1.0, 1.0]]))
+    for op in (a, b):
+        scaled = op.scaled(2.5)
+        assert np.array_equal(scaled.matrix.array, 2.5 * op.matrix.array)
+        assert scaled.rank == op.rank
+    assert (a.rank, b.rank) == (2, 1)
 
 
 def test_psd_sqrt_requires_float_backend():

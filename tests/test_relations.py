@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from psdcone.errors import BackendError, DimensionMismatchError
 from psdcone.generators import derive_seed, random_pair_with_relation, random_psd
 from psdcone.linalg import EXACT, FLOAT, Matrix, PsdOperator, common_dim, subspace_intersect
 from psdcone.relations import (
@@ -217,3 +218,16 @@ def test_dimension_mismatch_rejected():
     b = random_psd(3, 1, seed=2)
     with pytest.raises(Exception):
         analyze_pair(a, b)
+
+
+@pytest.mark.parametrize("fn", [relation_triple, leq, analyze_pair, min_domination_constant])
+def test_operands_on_other_spaces_or_backends_are_refused(fn):
+    # the refusals come from common_dim and Matrix arithmetic, in both orders
+    a = random_psd(2, 1, seed=1)
+    for other, error in (
+        (random_psd(3, 1, seed=2), DimensionMismatchError),
+        (random_psd(2, 2, seed=2, backend=FLOAT), BackendError),
+    ):
+        for pair in ((a, other), (other, a)):
+            with pytest.raises(error):
+                fn(*pair)

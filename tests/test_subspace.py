@@ -53,6 +53,13 @@ def test_principal_sines_known_angles():
     assert principal_sines(e1, diag)[0] == pytest.approx(np.sin(np.pi / 4))
 
 
+def test_principal_sines_with_a_zero_subspace():
+    zero = Subspace.zero(3, FLOAT)
+    plane = column_space(Matrix.from_float([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+    assert principal_sines(zero, plane).shape == (0,)
+    assert np.array_equal(principal_sines(plane, zero), np.ones(2))
+
+
 def test_dimension_formula_sum_plus_intersection():
     rand = random.Random(99)
     for _ in range(40):
@@ -192,6 +199,15 @@ def test_exact_intersect_and_preimage_bases_are_independent_as_returned(n):
 def test_preimage_of_full_space_is_full():
     m = Matrix.exact([[1, 2], [3, 4]])
     assert subspace_preimage(m, Subspace.full(2, EXACT)).dim == 2
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_preimage_of_zero_is_the_kernel(backend):
+    m = Matrix.exact([[1, 2, 0], [2, 4, 0], [0, 0, 1]])
+    m = m if backend == EXACT else m.to_float()
+    kernel = subspace_preimage(m, Subspace.zero(3, backend))
+    want = column_space(Matrix.exact([[2], [-1], [0]]))
+    assert kernel.equals(want if backend == EXACT else column_space(want.basis.to_float()))
 
 
 def test_float_preimage_matches_exact():
