@@ -110,7 +110,7 @@ def _cmd_decompose(args) -> int:
     if a.backend == EXACT or b.backend == EXACT:
         _note("note: converted exact input to the float backend for the decomposition")
     dec = decompose(pa, pb, args.tol)
-    check = verify_decomposition(dec, pa, trials=args.trials, seed=args.seed, tol=args.tol)
+    check = verify_decomposition(dec, pa, tol=args.tol)
     prefix = args.out_prefix or os.path.splitext(args.a)[0]
     ac_path = f"{prefix}.ac.json"
     sing_path = f"{prefix}.sing.json"
@@ -310,8 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("a", help="matrix file for A")
     p.add_argument("b", help="matrix file for the base B")
     p.add_argument("--out-prefix", help="prefix for the two output files")
-    p.add_argument("--trials", type=_count(0), default=200, help="maximality sampling budget")
-    p.add_argument("--seed", type=int, default=0)
     _add_tol(p)
     p.set_defaults(func=_cmd_decompose)
 

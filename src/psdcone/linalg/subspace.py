@@ -9,8 +9,8 @@ decided by :func:`common_dim`: an exact rank on the exact backend, a count
 of principal angles on the float one, where the tolerance is an angle in
 radians (a direction counts as common when its sine is at most ``tol``).
 Equality is one inclusion at equal dimension; :func:`subspace_intersect` is
-exact only.  A float Lebesgue split's own checks test a matrix's range
-against the base by a residual instead (``lebesgue._dominated``).
+exact only.  A float Lebesgue split's ``ac_ok`` tests the a.c. part's range
+against the base by a residual instead (``lebesgue._dominated_residual``).
 """
 
 from __future__ import annotations

@@ -443,6 +443,8 @@ def verify_range_form(
     violations = []
     for (r, j), (a,), (image,) in _mapped(spec, samples, operand, tol):
         g = spec.operand(a.range().basis)
+        # spelled out, not ``t.apply_matrix(g)``: the images go through
+        # apply_matrix, and the reference must not share a fault with them
         transported = column_space(t.t @ (g.conj() if t.is_conjugate else g), rank_hint=a.rank)
         if not image.equals(transported, tol):
             violations.append({"rank": r, "sample": j})

@@ -179,17 +179,23 @@ def min_constant_bisect(a, b, *, bits: int = 40, cap: int = 2**60):
 
 
 def per_trial_decomposition_check(dec, a, trials, seed, tol):
-    """``verify_decomposition`` drawing and testing one contraction at a time.
+    """The sampled maximality oracle that ``verify_decomposition`` once ran,
+    drawing and testing one contraction at a time.
 
-    The package samples its maximality oracle in stacks; this loop is the
-    reference those stacks must reproduce field for field: the same random
-    stream, the same candidates kept and the same violations.  Returns the
-    report as a dict.
+    It draws ``trials`` contractions C ≤ a, keeps those whose range the base
+    dominates within ``tol`` (by the residual rule of ``ac_ok``), and counts
+    a violation when C ≰ ac + tol·I beyond the slack.  A C inside ran base
+    lies below the shorted operator, so the decided check fails each split
+    this reference flags with one.  The residual is about the square of an
+    angle, though: near a pair whose ranges meet at an angle between √eps
+    and √tol it also keeps candidates outside ran base, and so flags correct
+    splits that the decided check passes.  Returns the invariants, the
+    sample counts and ``passed`` as a dict.
     """
     import numpy as np
 
     from psdcone.generators import derive_seed
-    from psdcone.lebesgue import _MAXIMALITY_SLACK, DecompositionCheck
+    from psdcone.lebesgue import _MAXIMALITY_SLACK
     from psdcone.linalg import psd_sqrt, subspace_preimage
     from psdcone.relations import is_singular
 
@@ -235,15 +241,16 @@ def per_trial_decomposition_check(dec, a, trials, seed, tol):
         if gap < -_MAXIMALITY_SLACK * scale_a:
             violations += 1
             worst = max(worst, -gap)
-    return DecompositionCheck(
-        sum_ok=sum_ok,
-        ac_ok=ac_ok,
-        singular_ok=singular_ok,
-        maximality_sampled=trials,
-        maximality_kept=kept,
-        maximality_violations=violations,
-        worst_excess=worst,
-    ).to_dict()
+    return {
+        "sum_ok": sum_ok,
+        "ac_ok": ac_ok,
+        "singular_ok": singular_ok,
+        "maximality_sampled": trials,
+        "maximality_kept": kept,
+        "maximality_violations": violations,
+        "worst_excess": worst,
+        "passed": sum_ok and ac_ok and singular_ok and violations == 0,
+    }
 
 
 def naive_gauss_ints(count, rand, lo=-3, hi=3):

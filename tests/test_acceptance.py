@@ -197,7 +197,7 @@ def test_decomposition_invariants_and_maximality():
             a = random_psd(dim, rank=ra, seed=derive_seed(7700, dim, i, 1), backend="float")
             b = random_psd(dim, rank=rb, seed=derive_seed(7700, dim, i, 2), backend="float")
             dec = decompose(a, b, tol=1e-8)
-            check = verify_decomposition(dec, a, trials=500, seed=derive_seed(7701, dim, i), tol=1e-8)
+            check = verify_decomposition(dec, a, tol=1e-8)
             assert check.passed and check.maximality_violations == 0, (
                 f"dim {dim}, instance {i}: {check.to_dict()}"
             )

@@ -273,25 +273,28 @@ def test_map_verify_rejects_negative_trials(capsys):
     assert "--trials" in err
 
 
-@pytest.mark.parametrize("command", ["decompose", "reconstruct"])
-def test_negative_trials_are_a_usage_error_and_zero_is_legal(tmp_path, capsys, command):
-    # a negative count used to skip the sampled checks and, for decompose,
-    # be reported back as the number of samples taken
-    argv = {
-        "decompose": (
-            str(SAMPLES / "diag10.json"),
-            str(SAMPLES / "diag11.json"),
-            "--out-prefix",
-            str(tmp_path / "split"),
-        ),
-        "reconstruct": (str(SAMPLES / "congruence3.json"),),
-    }[command]
-    code, out, err = run_cli(capsys, command, *argv, "--trials", "-5")
+@pytest.mark.parametrize("command", ["reconstruct"])
+def test_negative_trials_are_a_usage_error_and_zero_is_legal(capsys, command):
+    # a negative count used to skip the sampled checks
+    spec = str(SAMPLES / "congruence3.json")
+    code, out, err = run_cli(capsys, command, spec, "--trials", "-5")
     assert_usage_error(code, out, err)
     assert "--trials" in err
     # zero samples still leave the deterministic checks to run
-    code, out, _ = run_cli(capsys, command, *argv, "--trials", "0")
+    code, out, _ = run_cli(capsys, command, spec, "--trials", "0")
     assert code == 0 and json.loads(out)
+
+
+@pytest.mark.parametrize("option", ["--trials", "--seed"])
+def test_decompose_has_no_sampling_options(tmp_path, capsys, option):
+    # maximality is decided, not sampled, so decompose takes no sample budget
+    # or seed; passing one is a usage error rather than a silent no-op
+    code, out, err = run_cli(
+        capsys, "decompose", str(SAMPLES / "diag10.json"), str(SAMPLES / "diag11.json"),
+        "--out-prefix", str(tmp_path / "split"), option, "5",
+    )
+    assert_usage_error(code, out, err)
+    assert option in err
 
 
 # ----------------------------------------------------------------------
@@ -326,12 +329,21 @@ WORDS = st.text(alphabet="0123456789+-.,eEx ", max_size=8)
 CONG3 = str(SAMPLES / "congruence3.json")
 DIAG10 = str(SAMPLES / "diag10.json")
 DIAG11 = str(SAMPLES / "diag11.json")
-# command words before the numeric options, and the parser of each option
+
+
+def _retired(text):
+    """The parser of an option a command no longer has: every value is refused."""
+    raise ValueError(f"retired option, got {text!r}")
+
+
+# command words before the numeric options, and the parser of each option;
+# decompose's sampling options went with the sampled maximality oracle, so
+# any value of them must end as a usage error that names the option
 COMMANDS = {
     "analyze": (["analyze", DIAG10, DIAG11], {"--tol": _tolerance}),
     "decompose": (
         ["decompose", DIAG10, DIAG11],
-        {"--trials": _count(0), "--seed": int, "--tol": _tolerance},
+        {"--trials": _retired, "--seed": _retired, "--tol": _tolerance},
     ),
     "reconstruct": (["reconstruct", CONG3], {"--trials": _count(0), "--seed": int}),
     "map verify": (
@@ -456,7 +468,7 @@ SPEC_COMMANDS = [
 ]
 MATRIX_COMMANDS = [
     ["analyze", "{}", DIAG11],
-    ["decompose", DIAG10, "{}", "--trials", "2"],
+    ["decompose", DIAG10, "{}"],
     ["map", "apply", CONG3, "{}"],
 ]
 
@@ -590,8 +602,8 @@ def test_singular_pair_near_the_double_range_is_decided_by_its_ranges(tmp_path, 
 
 
 def test_decompose_near_the_double_range_warns_nothing(tmp_path, capsys):
-    # the oracle's Frobenius norms overflow here and used to print a numpy
-    # RuntimeWarning; the spectral fallback decides those draws unchanged
+    # the sampled oracle's Frobenius norms overflowed here and printed a numpy
+    # RuntimeWarning; the decided check must stay as quiet
     big = tmp_path / "big.json"
     write_matrix(big, Matrix.from_float(8e306 * np.eye(3)))
     with warnings.catch_warnings():

@@ -76,10 +76,10 @@ MUTANTS = (
         ("tests/test_projective.py",),
     ),
     Mutant(
-        "oracle-keep-bound-4tol",
+        "ac-ok-10tol",
         "src/psdcone/lebesgue.py",
-        "keep = fro_r <= tol / 2",
-        "keep = fro_r <= 4 * tol",
+        "_dominated_residual(ac, p_base) <= tol",
+        "_dominated_residual(ac, p_base) <= 10 * tol",
         ("tests/test_lebesgue.py",),
     ),
     Mutant(
@@ -158,13 +158,6 @@ MUTANTS = (
         "image.dim != 1",
         "image.dim == 0",
         ("tests/test_projective.py",),
-    ),
-    Mutant(
-        "gap-cert-10slack",
-        "src/psdcone/lebesgue.py",
-        "delta = slack / 2",
-        "delta = 10 * slack",
-        ("tests/test_lebesgue.py",),
     ),
 )
 
