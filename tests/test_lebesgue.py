@@ -287,10 +287,10 @@ def test_verify_refuses_an_exact_operand():
         verify_decomposition(dec, a)
 
 
-def test_a_check_takes_no_square_root_and_no_preimage_svd(monkeypatch):
-    # decompose goes through a^{1/2} and the a.c. domain's preimage SVD; its
-    # check reads the shorted operator off a and ker b, so it takes neither,
-    # for a made split and a hand-built one alike
+def test_one_square_root_per_split_and_per_check(monkeypatch):
+    # decompose goes through a^{1/2} and the a.c. domain's preimage SVD once;
+    # its check reads the shorted operator off a and ker b, so it takes
+    # neither, for a made split and a hand-built one alike
     import psdcone.lebesgue as lebesgue
 
     seen = []
@@ -307,6 +307,24 @@ def test_a_check_takes_no_square_root_and_no_preimage_svd(monkeypatch):
         for tol in (DEFAULT_TOL, 1e-6):
             assert verify_decomposition(split, a, tol=tol).passed
     assert seen == ["psd_sqrt", "preimage"]
+
+
+def test_invariants_alone_take_no_root_and_no_svd(monkeypatch):
+    # over an invertible base, as the suite checks it, the check takes neither
+    # a^{1/2} nor any SVD, with the benchmark's trials=0 and without it
+    import psdcone.lebesgue as lebesgue
+
+    a = _fop([[2.0, 1.0], [1.0, 1.0]])
+    eye = _fop(np.eye(2))
+    splits = [decompose(a, eye), LebesgueDecomposition(a, PsdOperator.zero(2, "float"), eye)]
+    seen = []
+    sqrt, svd = lebesgue.psd_sqrt, np.linalg.svd
+    monkeypatch.setattr(lebesgue, "psd_sqrt", lambda op: seen.append("psd_sqrt") or sqrt(op))
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: seen.append("svd") or svd(*args, **kw))
+    for split in splits:
+        assert verify_decomposition(split, a, trials=0).passed
+        assert verify_decomposition(split, a).passed
+    assert seen == []
 
 
 def test_the_benchmark_call_form_is_accepted_and_ignored():
