@@ -11,7 +11,9 @@ computation.  The maximal a.c. part is the shorted operator S of a to ran b
 ran C ⊆ ran b satisfies C ≤ S (Ando, *Acta Sci. Math.* 38, 1976).  With W an
 orthonormal basis of ker b, S = a − a W (W* a W)⁺ W* a, read off a and b's
 eigenvectors with no square root and no preimage SVD; one Loewner test
-against S decides maximality for every such C at once.
+against S decides maximality for every such C at once.  That the a.c. part is
+≪ b and the singular part ⊥ b is decided as every ≪ and ⊥ of the package
+is, by one :func:`~psdcone.linalg.common_dim` each.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
 from .linalg import (
     DEFAULT_TOL,
     Matrix,
@@ -33,7 +34,7 @@ from .linalg import (
     subspace_preimage,
 )
 from .linalg.matrix import numerical_rank
-from .relations import is_singular
+from .relations import is_abs_continuous, is_singular
 from .report import Verdict
 
 #: eigenvalue slack, relative to ‖a‖, granted to the maximality check
@@ -102,13 +103,6 @@ class DecompositionCheck(Verdict):
         )
 
 
-def _dominated_residual(c: np.ndarray, p_base: np.ndarray) -> np.ndarray:
-    """‖(I-P) C (I-P)‖₂ / max(1, ‖C‖₂) for each C of a (..., n, n) stack: 0 iff ran C ⊆ ran P."""
-    q = np.eye(p_base.shape[-1]) - p_base
-    r = q @ c @ q
-    return hermitian_norm(r) / np.maximum(1.0, hermitian_norm(c))
-
-
 def _shorted(a: PsdOperator, b: PsdOperator) -> np.ndarray:
     """The shorted operator a − a W K⁺ W* a of a to ran b, K = W* a W.
 
@@ -139,34 +133,36 @@ def verify_decomposition(
     """Check the defining invariants and decide maximality.
 
     Invariants: the parts sum to a (‖ac + singular − a‖₂ ≤ tol·max(1, ‖a‖)),
-    the a.c. part's range lies in ran base (‖(I-P) ac (I-P)‖₂ / max(1, ‖ac‖₂)
-    ≤ tol, P projecting onto ran base) and the singular part is singular to
-    the base.  Maximality: every PSD C ≤ a with ran C ⊆ ran base lies below
-    the shorted operator S (:func:`_shorted`), so the split is maximal when
+    the a.c. part is ≪ the base and the singular part is ⊥ the base, each
+    decided as every ≪ and ⊥ is, by :func:`~psdcone.relations.relation_triple`
+    at the angle ``tol``.  Both range tests trust each part's certified rank:
+    a float part's range is its top ``rank`` eigenvectors, so a tail of
+    eigenvalues below that rank is not tested against the base.
+    Maximality: every PSD C ≤ a with ran C ⊆ ran base lies below the shorted
+    operator S (:func:`_shorted`), so the split is maximal when
     gap = λ_min(ac + tol·I − S) ≥ −``_MAXIMALITY_SLACK``·max(1, ‖a‖).
     ``maximality_violations`` is 1 when it is not, and ``worst_excess`` is
     then −gap.  Every norm is of a Hermitian matrix, so it is max |eigenvalue|
     (:func:`hermitian_norm`; ‖a‖ from ``a.eigh()``).
 
-    Cost: the cached ``eigh`` of a and of the base, one ``eigh`` of W* a W
-    and one ``eigvalsh`` of the gap; no square root and no preimage SVD.
+    Cost: the cached ``eigh`` of a, of the base and of each nonzero part,
+    one ``eigh`` of W* a W, one ``eigvalsh`` of the gap and at most two
+    principal-angle SVDs, none over an invertible base (there
+    :func:`~psdcone.linalg.common_dim` counts); no square root and no
+    preimage SVD.
 
     ``trials`` and ``seed`` are accepted and ignored: they sized and seeded
     the sampled oracle this check replaced, and ``perfbench/workloads.py``
     still passes them.  The benchmark-side change that drops them there
-    (ROADMAP item 11) deletes them here.  ``a`` must act on the
-    decomposition's space (an exact ``a`` is refused by its ``eigh``).
+    (ROADMAP item 11) deletes them here.  ``a`` must be a float operator on
+    the decomposition's space: the sum refuses any other with
+    ``DimensionMismatchError`` or ``BackendError``.
     """
-    if a.dim != dec.dim:
-        raise DimensionMismatchError("operators act on different spaces")
     ac = dec.ac_part.matrix.array
-    sing = dec.singular_part.matrix.array
-    total = ac + sing - a.matrix.array
+    total = (dec.ac_part.matrix + dec.singular_part.matrix - a.matrix).array
     scale_a = max(1.0, float(np.abs(a.eigh()[0]).max()))
     sum_ok = float(hermitian_norm(total)) <= tol * scale_a
-
-    p_base = dec.base.range().projector().array
-    ac_ok = bool(_dominated_residual(ac, p_base) <= tol)
+    ac_ok = is_abs_continuous(dec.ac_part, dec.base, tol)
     singular_ok = is_singular(dec.singular_part, dec.base, tol)
 
     gap = float(np.linalg.eigvalsh(ac + tol * np.eye(a.dim) - _shorted(a, dec.base))[0])

@@ -8,9 +8,9 @@ two subspaces (inclusion, equality, intersection dimension, and through
 decided by :func:`common_dim`: an exact rank on the exact backend, a count
 of principal angles on the float one, where the tolerance is an angle in
 radians (a direction counts as common when its sine is at most ``tol``).
+When one side spans C^n it answers by counting, with no rank and no angle.
 Equality is one inclusion at equal dimension; :func:`subspace_intersect` is
-exact only.  A float Lebesgue split's ``ac_ok`` tests the a.c. part's range
-against the base by a residual instead (``lebesgue._dominated_residual``).
+exact only.
 """
 
 from __future__ import annotations
@@ -113,11 +113,16 @@ def common_dim(u: Subspace, v: Subspace, tol: float = DEFAULT_TOL) -> int:
     Exact: u.dim + v.dim − rank [U | V], with no tolerance.  Float: the
     number of directions of ``u`` whose principal-angle sine against ``v``
     is at most ``tol``; not symmetric in u and v beyond rounding, so
-    inclusion of u in v reads it with u first.
+    inclusion of u in v reads it with u first.  When either side spans C^n,
+    rank [U | V] = n on both backends and the count u.dim + v.dim − n needs
+    neither an elimination nor an SVD.
     """
     _check_pair(u, v)
+    n = u.ambient_dim
     if u.dim == 0 or v.dim == 0:
         return 0
+    if u.dim == n or v.dim == n:
+        return u.dim + v.dim - n
     if u.backend == EXACT:
         return u.dim + v.dim - hstack_rank([u.basis, v.basis])
     return int(np.sum(principal_sines(u, v) <= tol))

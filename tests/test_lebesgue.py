@@ -164,15 +164,34 @@ def test_maximality_oracle_flips_at_its_slack(over, violations):
 
 @pytest.mark.parametrize("factor, ok", [(0.3, True), (3.0, False)])
 def test_ac_ok_flips_at_its_cut(factor, ok):
-    # unit scale, tol = 1e-8: an a.c. part diag(1, δ) against the base
-    # diag(1, 0) leaves ran base by the range residual δ; it passes at 0.3×
-    # the cut, not at 3×, and neither is a maximality violation
+    # unit scale, tol = 1e-8: a rank-one a.c. part along (1, δ) leaves ran
+    # diag(1, 0) at an angle whose sine is about δ; it passes at 0.3× the
+    # angle tolerance, not at 3×, and neither is a maximality violation
     tol = 1e-8
-    a = _fop(np.diag([1.0, factor * tol]))
+    v = np.array([1.0, factor * tol])
+    a = _fop(np.outer(v, v))
     split = LebesgueDecomposition(a, PsdOperator.zero(2, "float"), _fop(np.diag([1.0, 0.0])))
     check = verify_decomposition(split, a, tol=tol)
+    assert a.rank == 1
     assert check.ac_ok is ok
     assert check.sum_ok and check.singular_ok and check.maximality_violations == 0
+
+
+@pytest.mark.parametrize("delta, singular", [(1e-5, True), (1e-7, True), (3e-9, False)])
+def test_ac_ok_is_an_angle_not_its_square(delta, singular):
+    # a = v v* with v = (1, δ) leaves ran diag(1, 0) at the angle ≈ δ; past
+    # tol = 1e-8 a ⊥ b, so calling all of a dominated must fail (its
+    # squared angle δ² is still below tol), while the split decompose makes
+    # passes either way
+    a = _fop([[1.0, delta], [delta, delta**2]])
+    b = _fop([[1.0, 0.0], [0.0, 0.0]])
+    assert analyze_pair(a, b).singular is singular
+    all_ac = verify_decomposition(LebesgueDecomposition(a, PsdOperator.zero(2, "float"), b), a)
+    assert all_ac.ac_ok is not singular
+    assert all_ac.passed is not singular
+    dec = decompose(a, b)
+    assert (dec.ac_part.rank, dec.singular_part.rank) == ((0, 1) if singular else (1, 0))
+    assert verify_decomposition(dec, a).passed
 
 
 def _made_pairs(salt):
@@ -257,10 +276,12 @@ def test_decided_check_fails_every_split_the_sampled_oracle_flags():
 
 
 def test_verify_rejects_an_operand_of_another_dimension():
+    # a 1×1 split is one numpy would broadcast against a 3×3 operand
     a = _fop(np.eye(3))
-    dec = decompose(_fop(np.eye(4)), _fop(np.eye(4)))
-    with pytest.raises(DimensionMismatchError):
-        verify_decomposition(dec, a)
+    for n in (4, 1):
+        dec = decompose(_fop(np.eye(n)), _fop(np.eye(n)))
+        with pytest.raises(DimensionMismatchError):
+            verify_decomposition(dec, a)
 
 
 def test_decompose_requires_float_backend():

@@ -231,3 +231,28 @@ def test_operands_on_other_spaces_or_backends_are_refused(fn):
         for pair in ((a, other), (other, a)):
             with pytest.raises(error):
                 fn(*pair)
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_an_invertible_operand_takes_no_elimination_and_no_angles(backend, monkeypatch):
+    # ran b = C^n, so dim(ran a ∩ ran b) = rank a is counted: relation_triple
+    # then takes neither a Bareiss rank of [U | V] nor a principal-angle SVD,
+    # with b on either side, and still reads a ≪ b, and b ≪ a only when a is
+    # invertible too
+    import psdcone.linalg.subspace as subspace_module
+
+    seen = []
+    for name in ("hstack_rank", "principal_sines"):
+        kernel = getattr(subspace_module, name)
+        monkeypatch.setattr(
+            subspace_module, name, lambda *args, _k=kernel, _n=name: seen.append(_n) or _k(*args)
+        )
+    for n in (2, 3, 4):
+        b = random_psd(n, n, derive_seed(5, n))
+        b = b if backend == EXACT else b.to_float()
+        for r in range(n + 1):
+            a = random_psd(n, r, derive_seed(6, n, r))
+            a = a if backend == EXACT else a.to_float()
+            assert relation_triple(a, b) == (True, r == n, r == 0)
+            assert relation_triple(b, a) == (r == n, True, r == 0)
+    assert seen == []

@@ -7,18 +7,20 @@ import pytest
 
 import psdcone.linalg.subspace as subspace_module
 from psdcone.errors import BackendError, DimensionMismatchError
-from psdcone.generators import derive_seed, random_semilinear
+from psdcone.generators import derive_seed, random_psd, random_semilinear
 from psdcone.linalg import (
     EXACT,
     FLAVORS,
     FLOAT,
     Matrix,
+    PsdOperator,
     Subspace,
     column_space,
     common_dim,
     subspace_intersect,
     subspace_preimage,
 )
+from psdcone.linalg.matrix import hstack_rank
 from psdcone.linalg.subspace import principal_sines
 
 
@@ -256,3 +258,57 @@ def test_common_dim_flips_at_its_sine_cut(eps, shared):
     line = Subspace(Matrix.from_float([[1.0], [eps]]))
     e1 = Subspace(Matrix.from_float([[1.0], [0.0]]))
     assert common_dim(line, e1, 1e-8) == shared
+
+
+def _ranges(n, backend, seed):
+    # every rank 1..n, each as the ranges the verifiers meet: exact ranges
+    # factored (G of G G*) and eliminated (pivot columns of G G*), float
+    # eigen_ranges of drawn and converted operators, and Subspace.full
+    out = [Subspace.full(n, backend)]
+    for r in range(1, n + 1):
+        op = random_psd(n, r, derive_seed(seed, n, r))
+        if backend == EXACT:
+            out += [op.range(), PsdOperator.from_matrix(op.matrix).range()]
+        else:
+            out += [op.to_float().range(), random_psd(n, r, seed, backend=FLOAT).range()]
+    return out
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_a_whole_space_side_is_counted_as_the_direct_rule_counts(n, backend, monkeypatch):
+    # when u or v spans C^n, common_dim answers u.dim + v.dim − n with no
+    # elimination and no principal angles, and that is the count the exact
+    # rank of [U | V] and the float principal sines give, in both orders
+    def direct(u, v):
+        if backend == EXACT:
+            return u.dim + v.dim - hstack_rank([u.basis, v.basis])
+        return int(np.sum(principal_sines(u, v) <= 1e-8))
+
+    def refuse(*args):
+        raise AssertionError("a whole-space side was eliminated or measured")
+
+    spaces = _ranges(n, backend, 61)
+    for u in spaces:
+        for v in spaces:
+            if n not in (u.dim, v.dim):
+                continue
+            want = direct(u, v)
+            with monkeypatch.context() as patched:
+                patched.setattr(subspace_module, "hstack_rank", refuse)
+                patched.setattr(subspace_module, "principal_sines", refuse)
+                got = common_dim(u, v, 1e-8)
+            assert got == want == min(u.dim, v.dim), (u.dim, v.dim)
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_a_whole_space_side_on_another_space_or_backend_is_refused(backend):
+    # the size and backend checks run before the count, in both orders
+    full = Subspace.full(3, backend)
+    line = column_space(Matrix.exact([[1], [1]]))
+    line = line if backend == EXACT else column_space(line.basis.to_float())
+    other = Subspace.full(3, FLOAT if backend == EXACT else EXACT)
+    for u, v, error in ((full, line, DimensionMismatchError), (full, other, BackendError)):
+        for args in ((u, v), (v, u)):
+            with pytest.raises(error):
+                common_dim(*args)

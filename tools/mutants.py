@@ -78,8 +78,8 @@ MUTANTS = (
     Mutant(
         "ac-ok-10tol",
         "src/psdcone/lebesgue.py",
-        "_dominated_residual(ac, p_base) <= tol",
-        "_dominated_residual(ac, p_base) <= 10 * tol",
+        "is_abs_continuous(dec.ac_part, dec.base, tol)",
+        "is_abs_continuous(dec.ac_part, dec.base, 10 * tol)",
         ("tests/test_lebesgue.py",),
     ),
     Mutant(
