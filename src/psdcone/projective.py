@@ -1,11 +1,11 @@
 """Lines, line maps, and reconstruction of the operator behind a line map.
 
 A :class:`Line` is a one-dimensional subspace whose direction is divided once
-by its first nonzero entry.  It compares and hashes by an integer key, the
-lowest-terms denominator and Gaussian-integer numerators of that divided
-direction, so projective equality is tuple equality; the same direction is
-kept as an exact n×1 matrix for arithmetic.  Coplanarity and independence
-are exact ranks of side-by-side columns, :func:`~psdcone.linalg.hstack_rank`.
+by its first nonzero entry.  It is held as an integer key, the lowest-terms
+denominator and Gaussian-integer numerators of that divided direction, so
+projective equality is tuple equality; the exact n×1 column is built from the
+key only when arithmetic asks for it.  Coplanarity and independence are exact
+ranks swept straight off the lines' keys, with no matrix built.
 A cone map that sends rank-one operators to rank-one operators induces a map
 on lines via Ψ([f]) = ran φ(f f*); :func:`induced_line_map` builds it for any
 :class:`~psdcone.preserver.PreserverSpec`.
@@ -20,6 +20,7 @@ ambient dimension at least 3, where coplanarity carries information.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -27,8 +28,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionMismatchError, LineMapError, NotSemilinearError
-from .generators import derive_seed, random_direction, random_scalar, rank_one
+from .errors import DimensionMismatchError, GenerationError, LineMapError, NotSemilinearError
+from .generators import RETRY_BUDGET, derive_seed, random_direction, random_scalar, rank_one
 from .linalg import (
     DEFAULT_TOL,
     EXACT,
@@ -37,9 +38,8 @@ from .linalg import (
     GaussianRational,
     Matrix,
     SemilinearOperator,
-    hstack_rank,
 )
-from .linalg.matrix import hstack_kernel
+from .linalg.matrix import _sweep, hstack_kernel
 from .preserver import PreserverSpec, _image_ranges
 from .report import Verdict
 
@@ -57,18 +57,18 @@ _PIVOT_CUT = 1e-6
 
 @dataclass(frozen=True, init=False, repr=False)
 class Line:
-    """A point of projective space; Lines compare and hash by their integer key."""
+    """A point of projective space, held as its integer key (den, re…, im…), by
+    which Lines compare and hash; :meth:`column` builds the exact column once."""
 
     _key: tuple
-    _col: Matrix = field(compare=False)
+    _col: Matrix | None = field(compare=False)
 
     def __init__(self, entries):
-        self._normalise(Matrix.exact([[c] for c in entries]))
+        self._normalise(*Matrix.exact([[c] for c in entries]).gaussian_ints()[1:])
 
-    def _normalise(self, col: Matrix) -> None:
+    def _normalise(self, re: list[int], im: list[int]) -> None:
         # the key is (den, re…, im…) of v / (a + bi) = v·(a − bi) / (a² + b²) for the
         # first nonzero entry a + bi, in lowest terms; v's own denominator cancels
-        _, re, im = col.gaussian_ints()
         k = next((k for k, (x, y) in enumerate(zip(re, im)) if x or y), None)
         if k is None:
             raise ValueError("a line needs a nonzero direction")
@@ -76,10 +76,15 @@ class Line:
         den = a * a + b * b
         re, im = [x * a + y * b for x, y in zip(re, im)], [y * a - x * b for x, y in zip(re, im)]
         g = math.gcd(den, *re, *im)
-        den, re, im = den // g, [x // g for x in re], [y // g for y in im]
-        parts = np.array([re, im], dtype=object).T.reshape(-1, 1, 2)
-        object.__setattr__(self, "_key", (den, *re, *im))
-        object.__setattr__(self, "_col", Matrix.from_gaussian_ints(parts, den))
+        object.__setattr__(self, "_key", (den // g, *(x // g for x in re), *(y // g for y in im)))
+        object.__setattr__(self, "_col", None)
+
+    @classmethod
+    def _of(cls, re: list[int], im: list[int]) -> "Line":
+        """The line through the Gaussian-integer direction re + i·im."""
+        line = cls.__new__(cls)
+        line._normalise(re, im)
+        return line
 
     @classmethod
     def from_vector(cls, v) -> "Line":
@@ -87,26 +92,42 @@ class Line:
             return cls(v)
         if v.cols != 1:
             raise DimensionMismatchError("expected a column vector")
-        line = cls.__new__(cls)
-        line._normalise(v)
-        return line
+        return cls._of(*v.gaussian_ints()[1:])
 
     @property
     def ambient_dim(self) -> int:
-        return self._col.rows
+        return len(self._key) // 2
+
+    def _parts(self) -> tuple[list[int], list[int]]:
+        n = len(self._key) // 2
+        return list(self._key[1 : n + 1]), list(self._key[n + 1 :])
 
     def column(self) -> Matrix:
+        if self._col is None:
+            parts = np.array(self._parts(), dtype=object).T.reshape(-1, 1, 2)
+            object.__setattr__(self, "_col", Matrix.from_gaussian_ints(parts, self._key[0]))
         return self._col
 
     def __repr__(self) -> str:
-        return f"Line({', '.join(str(row[0]) for row in self._col.exact_rows)})"
+        return f"Line({', '.join(str(row[0]) for row in self.column().exact_rows)})"
+
+
+def _indicator(n: int, support) -> Line:
+    """The line of the 0/1 vector with ones at ``support``."""
+    return Line._of([1 if k in support else 0 for k in range(n)], [0] * n)
+
+
+def _rank(lines) -> int:
+    """Exact rank of the lines' directions, swept off their keys' numerators."""
+    re, im = zip(*(ln._parts() for ln in lines))
+    return len(_sweep(list(re), list(im), len(re), lines[0].ambient_dim, False)[0])
 
 
 def unit_line(n: int, j: int) -> Line:
     """The line of e_j."""
     if not 0 <= j < n:
         raise ValueError("a unit line needs 0 <= j < n")
-    return Line.from_vector(Matrix.identity(n).column(j))
+    return _indicator(n, (j,))
 
 
 class LineMap:
@@ -204,14 +225,14 @@ def reconstruct_semilinear(line_map: LineMap) -> SemilinearOperator:
     if n < 2:
         raise DimensionMismatchError("reconstruction needs ambient dimension at least 2")
 
-    w = [line_map(unit_line(n, j)).column() for j in range(n)]
-    if hstack_rank(w) != n:
+    images = [line_map(unit_line(n, j)) for j in range(n)]
+    if _rank(images) != n:
         raise NotSemilinearError("images of the coordinate lines are linearly dependent")
 
+    w = [image.column() for image in images]
     cols = [w[0]]
     for j in range(1, n):
-        diag = Line(1 if k in (0, j) else 0 for k in range(n))
-        alpha, beta = _solve_two(w[0], w[j], line_map(diag).column())
+        alpha, beta = _solve_two(w[0], w[j], line_map(_indicator(n, (0, j))).column())
         if not alpha or not beta:
             raise NotSemilinearError(
                 "image of a diagonal probe collapses onto a coordinate image"
@@ -219,8 +240,7 @@ def reconstruct_semilinear(line_map: LineMap) -> SemilinearOperator:
         cols.append(w[j].scale(beta / alpha))
     t = Matrix.hstack(cols)
 
-    probe = Line(((1, 0), (0, 1)) + ((0, 0),) * (n - 2))
-    image = line_map(probe)
+    image = line_map(Line._of([1] + [0] * (n - 1), [0, 1] + [0] * (n - 2)))
     linear_target = Line.from_vector(cols[0] + cols[1].scale((0, 1)))
     conjugate_target = Line.from_vector(cols[0] - cols[1].scale((0, 1)))
     if image == linear_target:
@@ -265,8 +285,11 @@ def verify_projectivity(line_map: LineMap, trials: int = 50, seed: int = 0) -> P
     """Check that coplanar triples stay coplanar and independent triples stay
     independent — the geometric prerequisite for a line map to come from an
     invertible operator.  Canonical triples make the check deterministic even
-    at ``trials=0``; seeded random triples widen the net, and a negative
-    count raises ``ValueError``."""
+    at ``trials=0``; when the unit images are independent, one rank of them
+    decides every unit triple.  Seeded random triples widen the net; a
+    negative count raises ``ValueError``, and a sampler that keeps drawing
+    dependent directions raises :class:`GenerationError` after
+    ``RETRY_BUDGET`` draws."""
     n = line_map.ambient_dim
     if n < 3:
         raise DimensionMismatchError(
@@ -281,7 +304,7 @@ def verify_projectivity(line_map: LineMap, trials: int = 50, seed: int = 0) -> P
 
     def check(kind: str, label, triple, want_rank_two: bool):
         nonlocal coplanar, independent
-        got = hstack_rank([line_map(ln).column() for ln in triple])
+        got = _rank([line_map(ln) for ln in triple])
         if want_rank_two:
             coplanar += 1
             if got > 2:
@@ -291,31 +314,33 @@ def verify_projectivity(line_map: LineMap, trials: int = 50, seed: int = 0) -> P
             if got != 3:
                 failures.append({"kind": kind, "triple": label, "image_rank": got})
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            mixed = Line(1 if k in (i, j) else 0 for k in range(n))
-            check("canonical", f"e{i},e{j},e{i}+e{j}", (units[i], units[j], mixed), True)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                check("canonical", f"e{i},e{j},e{k}", (units[i], units[j], units[k]), False)
+    for i, j in itertools.combinations(range(n), 2):
+        check("canonical", f"e{i},e{j},e{i}+e{j}", (units[i], units[j], _indicator(n, (i, j))), True)
+    # every subset of independent lines is independent: when the n unit images
+    # are, so is each canonical triple of them, and one rank decides all C(n, 3)
+    if _rank([line_map(u) for u in units]) == n:
+        independent += math.comb(n, 3)
+    else:
+        for i, j, k in itertools.combinations(range(n), 3):
+            check("canonical", f"e{i},e{j},e{k}", (units[i], units[j], units[k]), False)
 
     rand = random.Random(derive_seed(seed, 51, n))
-    made = 0
-    while made < trials:
-        u = random_direction(n, rand)
-        v = random_direction(n, rand)
-        if hstack_rank([u, v]) != 2:
-            continue
-        combo = u.scale(random_scalar(rand)) + v.scale(random_scalar(rand))
-        if combo.is_zero():
-            continue
-        triple = (Line.from_vector(u), Line.from_vector(v), Line.from_vector(combo))
-        check("random", f"seeded#{made}", triple, True)
-        x = random_direction(n, rand)
-        if hstack_rank([u, v, x]) == 3:
-            check("random", f"seeded#{made}/independent", (triple[0], triple[1], Line.from_vector(x)), False)
-        made += 1
+    for made in range(trials):
+        # redraw a dependent pair (u, v) or a zero combination of it, a bounded number of times
+        for _ in range(RETRY_BUDGET):
+            u = random_direction(n, rand)
+            v = random_direction(n, rand)
+            pair = [Line.from_vector(u), Line.from_vector(v)]
+            if _rank(pair) == 2:
+                combo = u.scale(random_scalar(rand)) + v.scale(random_scalar(rand))
+                if not combo.is_zero():
+                    break
+        else:
+            raise GenerationError("could not draw two independent directions for a seeded triple")
+        check("random", f"seeded#{made}", (*pair, Line.from_vector(combo)), True)
+        x = Line.from_vector(random_direction(n, rand))
+        if _rank([*pair, x]) == 3:
+            check("random", f"seeded#{made}/independent", (*pair, x), False)
 
     return ProjectivityReport(
         ambient_dim=n,
@@ -332,7 +357,7 @@ def swap_counterexample_line_map(dim: int = 3) -> LineMap:
     if dim < 3:
         raise ValueError("the counterexample needs ambient dimension at least 3")
     swapped_a = unit_line(dim, 0)
-    swapped_b = Line((1, 1) + (0,) * (dim - 2))
+    swapped_b = _indicator(dim, (0, 1))
 
     def fn(line: Line) -> Line:
         if line == swapped_a:

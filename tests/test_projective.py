@@ -1,13 +1,17 @@
 """Line geometry: induced maps, reconstruction, coplanarity checks."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from psdcone.errors import DimensionMismatchError, LineMapError, NotSemilinearError
-from psdcone.generators import derive_seed, random_direction, random_semilinear
-from psdcone.linalg import EXACT, FLAVOR_CONJUGATE, FLAVOR_LINEAR, Matrix
+from psdcone import projective
+from psdcone.errors import DimensionMismatchError, GenerationError, LineMapError, NotSemilinearError
+from psdcone.generators import RETRY_BUDGET, derive_seed, random_direction, random_semilinear
+from psdcone.linalg import EXACT, FLAVOR_CONJUGATE, FLAVOR_LINEAR, Matrix, hstack_rank
+from psdcone.linalg import matrix as linalg_matrix
 from psdcone.preserver import PreserverSpec, WeightFamily, make_wild_map
 from psdcone.projective import (
     Line,
@@ -149,6 +153,107 @@ def test_projectivity_rejects_the_swap_counterexample():
     # the canonical witness: [e1], [e3], [e1+e3] stop being coplanar
     kinds = {f["kind"] for f in rep.failures}
     assert "canonical" in kinds
+
+
+def _collapse_e1(n):
+    """Sends [e1] to [e0] and fixes every other line: the unit images are dependent."""
+    e0, e1 = unit_line(n, 0), unit_line(n, 1)
+    return LineMap(n, lambda line: e0 if line == e1 else line)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_dependent_unit_images_rank_every_canonical_triple(n):
+    # one rank stands in for the C(n, 3) unit triples only when the unit images
+    # are independent; otherwise each triple is ranked, in the same order, as
+    # this per-triple reference loop ranks it
+    lm = _collapse_e1(n)
+    rank = lambda lines: hstack_rank([lm(line).column() for line in lines])
+    e = lambda *idx: Line.from_vector([1 if k in idx else 0 for k in range(n)])
+    want = []
+    for i, j in itertools.combinations(range(n), 2):
+        got = rank([e(i), e(j), e(i, j)])
+        if got > 2:
+            want.append({"kind": "canonical", "triple": f"e{i},e{j},e{i}+e{j}", "image_rank": got})
+    for i, j, k in itertools.combinations(range(n), 3):
+        got = rank([e(i), e(j), e(k)])
+        if got != 3:
+            want.append({"kind": "canonical", "triple": f"e{i},e{j},e{k}", "image_rank": got})
+    rep = verify_projectivity(lm, trials=0)
+    assert any("+" not in f["triple"] for f in want)
+    assert list(rep.failures) == want
+    assert (rep.coplanar_triples, rep.independent_triples) == (math.comb(n, 2), math.comb(n, 3))
+    congruence_map = induced_line_map(PreserverSpec.congruence(random_semilinear(n, 3)))
+    congruence = verify_projectivity(congruence_map, trials=0)
+    assert congruence.passed
+    assert (congruence.coplanar_triples, congruence.independent_triples) == (math.comb(n, 2), math.comb(n, 3))
+
+
+def test_projectivity_takes_one_elimination_per_coplanar_triple_and_one_for_the_units(monkeypatch):
+    # dim 6 at trials=0: 15 coplanar triples, and one rank of the 6 unit images
+    # in place of the 20 unit triples
+    lm = induced_line_map(PreserverSpec.congruence(random_semilinear(6, 3)))
+    calls = []
+    sweep = linalg_matrix._sweep
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(linalg_matrix, "_sweep", counted)
+    monkeypatch.setattr(projective, "_sweep", counted)
+    rep = verify_projectivity(lm, trials=0)
+    assert rep.passed and (rep.coplanar_triples, rep.independent_triples) == (15, 20)
+    assert len(calls) == 16
+
+
+def test_image_lines_that_only_enter_ranks_build_no_column(monkeypatch):
+    # the map builds the column of each line it evaluates; its images are only
+    # ranked, straight off their keys
+    n = 5
+    lm = induced_line_map(PreserverSpec.congruence(random_semilinear(n, 8)))
+    built = []
+    build = Matrix.from_gaussian_ints
+    monkeypatch.setattr(
+        Matrix, "from_gaussian_ints", classmethod(lambda cls, *a: built.append(a) or build(*a))
+    )
+    assert verify_projectivity(lm, trials=0).passed
+    assert len(built) == n + math.comb(n, 2)
+
+
+def test_probe_lines_from_ints_match_lines_from_vectors():
+    # every probe the projective layer builds from ints equals, hashes and
+    # prints like the line of the same entries
+    n = 4
+    seen = []
+    lm = LineMap(n, lambda line: seen.append(line) or line)
+    reconstruct_semilinear(lm)
+    verify_projectivity(lm, trials=0)
+    e = lambda *idx: [1 if k in idx else 0 for k in range(n)]
+    want = (
+        [e(j) for j in range(n)]
+        + [e(0, j) for j in range(1, n)]
+        + [[1, (0, 1)] + [0] * (n - 2)]
+        + [e(i, j) for i, j in itertools.combinations(range(1, n), 2)]
+    )
+    assert len(seen) == len(want)
+    for got, entries in zip(seen, want):
+        same = Line.from_vector(entries)
+        assert got == same and hash(got) == hash(same) and repr(got) == repr(same)
+        assert got.column() == same.column()
+    for name in ("_key", "_col", "ambient_dim"):
+        with pytest.raises(AttributeError):
+            setattr(seen[0], name, None)
+
+
+def test_the_seeded_redraw_gives_up_after_its_budget(monkeypatch):
+    # a sampler that only draws one direction never yields an independent pair
+    draws = []
+    constant = Matrix.exact([[1], [(0, 2)], [0]])
+    monkeypatch.setattr(projective, "random_direction", lambda n, rand: draws.append(n) or constant)
+    lm = induced_line_map(PreserverSpec.congruence(random_semilinear(3, 4)))
+    with pytest.raises(GenerationError):
+        verify_projectivity(lm, trials=1)
+    assert len(draws) == 2 * RETRY_BUDGET
 
 
 def test_projectivity_needs_three_dimensions():

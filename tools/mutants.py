@@ -153,6 +153,13 @@ MUTANTS = (
         ("tests/test_linalg_float.py",),
     ),
     Mutant(
+        "unit-rank-shortcut-loose",
+        "src/psdcone/projective.py",
+        "_rank([line_map(u) for u in units]) == n",
+        "_rank([line_map(u) for u in units]) >= n - 1",
+        ("tests/test_projective.py",),
+    ),
+    Mutant(
         "line-map-rank-unchecked",
         "src/psdcone/projective.py",
         "image.dim != 1",
