@@ -4,12 +4,17 @@ Exact-backend draws use small Gaussian integers (real/imaginary parts in
 -3..3) so downstream elimination stays fast and every certificate is exact.
 All generators are deterministic in their seed and re-certify what they
 promise (rank, relation class, invertibility), retrying up to
-``RETRY_BUDGET`` times before giving up.
-"""
+``RETRY_BUDGET`` times before giving up.  Certified pairs come from one
+draw–certify loop over :data:`RELATION_KINDS`: a kind's ``draw(dim, rand,
+factor)`` gives (G_a, r_a, G_b, r_b, accept), with ``rand`` seeded by (seed,
+salt, dim) and factor k of attempt t by (seed, salt + 1 + k, dim) and t; the
+loop rank-checks both factors and passes the pair's ``relation_triple`` to
+``accept``."""
 
 from __future__ import annotations
 
 import random
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -132,34 +137,8 @@ def random_semilinear(
     raise GenerationError("could not draw an invertible matrix")
 
 
-def random_pair_with_relation(
-    dim: int, relation: str, seed: int
-) -> tuple[PsdOperator, PsdOperator]:
-    """Seeded pair (a, b) certified to satisfy the requested relation.
-
-    relation ∈ {"ac", "singular", "incomparable"}: absolutely continuous
-    (a ≪ b; strict-rank or equal-range, half and half), mutually singular,
-    or neither comparable nor singular (needs dim ≥ 3).
-    """
-    if relation == "ac":
-        return _pair_ac(dim, seed)
-    if relation == "singular":
-        if dim < 2:
-            raise GenerationError("singular pairs with nonzero parts need dim >= 2")
-        return _pair_singular(dim, seed)
-    if relation == "incomparable":
-        if dim < 3:
-            raise GenerationError(
-                "incomparable pairs are impossible below dimension 3: with "
-                "partially overlapping ranges both ranks would have to exceed "
-                "the overlap and still fit in the space"
-            )
-        return _pair_incomparable(dim, seed)
-    raise ValueError(f"unknown relation {relation!r}")
-
-
-def _factor(dim: int, rank: int, sub: int, attempt: int) -> Matrix:
-    return _gauss_int_matrix(dim, rank, random.Random(derive_seed(sub, attempt)))
+def _factor(rows: int, cols: int, sub: int, attempt: int) -> Matrix:
+    return _gauss_int_matrix(rows, cols, random.Random(derive_seed(sub, attempt)))
 
 
 def _operator_from_factor(g: Matrix, rank: int) -> PsdOperator | None:
@@ -169,56 +148,68 @@ def _operator_from_factor(g: Matrix, rank: int) -> PsdOperator | None:
     return PsdOperator.from_factor(g) if rank else PsdOperator.zero(g.rows)
 
 
-def _pair_ac(dim: int, seed: int) -> tuple[PsdOperator, PsdOperator]:
-    rand = random.Random(derive_seed(seed, 201, dim))
+def _draw_ac(dim, rand, factor):
+    """b = H H*, a = (H M)(H M)*; half the draws take ra = rb and need b ≪ a too."""
+    rb = rand.randint(1, dim)
+    equal_range = rand.random() < 0.5
+    ra = rb if equal_range else rand.randint(0, rb - 1)
+    h = factor(0, dim, rb)
+    return h @ factor(1, rb, ra), ra, h, rb, lambda t: t[0] and (not equal_range or t[1])
+
+
+def _draw_singular(dim, rand, factor):
+    ra = rand.randint(0, dim - 1)
+    rb = rand.randint(0 if ra else 1, dim - ra)
+    return factor(0, dim, ra), ra, factor(1, dim, rb), rb, lambda t: t[2]
+
+
+def _draw_incomparable(dim, rand, factor):
+    """Factors [S | Xa] and [S | Xb]: the ranges share S and each has a block of its
+    own, so they overlap without nesting, which takes at least three dimensions."""
+    shared = rand.randint(1, dim - 2)
+    pa = rand.randint(1, dim - shared - 1)
+    pb = rand.randint(1, dim - shared - pa)
+    s = factor(0, dim, shared)
+    ga = Matrix.hstack([s, factor(1, dim, pa)])
+    gb = Matrix.hstack([s, factor(2, dim, pb)])
+    return ga, shared + pa, gb, shared + pb, lambda t: not any(t)
+
+
+class RelationKind(NamedTuple):
+    salt: int
+    min_dim: int
+    refusal: str
+    draw: Callable
+
+
+RELATION_KINDS = {
+    "ac": RelationKind(201, 1, "absolutely continuous pairs need dim >= 1", _draw_ac),
+    "singular": RelationKind(301, 2, "singular pairs need dim >= 2", _draw_singular),
+    "incomparable": RelationKind(401, 3, "incomparable pairs need dim >= 3", _draw_incomparable),
+}
+
+
+def random_pair_with_relation(
+    dim: int, relation: str, seed: int
+) -> tuple[PsdOperator, PsdOperator]:
+    """Seeded pair (a, b) certified to satisfy the requested relation.
+
+    relation ∈ :data:`RELATION_KINDS`: "ac" (a ≪ b; strict-rank or
+    equal-range, half and half), "singular" (a ⊥ b) or "incomparable"
+    (neither), each from its ``min_dim`` up (below it: GenerationError).
+    """
+    kind = RELATION_KINDS.get(relation)
+    if kind is None:
+        raise ValueError(f"unknown relation {relation!r}")
+    if dim < kind.min_dim:
+        raise GenerationError(kind.refusal)
+    rand = random.Random(derive_seed(seed, kind.salt, dim))
+    subs = [derive_seed(seed, kind.salt + 1 + k, dim) for k in range(3)]
     for attempt in range(RETRY_BUDGET):
-        rb = rand.randint(1, dim)
-        equal_range = rand.random() < 0.5
-        ra = rb if equal_range else rand.randint(0, rb - 1)
-        h = _factor(dim, rb, derive_seed(seed, 202, dim), attempt)
-        b = _operator_from_factor(h, rb)
-        if b is None:
-            continue
-        m = _factor(rb, ra, derive_seed(seed, 203, dim), attempt)
-        g = h @ m
-        a = _operator_from_factor(g, ra)
-        if a is None:
-            continue
-        ab, ba, _ = relation_triple(a, b)
-        if ab and (not equal_range or ba):
+        ga, ra, gb, rb, accept = kind.draw(
+            dim, rand, lambda k, rows, cols: _factor(rows, cols, subs[k], attempt)
+        )
+        a, b = _operator_from_factor(ga, ra), _operator_from_factor(gb, rb)
+        if a is not None and b is not None and accept(relation_triple(a, b)):
             return a, b
-    raise GenerationError("exhausted retries building an absolutely continuous pair")
-
-
-def _pair_singular(dim: int, seed: int) -> tuple[PsdOperator, PsdOperator]:
-    rand = random.Random(derive_seed(seed, 301, dim))
-    for attempt in range(RETRY_BUDGET):
-        ra = rand.randint(0, dim - 1)
-        rb = rand.randint(0 if ra else 1, dim - ra)
-        a = _operator_from_factor(_factor(dim, ra, derive_seed(seed, 302, dim), attempt), ra)
-        b = _operator_from_factor(_factor(dim, rb, derive_seed(seed, 303, dim), attempt), rb)
-        if a is None or b is None:
-            continue
-        if relation_triple(a, b)[2]:
-            return a, b
-    raise GenerationError("exhausted retries building a singular pair")
-
-
-def _pair_incomparable(dim: int, seed: int) -> tuple[PsdOperator, PsdOperator]:
-    rand = random.Random(derive_seed(seed, 401, dim))
-    for attempt in range(RETRY_BUDGET):
-        shared = rand.randint(1, dim - 2)
-        pa = rand.randint(1, dim - shared - 1)
-        pb = rand.randint(1, dim - shared - pa)
-        s = _factor(dim, shared, derive_seed(seed, 402, dim), attempt)
-        xa = _factor(dim, pa, derive_seed(seed, 403, dim), attempt)
-        xb = _factor(dim, pb, derive_seed(seed, 404, dim), attempt)
-        ga = Matrix.hstack([s, xa])
-        gb = Matrix.hstack([s, xb])
-        a = _operator_from_factor(ga, shared + pa)
-        b = _operator_from_factor(gb, shared + pb)
-        if a is None or b is None:
-            continue
-        if not any(relation_triple(a, b)):
-            return a, b
-    raise GenerationError("exhausted retries building an incomparable pair")
+    raise GenerationError(f"exhausted retries building a certified {relation} pair")

@@ -306,8 +306,13 @@ class Matrix:
         return self._map(np.negative)
 
     def scale(self, s) -> "Matrix":
+        """s times the matrix; a float product past the double range raises BackendError."""
         if self.backend == FLOAT:
-            return Matrix.from_float(complex(s) * self._f)
+            with np.errstate(over="ignore", invalid="ignore"):
+                f = complex(s) * self._f
+            if not np.isfinite(f).all():
+                raise BackendError("scaled entries leave the double range")
+            return Matrix._trusted(f)
         s = GaussianRational.coerce(s)
         q = math.lcm(s.re.denominator, s.im.denominator)
         sr = s.re.numerator * (q // s.re.denominator)

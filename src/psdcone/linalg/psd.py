@@ -26,6 +26,7 @@ operator is born with its range.
 from __future__ import annotations
 
 import numbers
+from fractions import Fraction
 
 import numpy as np
 
@@ -147,13 +148,14 @@ class PsdOperator:
         return PsdOperator.certified(self.matrix.to_float(), self.rank)
 
     def scaled(self, c) -> "PsdOperator":
-        """c * A for a nonnegative real scalar c of any numeric or exact type."""
+        """c * A for a finite nonnegative real c of any numeric or exact type,
+        taken as the exact ``Fraction`` of its real value."""
         r = _real_value(c)
-        if r is None or not r >= 0:
+        if r is None or not 0 <= r < float("inf"):
             raise ValueError("scaling by anything but a nonnegative real leaves the PSD cone")
         if r == 0:
             return PsdOperator.zero(self.dim, self.backend)
-        return PsdOperator.certified(self.matrix.scale(c), self.rank)
+        return PsdOperator.certified(self.matrix.scale(Fraction(r)), self.rank)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PsdOperator):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 
 from .generators import (
+    RELATION_KINDS,
     derive_seed,
     random_pair_with_relation,
     random_psd,
@@ -47,7 +48,7 @@ _DOMINATION_EXPONENT = 60
 
 
 def _relation_kinds(dim: int) -> tuple[str, ...]:
-    return ("ac", "singular", "incomparable") if dim >= 3 else ("ac", "singular")
+    return tuple(name for name, kind in RELATION_KINDS.items() if dim >= kind.min_dim)
 
 
 def _flavor(k: int) -> str:

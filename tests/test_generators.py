@@ -4,8 +4,11 @@ import random
 
 import pytest
 
+import psdcone.generators as generators
 from psdcone.errors import GenerationError
 from psdcone.generators import (
+    RELATION_KINDS,
+    RETRY_BUDGET,
     _gauss_ints,
     derive_seed,
     random_direction,
@@ -16,7 +19,8 @@ from psdcone.generators import (
     rank_one,
 )
 from psdcone.linalg import EXACT, FLOAT, Matrix, column_space
-from psdcone.relations import analyze_pair
+from psdcone.relations import analyze_pair, relation_triple
+from psdcone.suite import _relation_kinds
 
 from naive_oracles import grid_of, naive_det, naive_gauss_ints, CZERO
 
@@ -126,3 +130,111 @@ def test_pair_generator_is_deterministic():
     p2 = random_pair_with_relation(3, "singular", 42)
     assert p1[0].matrix == p2[0].matrix
     assert p1[1].matrix == p2[1].matrix
+
+
+@pytest.mark.parametrize("relation", sorted(RELATION_KINDS))
+def test_each_kind_refuses_below_its_minimum_dimension(relation):
+    # "ac" used to leak randrange's ValueError at dim 0
+    low = RELATION_KINDS[relation].min_dim
+    for dim in range(low):
+        with pytest.raises(GenerationError):
+            random_pair_with_relation(dim, relation, 5)
+    a, b = random_pair_with_relation(low, relation, 5)
+    assert a.dim == b.dim == low
+
+
+def test_suite_cycles_the_kinds_each_dimension_admits():
+    assert _relation_kinds(2) == ("ac", "singular")
+    assert _relation_kinds(3) == _relation_kinds(6) == ("ac", "singular", "incomparable")
+
+
+def _holds(relation, triple):
+    ab, ba, singular = triple
+    return {"ac": ab, "singular": singular, "incomparable": not (ab or ba or singular)}[relation]
+
+
+def _units(rows, cols, first):
+    """The rows × cols exact matrix of unit columns e_first, e_first+1, ..."""
+    return Matrix.exact([[int(i == first + j) for j in range(cols)] for i in range(rows)])
+
+
+# attempt 0's factors, by factor index: a zero (rank-deficient) H for "ac", whose
+# relation follows from its ranks; full-rank factors with nested ranges otherwise
+_WRONG_FIRST_DRAW = {
+    "ac": {0: lambda rows, cols: Matrix.zeros(rows, cols)},
+    "singular": {k: lambda rows, cols: _units(rows, cols, 0) for k in (0, 1)},
+    "incomparable": {
+        0: lambda rows, cols: _units(rows, cols, 0),
+        1: lambda rows, cols: _units(rows, cols, rows - cols),
+        2: lambda rows, cols: _units(rows, cols, rows - cols),
+    },
+}
+
+
+@pytest.mark.parametrize("relation", sorted(RELATION_KINDS))
+def test_a_rejected_draw_is_redrawn_and_the_pair_certified(monkeypatch, relation):
+    dim, seed = 4, 2  # seed 2's first singular draw has ranks (2, 2): no zero part
+    salt = RELATION_KINDS[relation].salt
+    wrong = {
+        derive_seed(seed, salt + 1 + k, dim): make
+        for k, make in _WRONG_FIRST_DRAW[relation].items()
+    }
+    real_factor, attempts, verdicts = generators._factor, [], []
+
+    def factor(rows, cols, sub, attempt):
+        attempts.append(attempt)
+        if attempt == 0 and sub in wrong:
+            return wrong[sub](rows, cols)
+        return real_factor(rows, cols, sub, attempt)
+
+    def certify(a, b):
+        verdicts.append((a.rank, b.rank, relation_triple(a, b)))
+        return verdicts[-1][2]
+
+    monkeypatch.setattr(generators, "_factor", factor)
+    monkeypatch.setattr(generators, "relation_triple", certify)
+    a, b = random_pair_with_relation(dim, relation, seed)
+    assert max(attempts) == 1
+    if relation == "ac":
+        assert len(verdicts) == 1  # attempt 0 failed its rank check
+    else:
+        # attempt 0 passed the rank check and was refused by certification
+        (ra, rb, first), _ = verdicts
+        assert ra and rb and not _holds(relation, first)
+    rep = analyze_pair(a, b)
+    assert _holds(relation, (rep.abs_cont_ab, rep.abs_cont_ba, rep.singular))
+
+
+@pytest.mark.parametrize("relation", sorted(RELATION_KINDS))
+def test_pair_kinds_give_up_after_exactly_the_retry_budget(monkeypatch, relation):
+    # every draw is certified into a triple its kind refuses
+    refused = (True, True, False) if relation == "incomparable" else (False, False, False)
+    real_factor, attempts = generators._factor, []
+
+    def factor(rows, cols, sub, attempt):
+        attempts.append(attempt)
+        return real_factor(rows, cols, sub, attempt)
+
+    monkeypatch.setattr(generators, "_factor", factor)
+    monkeypatch.setattr(generators, "relation_triple", lambda a, b: refused)
+    with pytest.raises(GenerationError):
+        random_pair_with_relation(4, relation, 3)
+    assert sorted(set(attempts)) == list(range(RETRY_BUDGET))
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [lambda: random_psd(3, 2, seed=1), lambda: random_semilinear(3, seed=1)],
+    ids=["random_psd", "random_semilinear"],
+)
+def test_exact_draws_give_up_after_exactly_the_retry_budget(monkeypatch, draw):
+    calls = []
+
+    def zeros(rows, cols, rand):
+        calls.append((rows, cols))
+        return Matrix.zeros(rows, cols)
+
+    monkeypatch.setattr(generators, "_gauss_int_matrix", zeros)
+    with pytest.raises(GenerationError):
+        draw()
+    assert len(calls) == RETRY_BUDGET

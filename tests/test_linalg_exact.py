@@ -316,3 +316,14 @@ def test_scaling_accepts_only_nonnegative_reals():
         assert a.scaled(c).matrix == a.matrix.scale(c)
     for zero in (0, Fraction(0), (0, 0), GaussianRational(0)):
         assert a.scaled(zero).rank == 0 and a.scaled(zero).matrix.is_zero()
+
+
+def test_scaling_an_exact_operator_by_a_float_or_complex_real():
+    # the sign check accepted these, then the exact scale raised TypeError
+    a = random_psd(3, 2, seed=4)
+    for c, exact in ((0.5, Fraction(1, 2)), (complex(2, 0), 2), (0.1, Fraction(0.1))):
+        scaled = a.scaled(c)
+        assert scaled.matrix == a.matrix.scale(exact) and scaled.rank == 2
+    for op in (a, a.to_float()):
+        with pytest.raises(ValueError):
+            op.scaled(float("inf"))

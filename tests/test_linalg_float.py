@@ -1,5 +1,7 @@
 """Float-backend matrices: validation, rank cutoffs, norms, PSD checks, square roots."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,18 @@ def test_scaling_a_float_operator_keeps_its_rank():
         assert np.array_equal(scaled.matrix.array, 2.5 * op.matrix.array)
         assert scaled.rank == op.rank
     assert (a.rank, b.rank) == (2, 1)
+
+
+def test_scaling_past_the_double_range_is_a_backend_error_without_warning():
+    # it used to warn "overflow encountered" and raise ValueError("non-finite entry")
+    op = PsdOperator.from_matrix(Matrix.from_float([[2.0, 1.0], [1.0, 2.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BackendError):
+            op.scaled(1e308)
+        with pytest.raises(BackendError):
+            op.matrix.scale(complex(1e308, 1e308))
+        assert op.scaled(1e307).matrix.array[0, 0] == 2e307
 
 
 def test_psd_sqrt_requires_float_backend():

@@ -166,6 +166,13 @@ MUTANTS = (
         "image.dim == 0",
         ("tests/test_projective.py",),
     ),
+    Mutant(
+        "pair-draws-uncertified",
+        "src/psdcone/generators.py",
+        "accept(relation_triple(a, b))",
+        "True",
+        ("tests/test_generators.py",),
+    ),
 )
 
 
