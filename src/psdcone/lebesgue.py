@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DimensionMismatchError
 from .linalg import (
     DEFAULT_TOL,
     Matrix,
@@ -155,12 +156,14 @@ def verify_decomposition(
     the sampled oracle this check replaced, and ``perfbench/workloads.py``
     still passes them.  The benchmark-side change that drops them there
     (ROADMAP item 11) deletes them here.  ``a`` must be a float operator on
-    the decomposition's space: the sum refuses any other with
-    ``DimensionMismatchError`` or ``BackendError``.
+    the split's space: ``a.eigh()`` refuses any other with ``BackendError``,
+    and a size check before the sum with ``DimensionMismatchError``.
     """
-    ac = dec.ac_part.matrix.array
-    total = (dec.ac_part.matrix + dec.singular_part.matrix - a.matrix).array
     scale_a = max(1.0, float(np.abs(a.eigh()[0]).max()))
+    if not a.dim == dec.ac_part.dim == dec.singular_part.dim:
+        raise DimensionMismatchError("the split's parts and a differ in size")
+    ac = dec.ac_part.matrix.array
+    total = ac + dec.singular_part.matrix.array - a.matrix.array
     sum_ok = float(hermitian_norm(total)) <= tol * scale_a
     ac_ok = is_abs_continuous(dec.ac_part, dec.base, tol)
     singular_ok = is_singular(dec.singular_part, dec.base, tol)

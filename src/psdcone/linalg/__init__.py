@@ -4,7 +4,7 @@ from .matrix import (
     EXACT, FLOAT, Matrix, default_rank_tol, hermitian_norm, hermitian_part, hstack_rank,
     psd_certify_exact,
 )
-from .psd import PsdOperator, finite_eigh, psd_check, psd_sqrt, spectral_root, spectral_roots
+from .psd import PsdOperator, finite_eigh, psd_check, psd_sqrt, spectral_roots
 from .scalar import GaussianRational
 from .semilinear import FLAVOR_CONJUGATE, FLAVOR_LINEAR, FLAVORS, SemilinearOperator
 from .subspace import (
@@ -37,7 +37,6 @@ __all__ = [
     "principal_sines",
     "psd_check",
     "psd_sqrt",
-    "spectral_root",
     "spectral_roots",
     "finite_eigh",
     "default_rank_tol",

@@ -72,7 +72,7 @@ def numerical_rank(s: np.ndarray, rows: int, cols: int, tol: float | None = None
     if not s.size:
         return 0
     cut = tol if tol is not None else default_rank_tol(rows, cols, float(s[0]))
-    return int(np.sum(s > cut))
+    return int(np.count_nonzero(s > cut))
 
 
 class Matrix:
@@ -195,9 +195,9 @@ class Matrix:
         if self.backend == FLOAT:
             return self._f
         arr = np.empty(self.shape, dtype=np.complex128)
-        try:
-            arr.real = self._re / self._den
-            arr.imag = self._im / self._den
+        try:  # over 1, float(int) is the same rounding with no division
+            arr.real = self._re if self._den == 1 else self._re / self._den
+            arr.imag = self._im if self._den == 1 else self._im / self._den
         except OverflowError:
             raise BackendError("an exact entry is too large for the float backend") from None
         arr.flags.writeable = False
@@ -306,10 +306,14 @@ class Matrix:
         return self._map(np.negative)
 
     def scale(self, s) -> "Matrix":
-        """s times the matrix; a float product past the double range raises BackendError."""
+        """s times the matrix; a float factor or product past the double range is a BackendError."""
         if self.backend == FLOAT:
+            try:
+                c = complex(s)
+            except OverflowError:
+                raise BackendError("the factor is too large for the float backend") from None
             with np.errstate(over="ignore", invalid="ignore"):
-                f = complex(s) * self._f
+                f = c * self._f
             if not np.isfinite(f).all():
                 raise BackendError("scaled entries leave the double range")
             return Matrix._trusted(f)

@@ -145,7 +145,7 @@ class PsdOperator:
     def to_float(self) -> "PsdOperator":
         if self.backend == FLOAT:
             return self
-        return PsdOperator.certified(self.matrix.to_float(), self.rank)
+        return PsdOperator.certified(Matrix._trusted(float_array(self)), self.rank)
 
     def scaled(self, c) -> "PsdOperator":
         """c * A for a finite nonnegative real c of any numeric or exact type,
@@ -167,6 +167,17 @@ class PsdOperator:
 
     def __repr__(self) -> str:
         return f"PsdOperator(dim={self.dim}, rank={self.rank}, backend={self.backend})"
+
+
+def float_array(a: PsdOperator) -> np.ndarray:
+    """``a.matrix.array`` bit for bit; G G* in float for a factor G over 1 with
+    2·rank·max|g|² < 2^53: each partial sum is an exact integer (+ 0.0 turns -0.0 into 0.0)."""
+    if (g := a.factor) is not None:
+        den, re, im = g.gaussian_ints()
+        if den == 1 and 2 * g.cols * max(map(abs, re + im)) ** 2 < 2**53:
+            f = g.array
+            return f @ f.conj().T + 0.0
+    return a.matrix.array
 
 
 def _real_value(c):
@@ -198,7 +209,7 @@ def _psd_test(m: Matrix, tol: float | None) -> tuple[str | None, Matrix, int]:
     if scale > _HERMITIZABLE:
         raise BackendError("float entries beyond half the double range overflow when hermitized")
     cut = tol if tol is not None else default_rank_tol(m.rows, m.cols)
-    if not (m.is_square and np.max(np.abs(a - a.conj().T)) <= cut * scale):
+    if not (m.is_square and np.abs(a - a.conj().T).max() <= cut * scale):
         return "matrix is not Hermitian within tolerance", m, 0
     h = Matrix._trusted(hermitian_part(a))
     eig = np.linalg.eigvalsh(h.array)
@@ -206,7 +217,7 @@ def _psd_test(m: Matrix, tol: float | None) -> tuple[str | None, Matrix, int]:
         raise BackendError("eigenvalues overflow the double range")
     if float(eig[0]) < -cut * scale:
         return "matrix has a negative eigenvalue beyond tolerance", h, 0
-    return None, h, int(np.sum(eig > cut * scale))
+    return None, h, int(np.count_nonzero(eig > cut * scale))
 
 
 def psd_check(m: Matrix, tol: float | None = None) -> bool:
@@ -233,31 +244,28 @@ def eigen_range(eigvec: np.ndarray, rank: int) -> Subspace:
 
 
 def spectral_roots(eigval, eigvec, ranks, inverse: bool = False) -> np.ndarray:
-    """A^{1/2}, or (A^{1/2})^+ when ``inverse``, of each matrix of a float stack.
+    """A^{1/2}, or (A^{1/2})^+ when ``inverse``, of a float matrix or of each of a stack.
 
-    ``eigval`` (m, n) and ``eigvec`` (m, n, n) are the stack's ascending
-    eigendecompositions and ``ranks`` its certified ranks.  Eigenvalues below
-    a matrix's rank count as zero, so either root has exactly the rank (and
-    hence the range) of that matrix.
+    ``eigval`` (..., n) and ``eigvec`` (..., n, n) are ascending eigendecompositions
+    and ``ranks`` the certified rank or ranks.  Eigenvalues below a matrix's rank
+    count as zero, so either root has exactly the rank (and hence the range) of
+    that matrix.  One matrix is sliced: a mask would cost more than its root.
     """
     n = eigval.shape[-1]
     if inverse:
         power = 1.0 / np.sqrt(np.maximum(eigval, np.finfo(float).tiny))
     else:
-        power = np.sqrt(np.clip(eigval, 0.0, None))
-    power[np.arange(n) < n - np.asarray(ranks)[:, None]] = 0.0
-    return (eigvec * power[:, None, :]) @ eigvec.conj().swapaxes(-1, -2)
-
-
-def spectral_root(a: PsdOperator, inverse: bool = False) -> np.ndarray:
-    """a^{1/2}, or (a^{1/2})^+ when ``inverse`` (float backend only): the
-    :func:`spectral_roots` of a stack of one."""
-    eigval, eigvec = a.eigh()
-    return spectral_roots(eigval[None], eigvec[None], (a.rank,), inverse)[0]
+        power = np.sqrt(np.maximum(eigval, 0.0))
+    lows = n - np.asarray(ranks)
+    if lows.size == 1:
+        power[..., : lows.item()] = 0.0
+    else:
+        power[np.arange(n) < lows[:, None]] = 0.0
+    return (eigvec * power[..., None, :]) @ eigvec.conj().swapaxes(-1, -2)
 
 
 def psd_sqrt(a: PsdOperator) -> PsdOperator:
     """The PSD square root (float backend only), of exactly the rank of ``a``."""
-    root = Matrix._trusted(hermitian_part(spectral_root(a)))
+    root = Matrix._trusted(hermitian_part(spectral_roots(*a.eigh(), a.rank)))
     return PsdOperator.certified(root, a.rank)
 

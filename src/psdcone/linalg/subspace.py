@@ -104,7 +104,7 @@ def principal_sines(u: Subspace, v: Subspace) -> np.ndarray:
     vb = v.basis.array
     residual = ub - vb @ (vb.conj().T @ ub)
     s = np.linalg.svd(residual, compute_uv=False)
-    return np.clip(s, 0.0, 1.0)
+    return np.minimum(s, 1.0)  # nonnegative, but rounding can pass 1
 
 
 def common_dim(u: Subspace, v: Subspace, tol: float = DEFAULT_TOL) -> int:
@@ -125,7 +125,7 @@ def common_dim(u: Subspace, v: Subspace, tol: float = DEFAULT_TOL) -> int:
         return u.dim + v.dim - n
     if u.backend == EXACT:
         return u.dim + v.dim - hstack_rank([u.basis, v.basis])
-    return int(np.sum(principal_sines(u, v) <= tol))
+    return int(np.count_nonzero(principal_sines(u, v) <= tol))
 
 
 def column_space(m: Matrix, rank_hint: int | None = None) -> Subspace:
@@ -170,12 +170,12 @@ def subspace_preimage(m: Matrix, v: Subspace, tol: float = DEFAULT_TOL) -> Subsp
     n = m.rows
     if v.dim == n:
         return Subspace.full(n, m.backend)
-    aug = Matrix.hstack([m, -v.basis])
-    if m.backend == EXACT:
-        kern = aug.null_space()
-    else:  # one SVD gives both the scale σ_max and the kernel
-        _, s, vh = np.linalg.svd(aug.array)
-        r = numerical_rank(s, *aug.shape, tol * max(1.0, s[0]))
-        kern = Matrix._trusted(vh[r:].conj().T)
     # the x-parts of a kernel basis are independent, as V's columns are
-    return column_space(kern.take_rows(range(n)), rank_hint=kern.cols)
+    if m.backend == EXACT:
+        kern = Matrix.hstack([m, -v.basis]).null_space()
+        return column_space(kern.take_rows(range(n)), rank_hint=kern.cols)
+    aug = np.concatenate((m.array, -v.basis.array), axis=1)
+    _, s, vh = np.linalg.svd(aug)  # one SVD gives both the scale σ_max and the kernel
+    r = numerical_rank(s, *aug.shape, tol * max(1.0, s[0]))
+    x = vh[r:, :n].conj().T  # (n, c) with c <= n, so its thin U is c wide
+    return Subspace(Matrix._trusted(np.linalg.svd(x, full_matrices=False)[0]), _validated=True)

@@ -58,7 +58,7 @@ from .linalg import (
     hstack_rank,
     spectral_roots,
 )
-from .linalg.psd import eigen_range
+from .linalg.psd import eigen_range, float_array
 from .relations import range_relations, relation_triple
 from .report import Verdict
 
@@ -90,16 +90,16 @@ class WeightFamily:
         """The weights (m, n, n) of the float operands stacked in ``x`` (m, n, n):
         one stream per operand, keyed by the first 8 bytes of the sha256 of
         ``float|n|`` and its bytes (−0.0 read as 0.0), one (2, n, n) standard
-        normal draw each, then G G* + I hermitized over the whole stack."""
+        normal draw each into one (m, 2, n, n) array, then G G* + I hermitized
+        over the whole stack."""
         n = x.shape[-1]
         head = f"float|{n}|".encode()
+        draws = np.empty((len(x), 2, n, n))
         # adding 0.0 turns -0.0 into 0.0 and leaves every other value alone
-        rows = x + 0.0
-        keys = (int.from_bytes(hashlib.sha256(head + r.tobytes()).digest()[:8], "big") for r in rows)
-        re, im = np.stack(
-            [np.random.default_rng((self.seed, k)).standard_normal((2, n, n)) for k in keys], axis=1
-        )
-        g = (re + 1j * im) / np.sqrt(2)
+        for d, r in zip(draws, x + 0.0):
+            key = int.from_bytes(hashlib.sha256(head + r.tobytes()).digest()[:8], "big")
+            np.random.default_rng((self.seed, key)).standard_normal(out=d)
+        g = (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2)
         return hermitian_part(g @ g.conj().swapaxes(-1, -2) + np.eye(n))
 
 
@@ -384,8 +384,8 @@ def _image_ranges(spec: PreserverSpec, operands, tol: float) -> list[Subspace]:
     """Ranges of the images of ``operands``, exact or float as they come.
 
     Exact-capable maps image them one by one.  Others take one
-    :func:`_map_stack` call on their stacked ``a.matrix.array`` (the bits of
-    ``to_float()``) and one stacked ``eigh`` of the images themselves.  Each is
+    :func:`_map_stack` call on the stack of their :func:`float_array` (the
+    bits of ``to_float()``) and one stacked ``eigh`` of the images themselves.  Each is
     ranked by its own spectrum, not its operand's rank: the eigenvalues above
     ``tol`` times its largest (not n·eps times it, as in a matrix rank: rounding
     in a chain of map parts can lift a zero one past that).  Its range is read
@@ -394,7 +394,7 @@ def _image_ranges(spec: PreserverSpec, operands, tol: float) -> list[Subspace]:
     if spec.exact_capable:
         return [apply_map(spec, a).range() for a in operands]
     ranks = np.array([a.rank for a in operands])
-    images = _map_stack(spec, np.stack([a.matrix.array for a in operands]), ranks)
+    images = _map_stack(spec, np.array([float_array(a) for a in operands]), ranks)
     eigval, eigvec = finite_eigh(images)
     image_ranks = np.sum(eigval > tol * eigval[:, -1:], axis=1)
     return [eigen_range(v, r) for v, r in zip(eigvec, image_ranks)]

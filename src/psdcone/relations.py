@@ -18,7 +18,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOL, PsdOperator, Subspace, common_dim, hermitian_part, psd_check, spectral_root,
+    DEFAULT_TOL, PsdOperator, Subspace, common_dim, hermitian_part, psd_check, spectral_roots,
 )
 
 
@@ -77,7 +77,7 @@ def _domination_constant(af: PsdOperator, bf: PsdOperator) -> float:
     """The constant of :func:`min_domination_constant` once a ≪ b is decided."""
     if af.rank == 0:
         return 0.0
-    p = spectral_root(bf, inverse=True)
+    p = spectral_roots(*bf.eigh(), bf.rank, inverse=True)
     mid = p @ af.matrix.array @ p
     top = float(np.linalg.eigvalsh(hermitian_part(mid))[-1])
     return max(top, 0.0)

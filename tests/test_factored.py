@@ -122,3 +122,35 @@ def test_unfactored_exact_range_still_checks_its_rank():
     with pytest.raises(ArithmeticError, match="certified rank disagrees with elimination"):
         wrong.range()
     assert unfactored(a).range().equals(a.range())
+
+
+def _float_twin_bytes(op: PsdOperator) -> bytes:
+    return op.to_float().matrix.array.tobytes()
+
+
+def test_float_twins_built_from_the_factor_are_the_exact_path_bit_for_bit():
+    # G G* multiplied in float, + 0.0, against the exact product rounded once;
+    # seeds 3 and 15 give factors whose raw float product holds a -0.0
+    ops = [
+        random_psd(dim, r, derive_seed(seed, dim, r))
+        for seed in range(16) for dim in range(1, 7) for r in range(1, dim + 1)
+    ]
+    t = random_semilinear(4, 11, flavor="conjugate")
+    ops += [apply_map(PreserverSpec.congruence(t), op) for op in ops if op.dim == 4]
+    for op in ops:
+        assert op.factor is not None
+        assert _float_twin_bytes(op) == _float_twin_bytes(unfactored(op)), op
+
+
+@pytest.mark.parametrize("top, float_path", [(2**26 - 1, True), (2**26, False)])
+def test_the_float_twin_takes_the_float_product_only_below_its_bound(monkeypatch, top, float_path):
+    # rank 1 and max |g| = top: 2·rank·top² < 2^53 holds at 2^26 − 1, not at 2^26
+    g = Matrix.exact([[(top, -top)], [(3, top)]])
+    op = PsdOperator.from_factor(g)
+    products = []
+    matmul = Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__", lambda x, y: products.append(1) or matmul(x, y))
+    twin = _float_twin_bytes(op)
+    assert (not products) is float_path
+    monkeypatch.undo()
+    assert twin == _float_twin_bytes(unfactored(op))

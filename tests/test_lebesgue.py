@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from psdcone.errors import BackendError, DimensionMismatchError
-from psdcone.generators import derive_seed, random_pair_with_relation, random_psd
+from psdcone.generators import (
+    derive_seed, random_pair_with_relation, random_psd, random_semilinear
+)
 from psdcone.lebesgue import (
     LebesgueDecomposition,
     _root_and_domain,
@@ -13,7 +15,8 @@ from psdcone.lebesgue import (
     verify_decomposition,
 )
 from psdcone.linalg import DEFAULT_TOL, Matrix, PsdOperator
-from psdcone.relations import analyze_pair
+from psdcone.preserver import PreserverSpec, WeightFamily, apply_map
+from psdcone.relations import analyze_pair, relation_triple
 
 from naive_oracles import per_trial_decomposition_check
 
@@ -374,6 +377,34 @@ def test_each_float_operand_is_eigendecomposed_once(monkeypatch):
     assert verify_decomposition(dec, a).passed
     assert analyze_pair(a, b).min_domination_constant is not None
     assert [sum(m is op.matrix.array for m in seen) for op in (a, b)] == [1, 1]
+
+
+#: matrices that one float-spectral operation on the dim-4 pair below passes to each
+#: np.linalg routine: one per call, and no call the operation does not need
+_LAPACK_CALLS = {"eigh": 9, "eigvalsh": 2, "svd": 7}
+
+
+def test_one_float_spectral_operation_takes_no_more_lapack_calls(monkeypatch):
+    # decompose, its check, two form_iv images, their relations and the pair's report
+    a, b = (op.to_float() for op in random_pair_with_relation(4, "incomparable", seed=0))
+    spec = PreserverSpec.form_iv(random_semilinear(4, 9, flavor="conjugate"), WeightFamily.seeded(2))
+    calls = dict.fromkeys(_LAPACK_CALLS, 0)
+
+    def counted(name, fn):
+        def call(x, *args, **kwargs):
+            calls[name] += int(np.prod(np.shape(x)[:-2]))
+            return fn(x, *args, **kwargs)
+        return call
+
+    for name in _LAPACK_CALLS:
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    dec = decompose(a, b)
+    assert verify_decomposition(dec, a).passed
+    assert (dec.ac_part.rank, dec.singular_part.rank) == (2, 1)
+    images = [apply_map(spec, op) for op in (a, b)]
+    assert relation_triple(*images) == (False, False, False)
+    analyze_pair(a, b)
+    assert calls == _LAPACK_CALLS
 
 
 def test_check_report_shape():

@@ -1,15 +1,17 @@
 """Float-backend matrices: validation, rank cutoffs, norms, PSD checks, square roots."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from psdcone.errors import BackendError
-from psdcone.generators import rank_one
+from psdcone.generators import random_psd, rank_one
 from psdcone.linalg import (
     EXACT,
     FLOAT,
+    GaussianRational,
     Matrix,
     PsdOperator,
     column_space,
@@ -184,6 +186,17 @@ def test_scaling_past_the_double_range_is_a_backend_error_without_warning():
         with pytest.raises(BackendError):
             op.matrix.scale(complex(1e308, 1e308))
         assert op.scaled(1e307).matrix.array[0, 0] == 2e307
+
+
+def test_a_factor_past_the_double_range_is_a_backend_error():
+    # the factor itself does not fit a double: complex(Fraction(10**400)) used to
+    # leak OverflowError ("integer division result too large for a float")
+    op = random_psd(3, 2, seed=1, backend=FLOAT)
+    for factor in (10**400, Fraction(10**400, 3)):
+        with pytest.raises(BackendError):
+            op.scaled(factor)
+    with pytest.raises(BackendError):
+        op.matrix.scale(GaussianRational(0, 10**400))
 
 
 def test_psd_sqrt_requires_float_backend():

@@ -212,6 +212,19 @@ def test_preimage_of_zero_is_the_kernel(backend):
     assert kernel.equals(want if backend == EXACT else column_space(want.basis.to_float()))
 
 
+@pytest.mark.parametrize("kernel", [0, 1, 2])
+def test_float_preimage_takes_two_svds(monkeypatch, kernel):
+    # one SVD of [m | -V] for σ_max and the kernel, one of the kernel's x-parts
+    m = Matrix.from_float(np.diag([1.0, 2.0, 3.0][kernel:] + [0.0] * kernel))
+    v = column_space(Matrix.from_float([[1.0], [1.0], [0.0]]))
+    seen = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: seen.append(1) or svd(*args, **kw))
+    pre = subspace_preimage(m, v)
+    assert len(seen) == 2
+    assert pre.dim == kernel + (kernel < 2)
+
+
 def test_float_preimage_matches_exact():
     rand = random.Random(789)
     for _ in range(20):

@@ -85,15 +85,15 @@ MUTANTS = (
     Mutant(
         "common-dim-strict",  # near-equivalent: a sine of exactly tol is measure zero
         "src/psdcone/linalg/subspace.py",
-        "np.sum(principal_sines(u, v) <= tol)",
-        "np.sum(principal_sines(u, v) < tol)",
+        "np.count_nonzero(principal_sines(u, v) <= tol)",
+        "np.count_nonzero(principal_sines(u, v) < tol)",
         ("tests/test_subspace.py", "tests/test_relations.py"),
     ),
     Mutant(
         "common-dim-10tol",
         "src/psdcone/linalg/subspace.py",
-        "np.sum(principal_sines(u, v) <= tol)",
-        "np.sum(principal_sines(u, v) <= 10 * tol)",
+        "np.count_nonzero(principal_sines(u, v) <= tol)",
+        "np.count_nonzero(principal_sines(u, v) <= 10 * tol)",
         ("tests/test_subspace.py",),
     ),
     Mutant(
@@ -120,8 +120,8 @@ MUTANTS = (
     Mutant(
         "psd-rank-10cut",
         "src/psdcone/linalg/psd.py",
-        "int(np.sum(eig > cut * scale))",
-        "int(np.sum(eig > 10 * cut * scale))",
+        "np.count_nonzero(eig > cut * scale)",
+        "np.count_nonzero(eig > 10 * cut * scale)",
         ("tests/test_linalg_float.py",),
     ),
     Mutant(
@@ -134,8 +134,8 @@ MUTANTS = (
     Mutant(
         "float-hermitian-100tol",
         "src/psdcone/linalg/psd.py",
-        "np.abs(a - a.conj().T)) <= cut * scale",
-        "np.abs(a - a.conj().T)) <= 100 * cut * scale",
+        "np.abs(a - a.conj().T).max() <= cut * scale",
+        "np.abs(a - a.conj().T).max() <= 100 * cut * scale",
         ("tests/test_linalg_float.py",),
     ),
     Mutant(
@@ -165,6 +165,20 @@ MUTANTS = (
         "image.dim != 1",
         "image.dim == 0",
         ("tests/test_projective.py",),
+    ),
+    Mutant(
+        "float-twin-signed-zeros",
+        "src/psdcone/linalg/psd.py",
+        "return f @ f.conj().T + 0.0",
+        "return f @ f.conj().T",
+        ("tests/test_factored.py",),
+    ),
+    Mutant(
+        "float-twin-bound-x4",
+        "src/psdcone/linalg/psd.py",
+        "2 * g.cols * max(map(abs, re + im)) ** 2 < 2**53",
+        "2 * g.cols * max(map(abs, re + im)) ** 2 < 4 * 2**53",
+        ("tests/test_factored.py",),
     ),
     Mutant(
         "pair-draws-uncertified",

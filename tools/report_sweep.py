@@ -23,6 +23,8 @@ Families:
   lebesgue    ``decompose`` parts and ``verify_decomposition`` (float only)
   maps        the three map verifiers on 4 exact-capable and 4 float map
               families, dims 2-5, 1/7/40 trials
+  images      ``apply_map`` images of the 4 float map families on both
+              operands of every pair, as raw bytes (float only)
   reconstruct ``reconstruct_semilinear`` and ``verify_projectivity`` of the
               induced line maps
 """
@@ -215,6 +217,19 @@ def maps_family(backend):
     return out
 
 
+def images_family(backend):
+    if backend == pc.EXACT:
+        return []  # exact images reach the hashes through the maps family
+    specs = {dim: map_specs(dim, backend) for dim in DIMS}
+    out = []
+    for a, b in pairs(backend):
+        for name, spec in specs[a.dim].items():
+            for image in (pc.apply_map(spec, a), pc.apply_map(spec, b)):
+                # signed zeros included: canon's + 0.0 would hide them
+                out.append([name, image.rank, image.matrix.array.tobytes().hex()])
+    return out
+
+
 def reconstruct_family(backend):
     out = []
     for dim in DIMS:
@@ -233,6 +248,7 @@ FAMILIES = {
     "subspaces": subspaces_family,
     "lebesgue": lebesgue_family,
     "maps": maps_family,
+    "images": images_family,
     "reconstruct": reconstruct_family,
 }
 
