@@ -28,7 +28,8 @@ Map document::
 
 Every reader turns any defect of its input into a :class:`MatrixFileError`:
 one JSON parser serves strings and files, and a map document's values (a
-singular T, an unknown flavor) are checked by the objects they build.
+singular T, an unknown flavor) are checked by the objects they build.  Composite
+maps nest at most :data:`MAX_COMPOSITE_DEPTH` deep, inside the recursion limit.
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ from .preserver import (
     WeightFamily,
     make_wild_map,
 )
+
+
+MAX_COMPOSITE_DEPTH = 64
 
 
 def dumps_canonical(obj) -> str:
@@ -188,14 +192,14 @@ def _require_seed(obj, key: str) -> int:
 def spec_from_obj(obj) -> PreserverSpec:
     """The map a document describes; any defect of the document is a MatrixFileError."""
     try:
-        return _spec_from_obj(obj)
+        return _spec_from_obj(obj, 1)
     except MatrixFileError:
         raise
     except ValueError as exc:  # e.g. a singular T, an unknown flavor or a negative weight seed
         raise MatrixFileError(str(exc)) from None
 
 
-def _spec_from_obj(obj) -> PreserverSpec:
+def _spec_from_obj(obj, depth: int) -> PreserverSpec:
     if not isinstance(obj, dict):
         raise MatrixFileError("map document must be a JSON object")
     kind = obj.get("kind")
@@ -219,7 +223,9 @@ def _spec_from_obj(obj) -> PreserverSpec:
         parts = obj.get("parts")
         if not isinstance(parts, list) or not parts:
             raise MatrixFileError("composite needs a non-empty parts list")
-        spec = PreserverSpec.composite([spec_from_obj(p) for p in parts])
+        if depth > MAX_COMPOSITE_DEPTH:
+            raise MatrixFileError(f"composite maps nest deeper than {MAX_COMPOSITE_DEPTH} levels")
+        spec = PreserverSpec.composite([_spec_from_obj(p, depth + 1) for p in parts])
     if spec.dimension != dimension:
         raise MatrixFileError(
             f"declared dimension {dimension} does not match the map ({spec.dimension})"

@@ -155,7 +155,7 @@ def verify_decomposition(
     ``trials`` and ``seed`` are accepted and ignored: they sized and seeded
     the sampled oracle this check replaced, and ``perfbench/workloads.py``
     still passes them.  The benchmark-side change that drops them there
-    (ROADMAP item 11) deletes them here.  ``a`` must be a float operator on
+    (ROADMAP item 14) deletes them here.  ``a`` must be a float operator on
     the split's space: ``a.eigh()`` refuses any other with ``BackendError``,
     and a size check before the sum with ``DimensionMismatchError``.
     """

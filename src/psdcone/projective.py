@@ -5,7 +5,8 @@ by its first nonzero entry.  It is held as an integer key, the lowest-terms
 denominator and Gaussian-integer numerators of that divided direction, so
 projective equality is tuple equality; the exact n×1 column is built from the
 key only when arithmetic asks for it.  Coplanarity and independence are exact
-ranks swept straight off the lines' keys, with no matrix built.
+eliminations swept straight off the lines' keys, with no matrix built; each
+function below reads all its canonical probes or triples off one elimination.
 A cone map that sends rank-one operators to rank-one operators induces a map
 on lines via Ψ([f]) = ran φ(f f*); :func:`induced_line_map` builds it for any
 :class:`~psdcone.preserver.PreserverSpec`.
@@ -199,17 +200,6 @@ def induced_line_map(spec: PreserverSpec) -> LineMap:
 # ----------------------------------------------------------------------
 
 
-def _solve_two(w1: Matrix, wj: Matrix, d: Matrix) -> tuple[GaussianRational, GaussianRational]:
-    """Exact coefficients (α, β) with d = α·w1 + β·wj, or a failure."""
-    pivots, kern = hstack_kernel([w1, wj, d])
-    # a nonzero entry of d below row 2 would have made column 2 a pivot
-    if pivots != (0, 1):
-        raise NotSemilinearError(
-            "image of a diagonal probe leaves the plane spanned by the coordinate images"
-        )
-    return -kern.entry(0, 0), -kern.entry(1, 0)  # the kernel column is (−α, −β, 1)
-
-
 def reconstruct_semilinear(line_map: LineMap) -> SemilinearOperator:
     """Recover (T, flavor) from a line map, up to one global scalar.
 
@@ -217,9 +207,10 @@ def reconstruct_semilinear(line_map: LineMap) -> SemilinearOperator:
     [e_1 + e_j], and the imaginary probe [e_1 + i·e_2].  The coordinate
     images fix the columns of T up to scalars, the diagonal images pin the
     scalars relative to the first column, and the imaginary probe decides
-    between the linear and conjugate flavors.  Raises
-    :class:`NotSemilinearError` when the probed values are inconsistent with
-    every operator.
+    between the linear and conjugate flavors.  Once one rank shows the
+    coordinate images independent, one kernel of [coordinate images | diagonal
+    images] writes every diagonal image in their basis.  Raises
+    :class:`NotSemilinearError` when the probed values fit no operator.
     """
     n = line_map.ambient_dim
     if n < 2:
@@ -230,13 +221,19 @@ def reconstruct_semilinear(line_map: LineMap) -> SemilinearOperator:
         raise NotSemilinearError("images of the coordinate lines are linearly dependent")
 
     w = [image.column() for image in images]
+    # the w are a basis, so the kernel column of [w | d_1 … d_{n−1}] for the image
+    # d_j of [e_0 + e_j] is (−c, 1) with d_j = Σ c_r·w_r: d_j = α·w_0 + β·w_j iff
+    # c sits on {0, j}
+    _, kern = hstack_kernel(w + [line_map(_indicator(n, (0, j))).column() for j in range(1, n)])
     cols = [w[0]]
     for j in range(1, n):
-        alpha, beta = _solve_two(w[0], w[j], line_map(_indicator(n, (0, j))).column())
-        if not alpha or not beta:
+        if any(kern.entry(r, j - 1) for r in range(1, n) if r != j):
             raise NotSemilinearError(
-                "image of a diagonal probe collapses onto a coordinate image"
+                "image of a diagonal probe leaves the plane spanned by the coordinate images"
             )
+        alpha, beta = kern.entry(0, j - 1), kern.entry(j, j - 1)
+        if not alpha or not beta:
+            raise NotSemilinearError("image of a diagonal probe collapses onto a coordinate image")
         cols.append(w[j].scale(beta / alpha))
     t = Matrix.hstack(cols)
 
@@ -285,11 +282,11 @@ def verify_projectivity(line_map: LineMap, trials: int = 50, seed: int = 0) -> P
     """Check that coplanar triples stay coplanar and independent triples stay
     independent — the geometric prerequisite for a line map to come from an
     invertible operator.  Canonical triples make the check deterministic even
-    at ``trials=0``; when the unit images are independent, one rank of them
-    decides every unit triple.  Seeded random triples widen the net; a
-    negative count raises ``ValueError``, and a sampler that keeps drawing
-    dependent directions raises :class:`GenerationError` after
-    ``RETRY_BUDGET`` draws."""
+    at ``trials=0``; when the unit images are independent, one elimination of
+    them and the images of the [e_i + e_j] decides every canonical triple, else
+    each is ranked.  Seeded random triples widen the net; a negative count
+    raises ``ValueError``, and a sampler that keeps drawing dependent
+    directions raises :class:`GenerationError` after ``RETRY_BUDGET`` draws."""
     n = line_map.ambient_dim
     if n < 3:
         raise DimensionMismatchError(
@@ -298,29 +295,28 @@ def verify_projectivity(line_map: LineMap, trials: int = 50, seed: int = 0) -> P
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     failures: list[dict] = []
-    coplanar = 0
-    independent = 0
+    independent = math.comb(n, 3)
     units = [unit_line(n, i) for i in range(n)]
+    pairs = [(i, j, f"e{i},e{j},e{i}+e{j}") for i, j in itertools.combinations(range(n), 2)]
+    mixed = [_indicator(n, (i, j)) for i, j, _ in pairs]
 
     def check(kind: str, label, triple, want_rank_two: bool):
-        nonlocal coplanar, independent
         got = _rank([line_map(ln) for ln in triple])
-        if want_rank_two:
-            coplanar += 1
-            if got > 2:
-                failures.append({"kind": kind, "triple": label, "image_rank": got})
-        else:
-            independent += 1
-            if got != 3:
-                failures.append({"kind": kind, "triple": label, "image_rank": got})
+        if (got > 2 if want_rank_two else got != 3):
+            failures.append({"kind": kind, "triple": label, "image_rank": got})
 
-    for i, j in itertools.combinations(range(n), 2):
-        check("canonical", f"e{i},e{j},e{i}+e{j}", (units[i], units[j], _indicator(n, (i, j))), True)
-    # every subset of independent lines is independent: when the n unit images
-    # are, so is each canonical triple of them, and one rank decides all C(n, 3)
-    if _rank([line_map(u) for u in units]) == n:
-        independent += math.comb(n, 3)
+    # a Gauss–Jordan sweep of [unit images | mixed images] whose units pivot on their
+    # own n columns shows every unit triple independent, and leaves the image of
+    # [e_i + e_j] as its coordinates in their basis: on {i, j} iff its triple is coplanar
+    images = [line_map(ln) for ln in units + mixed]
+    re, im = ([list(row) for row in zip(*part)] for part in zip(*(ln._parts() for ln in images)))
+    if _sweep(re, im, n, len(images), True)[0] == list(range(n)):
+        for f, (i, j, label) in enumerate(pairs, n):
+            if any(re[r][f] or im[r][f] for r in range(n) if r not in (i, j)):
+                failures.append({"kind": "canonical", "triple": label, "image_rank": 3})
     else:
+        for (i, j, label), line in zip(pairs, mixed):
+            check("canonical", label, (units[i], units[j], line), True)
         for i, j, k in itertools.combinations(range(n), 3):
             check("canonical", f"e{i},e{j},e{k}", (units[i], units[j], units[k]), False)
 
@@ -340,11 +336,12 @@ def verify_projectivity(line_map: LineMap, trials: int = 50, seed: int = 0) -> P
         check("random", f"seeded#{made}", (*pair, Line.from_vector(combo)), True)
         x = Line.from_vector(random_direction(n, rand))
         if _rank([*pair, x]) == 3:
+            independent += 1
             check("random", f"seeded#{made}/independent", (*pair, x), False)
 
     return ProjectivityReport(
         ambient_dim=n,
-        coplanar_triples=coplanar,
+        coplanar_triples=len(pairs) + trials,
         independent_triples=independent,
         failures=tuple(failures),
     )
@@ -356,14 +353,6 @@ def swap_counterexample_line_map(dim: int = 3) -> LineMap:
     coplanarity of ([e_1], [e_3], [e_1 + e_3])."""
     if dim < 3:
         raise ValueError("the counterexample needs ambient dimension at least 3")
-    swapped_a = unit_line(dim, 0)
-    swapped_b = _indicator(dim, (0, 1))
-
-    def fn(line: Line) -> Line:
-        if line == swapped_a:
-            return swapped_b
-        if line == swapped_b:
-            return swapped_a
-        return line
-
-    return LineMap(dim, fn)
+    a, b = unit_line(dim, 0), _indicator(dim, (0, 1))
+    swap = {a: b, b: a}
+    return LineMap(dim, lambda line: swap.get(line, line))

@@ -510,6 +510,25 @@ def test_unreadable_input_files_are_usage_errors(tmp_path, capsys, command, cont
     assert_usage_error(code, out, err)
 
 
+@pytest.mark.parametrize("command", ["map verify", "map apply", "reconstruct"])
+def test_deeply_nested_composite_maps_are_usage_errors(tmp_path, capsys, command):
+    # a valid map nesting composites 300 deep used to end in a RecursionError
+    # traceback with exit 1, although the JSON reader takes it
+    doc = {"kind": "wild", "dimension": 2, "seed": 1}
+    for _ in range(300):
+        doc = {"kind": "composite", "dimension": 2, "parts": [doc]}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    argv = {
+        "map verify": ["map", "verify", str(path)],
+        "map apply": ["map", "apply", str(path), DIAG11],
+        "reconstruct": ["reconstruct", str(path)],
+    }
+    code, out, err = run_cli(capsys, *argv[command])
+    assert_usage_error(code, out, err)
+    assert "nest deeper than" in err
+
+
 @pytest.mark.parametrize(
     "entry, argv",
     [

@@ -203,6 +203,23 @@ def test_spec_seeds_must_be_integers():
         spec_from_obj(obj)
 
 
+def test_composites_are_read_up_to_the_nesting_cap():
+    from psdcone.io import MAX_COMPOSITE_DEPTH
+
+    def nested(depth):
+        doc = {"kind": "wild", "dimension": 2, "seed": 1}
+        for _ in range(depth):
+            doc = {"kind": "composite", "dimension": 2, "parts": [doc]}
+        return doc
+
+    spec = spec_from_obj(nested(MAX_COMPOSITE_DEPTH))
+    assert spec_to_obj(spec) == nested(MAX_COMPOSITE_DEPTH)
+    a = random_psd(2, rank=1, seed=5)
+    assert apply_map(spec, a).matrix == apply_map(spec_from_obj(nested(0)), a).matrix
+    with pytest.raises(MatrixFileError, match=f"deeper than {MAX_COMPOSITE_DEPTH} levels"):
+        spec_from_obj(nested(MAX_COMPOSITE_DEPTH + 1))
+
+
 def test_composite_needs_parts():
     with pytest.raises(MatrixFileError, match="non-empty parts"):
         spec_from_obj({"kind": "composite", "dimension": 2, "parts": []})

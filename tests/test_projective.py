@@ -188,10 +188,8 @@ def test_dependent_unit_images_rank_every_canonical_triple(n):
     assert (congruence.coplanar_triples, congruence.independent_triples) == (math.comb(n, 2), math.comb(n, 3))
 
 
-def test_projectivity_takes_one_elimination_per_coplanar_triple_and_one_for_the_units(monkeypatch):
-    # dim 6 at trials=0: 15 coplanar triples, and one rank of the 6 unit images
-    # in place of the 20 unit triples
-    lm = induced_line_map(PreserverSpec.congruence(random_semilinear(6, 3)))
+def _count_sweeps(monkeypatch):
+    """The argument tuples of every ``_sweep`` call made from here on."""
     calls = []
     sweep = linalg_matrix._sweep
 
@@ -201,9 +199,80 @@ def test_projectivity_takes_one_elimination_per_coplanar_triple_and_one_for_the_
 
     monkeypatch.setattr(linalg_matrix, "_sweep", counted)
     monkeypatch.setattr(projective, "_sweep", counted)
+    return calls
+
+
+def test_projectivity_takes_one_elimination_when_the_unit_images_are_independent(monkeypatch):
+    # at trials=0 one sweep of [unit images | mixed images] decides the C(n, 2)
+    # coplanar and the C(n, 3) independent canonical triples
+    calls = _count_sweeps(monkeypatch)
+    for n in range(3, 7):
+        lm = induced_line_map(PreserverSpec.congruence(random_semilinear(n, 3)))
+        del calls[:]
+        rep = verify_projectivity(lm, trials=0)
+        assert rep.passed and len(calls) == 1
+        assert (rep.coplanar_triples, rep.independent_triples) == (math.comb(n, 2), math.comb(n, 3))
+
+
+def test_reconstruction_takes_three_eliminations_and_a_round_trip_four(monkeypatch):
+    # reconstruction: the unit rank, one kernel for every diagonal probe and the
+    # operator's own rank; the round trip adds the one sweep of verify_projectivity
+    calls = _count_sweeps(monkeypatch)
+    for n in range(3, 7):
+        for flavor in (FLAVOR_LINEAR, FLAVOR_CONJUGATE):
+            t = random_semilinear(n, derive_seed(31, n), flavor=flavor)
+            lm = induced_line_map(PreserverSpec.congruence(t))
+            del calls[:]
+            rec = reconstruct_semilinear(lm)
+            assert rec.flavor == flavor and projective_scalar(rec.t, t.t) is not None
+            assert len(calls) == 3
+    lm = induced_line_map(PreserverSpec.congruence(random_semilinear(6, 3)))
+    del calls[:]
+    reconstruct_semilinear(lm)
+    assert verify_projectivity(lm, trials=0).passed
+    assert len(calls) <= 4
+
+
+def _stray_coordinate(n):
+    """Sends [e0 + e1] to [e0 + e1 + e2] and fixes every other line."""
+    e01 = Line.from_vector([1, 1] + [0] * (n - 2))
+    e012 = Line.from_vector([1, 1, 1] + [0] * (n - 3))
+    return LineMap(n, lambda line: e012 if line == e01 else line)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_a_stray_coordinate_just_past_the_plane_is_caught(n):
+    # the image of [e0 + e1] leaves the plane of [e0], [e1] by its coordinate on
+    # e2, the index right after the pair: a support test read one index too wide
+    # would miss it
+    lm = _stray_coordinate(n)
+    with pytest.raises(NotSemilinearError, match="leaves the plane"):
+        reconstruct_semilinear(lm)
     rep = verify_projectivity(lm, trials=0)
-    assert rep.passed and (rep.coplanar_triples, rep.independent_triples) == (15, 20)
-    assert len(calls) == 16
+    assert rep.failures == ({"kind": "canonical", "triple": "e0,e1,e0+e1", "image_rank": 3},)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_one_elimination_lists_what_ranking_each_triple_lists(n):
+    # with independent unit images, the failures read off one sweep are those,
+    # in the same order and with the same ranks, of ranking each canonical triple
+    e = lambda *idx: Line.from_vector([1 if k in idx else 0 for k in range(n)])
+    maps = (
+        (_stray_coordinate(n), False),
+        (swap_counterexample_line_map(n), False),
+        (induced_line_map(PreserverSpec.congruence(random_semilinear(n, 5))), True),
+    )
+    for lm, passes in maps:
+        want = []
+        for i, j in itertools.combinations(range(n), 2):
+            got = hstack_rank([lm(line).column() for line in (e(i), e(j), e(i, j))])
+            if got > 2:
+                label = f"e{i},e{j},e{i}+e{j}"
+                want.append({"kind": "canonical", "triple": label, "image_rank": got})
+        for triple in itertools.combinations(range(n), 3):
+            assert hstack_rank([lm(e(k)).column() for k in triple]) == 3
+        rep = verify_projectivity(lm, trials=0)
+        assert list(rep.failures) == want and rep.passed == passes
 
 
 def test_image_lines_that_only_enter_ranks_build_no_column(monkeypatch):

@@ -155,8 +155,22 @@ MUTANTS = (
     Mutant(
         "unit-rank-shortcut-loose",
         "src/psdcone/projective.py",
-        "_rank([line_map(u) for u in units]) == n",
-        "_rank([line_map(u) for u in units]) >= n - 1",
+        "_sweep(re, im, n, len(images), True)[0] == list(range(n))",
+        "len(_sweep(re, im, n, len(images), True)[0]) == n",
+        ("tests/test_projective.py",),
+    ),
+    Mutant(
+        "coplanar-support-one-wider",
+        "src/psdcone/projective.py",
+        "r not in (i, j)",
+        "r not in (i, j, (j + 1) % n)",
+        ("tests/test_projective.py",),
+    ),
+    Mutant(
+        "probe-plane-skips-next",
+        "src/psdcone/projective.py",
+        "if r != j)",
+        "if r not in (j, j + 1))",
         ("tests/test_projective.py",),
     ),
     Mutant(
