@@ -9,10 +9,11 @@ Matrix document::
       "data": [[[re, im], ...], ...]       # one [re, im] cell per entry
     }
 
-Exact cells hold rational strings ("3/4", bare "3", or integers); float
-cells hold finite numbers.  Writing is canonical: exact parts always carry
-an explicit denominator, keys are sorted, and documents end with a newline,
-so byte-for-byte comparison of regenerated files is meaningful.
+Exact cells hold rational strings "p/q" or "p" (ASCII digits, p optionally
+signed) or integers; float cells hold finite numbers.  Writing is canonical:
+exact parts always carry an explicit denominator, keys are sorted, and
+documents end with a newline, so byte-for-byte comparison of regenerated
+files is meaningful.
 
 Map document::
 
@@ -29,13 +30,14 @@ Map document::
 Every reader turns any defect of its input into a :class:`MatrixFileError`:
 one JSON parser serves strings and files, and a map document's values (a
 singular T, an unknown flavor) are checked by the objects they build.  Composite
-maps nest at most :data:`MAX_COMPOSITE_DEPTH` deep, inside the recursion limit.
+documents are read flat (see :class:`PreserverSpec`), and so written back flat.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 
 from .errors import MatrixFileError
@@ -50,9 +52,6 @@ from .preserver import (
     WeightFamily,
     make_wild_map,
 )
-
-
-MAX_COMPOSITE_DEPTH = 64
 
 
 def dumps_canonical(obj) -> str:
@@ -84,9 +83,11 @@ def _parse_rational(value, i: int, j: int) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise _cell_error(i, j, f"bad rational {value!r}") from None
+            if re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", value):  # no decimals, exponents or spaces
+                return Fraction(value)
+        except (ValueError, ZeroDivisionError):  # a zero denominator, over 4,300 digits
+            pass
+        raise _cell_error(i, j, f"bad rational {value!r}")
     raise _cell_error(i, j, f"expected a rational string, got {value!r}")
 
 
@@ -192,14 +193,16 @@ def _require_seed(obj, key: str) -> int:
 def spec_from_obj(obj) -> PreserverSpec:
     """The map a document describes; any defect of the document is a MatrixFileError."""
     try:
-        return _spec_from_obj(obj, 1)
+        return _spec_from_obj(obj)
     except MatrixFileError:
         raise
+    except RecursionError:  # composites nested deeper than this reader can walk
+        raise MatrixFileError("composite maps nest too deep to read") from None
     except ValueError as exc:  # e.g. a singular T, an unknown flavor or a negative weight seed
         raise MatrixFileError(str(exc)) from None
 
 
-def _spec_from_obj(obj, depth: int) -> PreserverSpec:
+def _spec_from_obj(obj) -> PreserverSpec:
     if not isinstance(obj, dict):
         raise MatrixFileError("map document must be a JSON object")
     kind = obj.get("kind")
@@ -223,9 +226,7 @@ def _spec_from_obj(obj, depth: int) -> PreserverSpec:
         parts = obj.get("parts")
         if not isinstance(parts, list) or not parts:
             raise MatrixFileError("composite needs a non-empty parts list")
-        if depth > MAX_COMPOSITE_DEPTH:
-            raise MatrixFileError(f"composite maps nest deeper than {MAX_COMPOSITE_DEPTH} levels")
-        spec = PreserverSpec.composite([_spec_from_obj(p, depth + 1) for p in parts])
+        spec = PreserverSpec.composite([_spec_from_obj(p) for p in parts])
     if spec.dimension != dimension:
         raise MatrixFileError(
             f"declared dimension {dimension} does not match the map ({spec.dimension})"

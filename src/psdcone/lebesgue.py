@@ -27,7 +27,6 @@ from .linalg import (
     DEFAULT_TOL,
     Matrix,
     PsdOperator,
-    Subspace,
     default_rank_tol,
     hermitian_norm,
     hermitian_part,
@@ -42,38 +41,29 @@ from .report import Verdict
 _MAXIMALITY_SLACK = 1e-12
 
 
-def _root_and_domain(a: PsdOperator, b: PsdOperator, tol: float) -> tuple[Matrix, Subspace]:
-    """a^{1/2} and the a.c. domain {x : a^{1/2} x ∈ ran b}, from one square root."""
-    root = psd_sqrt(a).matrix
-    return root, subspace_preimage(root, b.range(), tol)
-
-
 @dataclass(frozen=True)
 class LebesgueDecomposition:
     ac_part: PsdOperator
     singular_part: PsdOperator
     base: PsdOperator
 
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
 
 def decompose(a: PsdOperator, b: PsdOperator, tol: float = DEFAULT_TOL) -> LebesgueDecomposition:
     """Split a = ac + singular relative to b.
 
-    Both parts are built from the same square root (ac = S P S,
-    singular = S (I-P) S with P the projector onto the a.c. domain M), so
-    they are PSD by construction and sum to a up to rounding.  As ker S ⊆ M,
-    rank ac = dim M − (n − rank a) and rank singular = n − dim M; eigenvalues
-    would mistake a zero part's rounding noise for rank or for negativity.
+    Both parts are built from one square root S = a^{1/2}: ac = S P S and
+    singular = S (I-P) S, with P the projector onto the a.c. domain
+    M = {x : S x ∈ ran b}, so they are PSD by construction and sum to a up
+    to rounding.  As ker S ⊆ M, rank ac = dim M − (n − rank a) and rank
+    singular = n − dim M; eigenvalues would mistake a zero part's rounding
+    noise for rank or for negativity.
     An exact ``a`` is refused by its ``eigh``, and an exact or wrongly sized
     ``b`` by :func:`subspace_preimage`.
     """
     n = a.dim
-    root, domain = _root_and_domain(a, b, tol)
-    p = domain.projector().array
-    s = root.array
+    root = psd_sqrt(a).matrix
+    domain = subspace_preimage(root, b.range(), tol)
+    p, s = domain.projector().array, root.array
     ac = Matrix._trusted(hermitian_part(s @ p @ s))
     singular = Matrix._trusted(hermitian_part(s @ (np.eye(n) - p) @ s))
     return LebesgueDecomposition(
@@ -104,20 +94,21 @@ class DecompositionCheck(Verdict):
         )
 
 
-def _shorted(a: PsdOperator, b: PsdOperator) -> np.ndarray:
+def _shorted(a: PsdOperator, b: PsdOperator, norm_a: float) -> np.ndarray:
     """The shorted operator a − a W K⁺ W* a of a to ran b, K = W* a W.
 
     W holds b's eigenvectors below its certified rank, an orthonormal basis
     of ker b, and K⁺ = V diag(1/λ) V* over the eigenpairs of K that
     :func:`numerical_rank` counts.  K is a compression of a, so its rank is
-    cut as a's would be, at ``default_rank_tol`` of ‖a‖: a cut relative to
-    ‖K‖ would count the rounding noise of a K that is zero (a ≪ b) as rank.
+    cut as a's would be, at ``default_rank_tol`` of ``norm_a`` = ‖a‖: a cut
+    relative to ‖K‖ would count the rounding noise of a K that is zero
+    (a ≪ b) as rank.
     """
     n = a.dim
     w = b.eigh()[1][:, : n - b.rank]
     aw = a.matrix.array @ w
     lam, v = np.linalg.eigh(w.conj().T @ aw)
-    cut = default_rank_tol(n, n, float(np.abs(a.eigh()[0]).max()))
+    cut = default_rank_tol(n, n, norm_a)
     keep = len(lam) - numerical_rank(lam[::-1], n, n, cut)
     f = aw @ v[:, keep:] / np.sqrt(lam[keep:])
     return a.matrix.array - f @ f.conj().T
@@ -159,7 +150,8 @@ def verify_decomposition(
     the split's space: ``a.eigh()`` refuses any other with ``BackendError``,
     and a size check before the sum with ``DimensionMismatchError``.
     """
-    scale_a = max(1.0, float(np.abs(a.eigh()[0]).max()))
+    norm_a = float(np.abs(a.eigh()[0]).max())
+    scale_a = max(1.0, norm_a)
     if not a.dim == dec.ac_part.dim == dec.singular_part.dim:
         raise DimensionMismatchError("the split's parts and a differ in size")
     ac = dec.ac_part.matrix.array
@@ -168,7 +160,7 @@ def verify_decomposition(
     ac_ok = is_abs_continuous(dec.ac_part, dec.base, tol)
     singular_ok = is_singular(dec.singular_part, dec.base, tol)
 
-    gap = float(np.linalg.eigvalsh(ac + tol * np.eye(a.dim) - _shorted(a, dec.base))[0])
+    gap = float(np.linalg.eigvalsh(ac + tol * np.eye(a.dim) - _shorted(a, dec.base, norm_a))[0])
     violated = gap < -_MAXIMALITY_SLACK * scale_a
     return DecompositionCheck(
         sum_ok=sum_ok,

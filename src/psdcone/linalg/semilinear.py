@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..errors import DimensionMismatchError
+from ..errors import BackendError, DimensionMismatchError
 from .matrix import EXACT, FLOAT, Matrix
 
 FLAVOR_LINEAR = "linear"
@@ -21,8 +21,9 @@ class SemilinearOperator:
         if not t.is_square:
             raise DimensionMismatchError("semilinear operators are square")
         if t.rank() != t.rows:
-            kind = "singular" if t.backend == EXACT else "numerically singular"
-            raise ValueError(f"operator matrix is {kind}")
+            if t.backend == EXACT:
+                raise ValueError("operator matrix is singular")
+            raise BackendError("operator matrix is numerically singular")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "flavor", flavor)
         object.__setattr__(self, "_float", None)
@@ -43,7 +44,8 @@ class SemilinearOperator:
         return self.flavor == FLAVOR_CONJUGATE
 
     def to_float(self) -> "SemilinearOperator":
-        """The float twin, converted and checked for singularity on first use only."""
+        """The float twin, converted and checked for singularity on first use only;
+        a T whose float copy is numerically singular raises :class:`BackendError`."""
         if self.backend == FLOAT:
             return self
         if self._float is None:

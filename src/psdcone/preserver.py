@@ -11,7 +11,8 @@ Four map kinds are supported:
                  invertible ones with seeded invertible V and exponent; a
                  bijection of the cone that respects domination and
                  singularity while acting freely inside the invertibles.
-``composite``    sequential composition of the above.
+``composite``    sequential composition of the above, kept flat: a composite
+                 part's own parts are spliced in, in order.
 
 A :class:`PreserverSpec` derives its data once: whether its images are
 exact, a wild map's V and exponent, and the operator T that induces the map
@@ -105,7 +106,9 @@ class WeightFamily:
 
 @dataclass(frozen=True, eq=False)
 class PreserverSpec:
-    """Validated description of a cone map; apply it with :func:`apply_map`."""
+    """Validated description of a cone map; apply it with :func:`apply_map`.
+
+    A composite's parts are never composites: a composite part is spliced in."""
 
     kind: str
     dimension: int
@@ -136,6 +139,8 @@ class PreserverSpec:
                 raise ValueError("composite needs a non-empty tuple of parts")
             if any(p.dimension != self.dimension for p in self.parts):
                 raise DimensionMismatchError("composite parts disagree on dimension")
+            flat = (q for p in self.parts for q in (p.parts if p.kind == KIND_COMPOSITE else (p,)))
+            object.__setattr__(self, "parts", tuple(flat))
 
     # -- convenience constructors ---------------------------------------
 

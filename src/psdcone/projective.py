@@ -322,17 +322,16 @@ def verify_projectivity(line_map: LineMap, trials: int = 50, seed: int = 0) -> P
 
     rand = random.Random(derive_seed(seed, 51, n))
     for made in range(trials):
-        # redraw a dependent pair (u, v) or a zero combination of it, a bounded number of times
+        # redraw a dependent pair (u, v) a bounded number of times; then s·u + t·v ≠ 0
         for _ in range(RETRY_BUDGET):
             u = random_direction(n, rand)
             v = random_direction(n, rand)
             pair = [Line.from_vector(u), Line.from_vector(v)]
             if _rank(pair) == 2:
-                combo = u.scale(random_scalar(rand)) + v.scale(random_scalar(rand))
-                if not combo.is_zero():
-                    break
+                break
         else:
             raise GenerationError("could not draw two independent directions for a seeded triple")
+        combo = u.scale(random_scalar(rand)) + v.scale(random_scalar(rand))
         check("random", f"seeded#{made}", (*pair, Line.from_vector(combo)), True)
         x = Line.from_vector(random_direction(n, rand))
         if _rank([*pair, x]) == 3:

@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -510,23 +511,79 @@ def test_unreadable_input_files_are_usage_errors(tmp_path, capsys, command, cont
     assert_usage_error(code, out, err)
 
 
-@pytest.mark.parametrize("command", ["map verify", "map apply", "reconstruct"])
-def test_deeply_nested_composite_maps_are_usage_errors(tmp_path, capsys, command):
-    # a valid map nesting composites 300 deep used to end in a RecursionError
-    # traceback with exit 1, although the JSON reader takes it
-    doc = {"kind": "wild", "dimension": 2, "seed": 1}
-    for _ in range(300):
-        doc = {"kind": "composite", "dimension": 2, "parts": [doc]}
-    path = tmp_path / "deep.json"
-    path.write_text(json.dumps(doc))
-    argv = {
-        "map verify": ["map", "verify", str(path)],
-        "map apply": ["map", "apply", str(path), DIAG11],
-        "reconstruct": ["reconstruct", str(path)],
-    }
-    code, out, err = run_cli(capsys, *argv[command])
+def nested_wild_map(path, depth):
+    """A wild map inside ``depth`` one-part composites, written without recursion."""
+    outer = '{"kind": "composite", "dimension": 2, "parts": ['
+    path.write_text(outer * depth + '{"kind": "wild", "dimension": 2, "seed": 1}' + "]}" * depth)
+    return str(path)
+
+
+def run_spec(capsys, command, spec, operand=DIAG11):
+    """``map verify``, ``map apply`` (to ``operand``) or ``reconstruct`` of ``spec``."""
+    extra = [operand] if command == "map apply" else []
+    return run_cli(capsys, *command.split(), str(spec), *extra)
+
+
+@pytest.mark.parametrize("command", ["map apply", "map verify", "reconstruct"])
+def test_deeply_nested_composite_maps_print_what_the_flat_map_prints(tmp_path, capsys, command):
+    # a valid map nesting composites 300 deep was refused by a nesting cap, and
+    # before the cap ended in a RecursionError traceback; composites are flat
+    # now, so it is the one-level map
+    outs = []
+    for depth in (1, 300):
+        code, out, err = run_spec(capsys, command, nested_wild_map(tmp_path / "deep.json", depth))
+        assert code == 0 and "Traceback" not in err
+        outs.append(out)
+    assert outs[0] and outs[1] == outs[0]
+
+
+@pytest.mark.parametrize("depth", [600, 1000, 10_000])
+@pytest.mark.parametrize("command", ["map apply", "map verify", "reconstruct"])
+def test_maps_nested_too_deep_to_read_are_usage_errors(tmp_path, capsys, command, depth):
+    # the JSON parser runs out of recursion at these depths; tests/test_io.py
+    # checks the map reader's own refusal of documents it cannot walk
+    code, out, err = run_spec(capsys, command, nested_wild_map(tmp_path / "deep.json", depth))
     assert_usage_error(code, out, err)
-    assert "nest deeper than" in err
+
+
+#: exact and invertible, but its float copy [[1, 1], [1, 1]] is singular
+NEARLY_SINGULAR = SemilinearOperator(Matrix.exact([[1, 1], [1, Fraction(10**20 + 1, 10**20)]]))
+
+
+@pytest.mark.parametrize(
+    "spec, command",
+    [
+        ("form_iv", "map verify"),
+        ("form_iv", "reconstruct"),
+        ("composite", "map verify"),
+        ("composite", "reconstruct"),
+        ("congruence", "map apply"),
+    ],
+)
+def test_a_t_without_a_float_twin_is_a_usage_error_where_images_are_float(
+    tmp_path, capsys, spec, command
+):
+    # each of these used to end in a ValueError traceback from to_float(), exit 1
+    weights = WeightFamily.seeded(3)
+    maps = {
+        "congruence": PreserverSpec.congruence(NEARLY_SINGULAR),
+        "form_iv": PreserverSpec.form_iv(NEARLY_SINGULAR, weights),
+        "composite": PreserverSpec.composite([
+            PreserverSpec.congruence(NEARLY_SINGULAR),
+            PreserverSpec.form_iv(random_semilinear(2, 4), weights),
+        ]),
+    }
+    write_spec(tmp_path / "map.json", maps[spec])
+    write_matrix(tmp_path / "a.json", Matrix.from_float([[2.0, 1.0], [1.0, 1.0]]))
+    code, out, err = run_spec(capsys, command, tmp_path / "map.json", str(tmp_path / "a.json"))
+    assert_usage_error(code, out, err)
+    assert "numerically singular" in err
+
+
+def test_an_exact_congruence_needs_no_float_twin(tmp_path, capsys):
+    write_spec(tmp_path / "map.json", PreserverSpec.congruence(NEARLY_SINGULAR))
+    code, out, err = run_cli(capsys, "map", "verify", str(tmp_path / "map.json"))
+    assert code == 0 and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

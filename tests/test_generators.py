@@ -63,6 +63,21 @@ def test_rank_one_from_vector():
     assert op.range().contains(column_space(f))
 
 
+@pytest.mark.parametrize(
+    "draw, message",
+    [
+        (lambda: rank_one(Matrix.exact([[1, 0], [0, 1]])), "expected a column vector"),
+        (lambda: rank_one(Matrix.exact([[0], [0]])), "zero vector spans no line"),
+        (lambda: random_psd(3, 4, seed=1), "rank 4 out of range for dimension 3"),
+        (lambda: random_psd(3, -1, seed=1), "rank -1 out of range for dimension 3"),
+    ],
+    ids=["rank_one-matrix", "rank_one-zero", "random_psd-rank-above", "random_psd-rank-below"],
+)
+def test_generators_refuse_requests_they_cannot_meet(draw, message):
+    with pytest.raises(ValueError, match=message):
+        draw()
+
+
 def test_direction_and_scalar_samplers_keep_the_stream():
     # the samplers draw (re, im) pairs in -3..3 row by row and redraw an
     # all-zero draw, so every seeded check built on them replays unchanged

@@ -1,6 +1,7 @@
 """File format round trips and input validation."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -60,6 +61,26 @@ def test_exact_reader_accepts_bare_integers_and_strings():
     }
     m = matrix_from_obj(obj)
     assert m == Matrix.exact([[3, (2, -1), ("-7/2", "1/3")]])
+
+
+def _exact_cell(value):
+    return {"backend": "exact", "rows": 1, "cols": 1, "data": [[[value, "0"]]]}
+
+
+@pytest.mark.parametrize(
+    "value", ["1e100000", "0.5", " 3", "3 ", "1_000", "+-1", "1/0", "1/-2", "\u0663", "1" * 4301]
+)
+def test_exact_cells_take_only_signed_integers_and_fractions(value):
+    # Fraction also reads decimals, exponents and padding: "1e10000000", 14
+    # bytes, built 10^10,000,000 before the cell was used
+    with pytest.raises(MatrixFileError, match="row 0, column 0: bad rational"):
+        matrix_from_obj(_exact_cell(value))
+
+
+def test_exact_cells_read_up_to_4300_digits():
+    big = 10**4300 - 1
+    for value, want in [("9" * 4300, big), ("-1/" + "9" * 4300, Fraction(-1, big)), ("+7/2", 3.5)]:
+        assert matrix_from_obj(_exact_cell(value)).entry(0, 0).re == want
 
 
 def test_float_matrix_round_trip(tmp_path):
@@ -203,21 +224,33 @@ def test_spec_seeds_must_be_integers():
         spec_from_obj(obj)
 
 
-def test_composites_are_read_up_to_the_nesting_cap():
-    from psdcone.io import MAX_COMPOSITE_DEPTH
+def _nested(depth):
+    doc = {"kind": "wild", "dimension": 2, "seed": 1}
+    for _ in range(depth):
+        doc = {"kind": "composite", "dimension": 2, "parts": [doc]}
+    return doc
 
-    def nested(depth):
-        doc = {"kind": "wild", "dimension": 2, "seed": 1}
-        for _ in range(depth):
-            doc = {"kind": "composite", "dimension": 2, "parts": [doc]}
-        return doc
 
-    spec = spec_from_obj(nested(MAX_COMPOSITE_DEPTH))
-    assert spec_to_obj(spec) == nested(MAX_COMPOSITE_DEPTH)
-    a = random_psd(2, rank=1, seed=5)
-    assert apply_map(spec, a).matrix == apply_map(spec_from_obj(nested(0)), a).matrix
-    with pytest.raises(MatrixFileError, match=f"deeper than {MAX_COMPOSITE_DEPTH} levels"):
-        spec_from_obj(nested(MAX_COMPOSITE_DEPTH + 1))
+def test_nested_composite_documents_are_read_and_written_flat():
+    # composites are flat when built: one wild map nested 300 deep is the
+    # one-level composite, and is written back as it
+    spec = spec_from_obj(_nested(300))
+    assert spec_to_obj(spec) == _nested(1)
+    a = random_psd(2, rank=2, seed=5)
+    assert apply_map(spec, a).matrix == apply_map(spec_from_obj(_nested(0)), a).matrix
+    # parts nested among others are spliced in, in order
+    c1, c2 = (spec_to_obj(PreserverSpec.congruence(random_semilinear(2, k))) for k in (1, 2))
+    wild = _nested(0)
+    doc = {"kind": "composite", "dimension": 2, "parts": [c1, dict(_nested(1), parts=[wild, c2])]}
+    spec = spec_from_obj(doc)
+    assert [p.kind for p in spec.parts] == ["congruence", "wild", "congruence"]
+    assert spec_to_obj(spec)["parts"] == [c1, wild, c2]
+
+
+@pytest.mark.parametrize("depth", [1000, 10_000])
+def test_map_documents_nested_too_deep_to_read_are_refused(depth):
+    with pytest.raises(MatrixFileError, match="composite maps nest too deep to read"):
+        spec_from_obj(_nested(depth))
 
 
 def test_composite_needs_parts():

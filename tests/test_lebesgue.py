@@ -9,12 +9,11 @@ from psdcone.generators import (
 )
 from psdcone.lebesgue import (
     LebesgueDecomposition,
-    _root_and_domain,
     _shorted,
     decompose,
     verify_decomposition,
 )
-from psdcone.linalg import DEFAULT_TOL, Matrix, PsdOperator
+from psdcone.linalg import DEFAULT_TOL, Matrix, PsdOperator, psd_sqrt, subspace_preimage
 from psdcone.preserver import PreserverSpec, WeightFamily, apply_map
 from psdcone.relations import analyze_pair, relation_triple
 
@@ -67,7 +66,7 @@ def test_ac_domain_frozen_case():
     # the antidiagonal
     a = _fop([[1.0, 1.0], [1.0, 1.0]])
     b = _fop([[1.0, 0.0], [0.0, 0.0]])
-    dom = _root_and_domain(a, b, DEFAULT_TOL)[1]
+    dom = subspace_preimage(psd_sqrt(a).matrix, b.range(), DEFAULT_TOL)
     assert dom.dim == 1
     v = dom.basis.array[:, 0]
     assert abs(v[0] + v[1]) < 1e-12
@@ -208,6 +207,10 @@ def _made_pairs(salt):
             yield f"{kind}{dim}-swapped", b.to_float(), a.to_float()
 
 
+def _norm(a):
+    return float(np.abs(a.eigh()[0]).max())
+
+
 def test_shorted_operator_is_the_split_a_c_part():
     # the check's shorted operator comes from a and ker b with no square root,
     # the split's a.c. part from a^{1/2} and a preimage SVD: on made splits
@@ -221,12 +224,13 @@ def test_shorted_operator_is_the_split_a_c_part():
     for name, a, b in (*_made_pairs(90), *_made_pairs(91), *large):
         dec = decompose(a, b)
         scale = max(1.0, float(np.abs(a.matrix.array).max()))
-        assert np.abs(_shorted(a, b) - dec.ac_part.matrix.array).max() <= 1e-10 * scale, name
+        shorted = _shorted(a, b, _norm(a))
+        assert np.abs(shorted - dec.ac_part.matrix.array).max() <= 1e-10 * scale, name
         assert verify_decomposition(dec, a).passed, name
     # a = 8·b of rank one: W* a W is zero but for rounding, and S is a
     b = _fop([[10.0, 7 + 9j], [7 - 9j, 13.0]])
     a = _fop(8 * b.matrix.array)
-    assert np.abs(_shorted(a, b) - a.matrix.array).max() <= 1e-12 * 104
+    assert np.abs(_shorted(a, b, _norm(a)) - a.matrix.array).max() <= 1e-12 * 104
 
 
 def _perturbed_splits(dec, b, rng):

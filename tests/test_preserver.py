@@ -224,6 +224,87 @@ def test_composite_applies_in_order():
     assert apply_map(comp, a).matrix == apply_map(w, apply_map(c, a)).matrix
 
 
+def _nest(spec, depth):
+    for _ in range(depth):
+        spec = PreserverSpec.composite([spec])
+    return spec
+
+
+@pytest.mark.parametrize("kind", ["wild", "form_iv"])
+def test_a_composite_nested_300_deep_maps_as_its_flat_form(kind):
+    # nested parts used to be kept, and 300 levels ended apply_map and both
+    # verifiers in a RecursionError
+    if kind == "wild":
+        part = make_wild_map(1, 2)
+    else:
+        part = PreserverSpec.form_iv(random_semilinear(2, 9), WeightFamily.seeded(3))
+    deep, flat = _nest(part, 300), PreserverSpec.composite([part])
+    assert deep.parts == (part,)
+    for rank in range(3):
+        a = flat.operand(random_psd(2, rank, seed=13))
+        assert apply_map(deep, a).matrix == apply_map(flat, a).matrix
+    assert verify_relation_preservation(deep, 20, 1) == verify_relation_preservation(flat, 20, 1)
+    assert verify_range_form(deep, 6, 1) == verify_range_form(flat, 6, 1)
+
+
+def test_nested_composites_splice_their_parts_in_order():
+    c1, c2, c3 = (
+        PreserverSpec.congruence(random_semilinear(3, 90 + k, flavor))
+        for k, flavor in enumerate(("linear", "conjugate", "linear"))
+    )
+    wild = make_wild_map(7, 3)
+    inner = PreserverSpec.composite([wild, c2])
+    nested = PreserverSpec.composite([PreserverSpec.composite([c1, inner]), c3])
+    flat = PreserverSpec.composite([c1, wild, c2, c3])
+    assert nested.parts == flat.parts == (c1, wild, c2, c3)
+    assert PreserverSpec("composite", 3, parts=(inner, c3)).parts == (wild, c2, c3)
+    t, s = nested.inducing_operator, flat.inducing_operator
+    assert t.t == s.t and t.flavor == s.flavor
+    for rank in range(4):
+        a = random_psd(3, rank, seed=rank)
+        assert apply_map(nested, a).matrix == apply_map(flat, a).matrix
+
+
+_T2 = random_semilinear(2, 3)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: PreserverSpec("identity", 2), ValueError, "unknown map kind 'identity'"),
+        (lambda: PreserverSpec("wild", 0, wild_seed=1), ValueError, "dimension must be positive"),
+        (lambda: PreserverSpec("congruence", 2), ValueError, "congruence needs an operator"),
+        (
+            lambda: PreserverSpec("form_iv", 3, operator=_T2, weights=WeightFamily.seeded(1)),
+            DimensionMismatchError,
+            "operator size differs from map dimension",
+        ),
+        (lambda: PreserverSpec("form_iv", 2, operator=_T2), ValueError, "needs a weight family"),
+        (lambda: PreserverSpec("wild", 2), ValueError, "wild needs a seed"),
+        (lambda: PreserverSpec("composite", 2), ValueError, "non-empty tuple of parts"),
+        (
+            lambda: PreserverSpec("composite", 2, parts=[make_wild_map(1, 2)]),
+            ValueError,
+            "non-empty tuple of parts",
+        ),
+        (
+            lambda: PreserverSpec.composite([make_wild_map(1, 2), make_wild_map(1, 3)]),
+            DimensionMismatchError,
+            "composite parts disagree on dimension",
+        ),
+        (lambda: PreserverSpec.composite([]), ValueError, "composite needs at least one part"),
+        (lambda: PreserverSpec.congruence(_T2).wild_data, ValueError, "not a wild map"),
+    ],
+    ids=[
+        "unknown-kind", "dimension-0", "no-operator", "operator-size", "no-weights", "no-seed",
+        "no-parts", "parts-list", "parts-dimensions", "composite-of-none", "wild-data-of-congruence",
+    ],
+)
+def test_malformed_map_specs_are_refused(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 def test_relation_preservation_reports():
     t = random_semilinear(3, 5)
     rep = verify_relation_preservation(PreserverSpec.congruence(t), trials=50, seed=4)

@@ -94,6 +94,8 @@ def test_line_column_and_repr_are_the_divided_direction():
 def test_line_rejects_zero_and_mismatch():
     with pytest.raises(ValueError):
         Line.from_vector([0, 0])
+    with pytest.raises(DimensionMismatchError, match="expected a column vector"):
+        Line.from_vector(Matrix.exact([[1, 0], [0, 1]]))
 
 
 def test_line_map_caches_and_validates():
@@ -102,6 +104,9 @@ def test_line_map_caches_and_validates():
     assert lm(ln) == lm(ln)
     with pytest.raises(DimensionMismatchError):
         lm(Line.from_vector([1, 0]))
+    for value in ("not a line", unit_line(3, 0)):
+        with pytest.raises(LineMapError, match="returned a value outside its space"):
+            LineMap(2, lambda line: value)(unit_line(2, 0))
 
 
 def test_projective_scalar():
@@ -344,6 +349,25 @@ def test_reconstruction_rejects_collapsed_coordinates():
 
     with pytest.raises(NotSemilinearError):
         reconstruct_semilinear(LineMap(3, fn))
+
+
+def _moved(n, probe, image):
+    """The identity map of the lines of C^n, but for ``probe`` sent to ``image``."""
+    return LineMap(n, lambda line: image if line == probe else line)
+
+
+@pytest.mark.parametrize(
+    "line_map, message",
+    [
+        (_moved(3, Line([1, 1, 0]), unit_line(3, 1)), "collapses onto a coordinate image"),
+        (_moved(3, Line([1, 0, 1]), unit_line(3, 0)), "collapses onto a coordinate image"),
+        (_moved(3, Line([1, (0, 1), 0]), Line([1, 2, 0])), "imaginary probe matches neither"),
+    ],
+    ids=["diagonal-onto-e1", "diagonal-onto-e0", "imaginary-probe"],
+)
+def test_reconstruction_refuses_probe_images_no_operator_fits(line_map, message):
+    with pytest.raises(NotSemilinearError, match=message):
+        reconstruct_semilinear(line_map)
 
 
 def test_snap_rejects_irrational_directions():

@@ -201,6 +201,27 @@ MUTANTS = (
         "True",
         ("tests/test_generators.py",),
     ),
+    Mutant(
+        "composite-no-splice",
+        "src/psdcone/preserver.py",
+        "flat = (q for p in self.parts for q in (p.parts if p.kind == KIND_COMPOSITE else (p,)))",
+        "flat = self.parts",
+        ("tests/test_preserver.py", "tests/test_io.py"),
+    ),
+    Mutant(
+        "float-twin-valueerror",
+        "src/psdcone/linalg/semilinear.py",
+        'raise BackendError("operator matrix is numerically singular")',
+        'raise ValueError("operator matrix is numerically singular")',
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "exact-cell-any-fraction",
+        "src/psdcone/io.py",
+        'if re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", value):',
+        "if True:",
+        ("tests/test_io.py",),
+    ),
 )
 
 
