@@ -6,9 +6,9 @@ dim(ran a ∩ ran b): a ≪ b iff it equals rank a, a ⊥ b iff it is 0.  That
 number is decided by :func:`~psdcone.linalg.subspace.common_dim` (exact
 rank, or principal angles at ``tol`` radians on the float backend), and
 :func:`range_relations` alone reads ≪, ≫ and ⊥ off it.  The Loewner order
-is decided by :func:`~psdcone.linalg.psd.psd_check`.  Nothing here forks on
-the backend or checks operands: ``common_dim`` and ``Matrix`` arithmetic
-refuse operators on different spaces or backends.
+is decided by :func:`~psdcone.linalg.psd.psd_check` once exact ranks leave
+it open (:func:`leq`).  ``common_dim`` and ``Matrix`` arithmetic refuse
+operators on different spaces or backends, before :func:`leq` reads a rank.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOL, PsdOperator, Subspace, common_dim, hermitian_part, psd_check, spectral_roots,
+    DEFAULT_TOL, EXACT, PsdOperator, Subspace, common_dim, hermitian_part, psd_check, spectral_roots,
 )
 
 
@@ -38,7 +38,17 @@ def relation_triple(
 
 
 def leq(a: PsdOperator, b: PsdOperator, tol: float | None = None) -> bool:
-    """Loewner order: whether b - a is PSD."""
+    """Loewner order: whether b - a is PSD.
+
+    a ≤ b forces ran a ⊆ ran b (Douglas), so exact operands, whose ranks are
+    certificates, skip the LDL* of b - a when rank a > rank b or rank a = 0.
+    A float rank is a numerical cut, so float operands always test b - a.
+    """
+    if a.backend == b.backend == EXACT and a.dim == b.dim:
+        if a.rank > b.rank:
+            return False
+        if a.rank == 0:
+            return True
     return psd_check(b.matrix - a.matrix, tol)
 
 
@@ -70,15 +80,16 @@ def min_domination_constant(
     """
     if not is_abs_continuous(a, b, tol):
         return None
-    return _domination_constant(a.to_float(), b.to_float())
+    return _domination_constant(a, b)
 
 
-def _domination_constant(af: PsdOperator, bf: PsdOperator) -> float:
+def _domination_constant(a: PsdOperator, b: PsdOperator) -> float:
     """The constant of :func:`min_domination_constant` once a ≪ b is decided."""
-    if af.rank == 0:
+    if a.rank == 0:
         return 0.0
+    bf = b.to_float()
     p = spectral_roots(*bf.eigh(), bf.rank, inverse=True)
-    mid = p @ af.matrix.array @ p
+    mid = p @ a.to_float().matrix.array @ p
     top = float(np.linalg.eigvalsh(hermitian_part(mid))[-1])
     return max(top, 0.0)
 
@@ -129,7 +140,5 @@ def analyze_pair(a: PsdOperator, b: PsdOperator, tol: float = DEFAULT_TOL) -> Re
         same_range_class=ac_ab and ac_ba,
         dim_range_sum=ra + rb - inter,
         dim_range_intersection=inter,
-        min_domination_constant=(
-            _domination_constant(a.to_float(), b.to_float()) if ac_ab else None
-        ),
+        min_domination_constant=_domination_constant(a, b) if ac_ab else None,
     )

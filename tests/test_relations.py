@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from psdcone.errors import BackendError, DimensionMismatchError
-from psdcone.generators import derive_seed, random_pair_with_relation, random_psd
+from psdcone.generators import RELATION_KINDS, derive_seed, random_pair_with_relation, random_psd
 from psdcone.linalg import EXACT, FLOAT, Matrix, PsdOperator, common_dim, subspace_intersect
+from psdcone.linalg.matrix import psd_certify_exact
 from psdcone.relations import (
     analyze_pair,
     is_abs_continuous,
@@ -91,6 +92,17 @@ def test_min_constant_degenerate_cases():
     assert min_domination_constant(ones, e1) is None  # not dominated at all
 
 
+def test_a_zero_operand_is_dominated_at_constant_zero_without_float_copies():
+    # 0 <= 0·b for every PSD b: the constant is read off rank a = 0, so a b
+    # whose entries no double holds no longer turns it into a BackendError
+    zero = PsdOperator.zero(2, EXACT)
+    huge = _op([[10**400, 0], [0, 0]])
+    assert leq(zero, huge) and not leq(huge, zero)
+    assert min_domination_constant(zero, huge) == 0.0
+    assert analyze_pair(zero, huge).min_domination_constant == 0.0
+    assert analyze_pair(huge, zero).min_domination_constant is None
+
+
 def test_domination_at_large_scale_decides_range_inclusion():
     rand = random.Random(77)
     for k in range(60):
@@ -110,6 +122,57 @@ def test_leq_basics():
     assert leq(a, apb)
     assert not leq(apb, a)  # b is invertible, so the sum strictly exceeds a
     assert leq(a, a)
+
+
+def _exact_order_pairs():
+    """Seeded exact pairs over dims 1-6: every (rank a, rank b) from
+    random_psd, zero operators included, and two pairs of each relation kind."""
+    pairs = []
+    for dim in range(1, 7):
+        for ra in range(dim + 1):
+            for rb in range(dim + 1):
+                pairs.append((random_psd(dim, ra, derive_seed(41, dim, ra, rb, 0)),
+                              random_psd(dim, rb, derive_seed(41, dim, ra, rb, 1))))
+        for name, kind in sorted(RELATION_KINDS.items()):
+            if dim >= kind.min_dim:
+                pairs += [random_pair_with_relation(dim, name, derive_seed(43, dim, k))
+                          for k in range(2)]
+    return pairs
+
+
+def _order_questions(a, b):
+    """(x, y) for every order the agreement tests ask of a pair: both ways,
+    and both ways against the 2^60 ladder."""
+    return ((a, b), (b, a), (a, b.scaled(DOM)), (b, a.scaled(DOM)))
+
+
+def test_exact_order_agrees_with_the_certificate_of_the_difference():
+    # leq reads certified ranks before it builds b - a; every answer must be
+    # the LDL* certificate's on that difference, computed directly
+    seen = set()
+    for a, b in _exact_order_pairs():
+        for x, y in _order_questions(a, b):
+            want = psd_certify_exact(y.matrix - x.matrix)[0]
+            assert leq(x, y) is want, (x.dim, x.rank, y.rank)
+            seen.add((x.rank > y.rank, x.rank == 0, want))
+    # both answers behind the certificate, and each shortcut, were reached
+    assert seen == {(True, False, False), (False, True, True), (False, False, True),
+                    (False, False, False)}
+
+
+def test_exact_order_takes_the_certificate_only_when_ranks_leave_it_open(monkeypatch):
+    import psdcone.linalg.psd as psd_module
+
+    calls = []
+    monkeypatch.setattr(
+        psd_module, "psd_certify_exact", lambda m: calls.append(m) or psd_certify_exact(m)
+    )
+    for a, b in _exact_order_pairs():
+        for x, y in _order_questions(a, b):
+            calls.clear()
+            leq(x, y)
+            decided = x.rank > y.rank or x.rank == 0
+            assert len(calls) == (0 if decided else 1), (x.dim, x.rank, y.rank)
 
 
 def _sweep_pairs():
@@ -222,11 +285,15 @@ def test_dimension_mismatch_rejected():
 
 @pytest.mark.parametrize("fn", [relation_triple, leq, analyze_pair, min_domination_constant])
 def test_operands_on_other_spaces_or_backends_are_refused(fn):
-    # the refusals come from common_dim and Matrix arithmetic, in both orders
+    # the refusals come from common_dim and Matrix arithmetic, in both orders,
+    # also where exact leq would otherwise settle the order by ranks alone
     a = random_psd(2, 1, seed=1)
     for other, error in (
         (random_psd(3, 1, seed=2), DimensionMismatchError),
+        (random_psd(3, 3, seed=2), DimensionMismatchError),
+        (random_psd(3, 0, seed=2), DimensionMismatchError),
         (random_psd(2, 2, seed=2, backend=FLOAT), BackendError),
+        (random_psd(2, 0, seed=2, backend=FLOAT), BackendError),
     ):
         for pair in ((a, other), (other, a)):
             with pytest.raises(error):

@@ -62,6 +62,20 @@ MUTANTS = (
         ("tests/test_linalg_exact.py", "tests/test_cli.py"),
     ),
     Mutant(
+        "leq-rank-bound-not-strict",
+        "src/psdcone/relations.py",
+        "        if a.rank > b.rank:\n",
+        "        if a.rank >= b.rank:\n",
+        ("tests/test_relations.py",),
+    ),
+    Mutant(
+        "leq-zero-takes-rank-one",
+        "src/psdcone/relations.py",
+        "        if a.rank == 0:\n",
+        "        if a.rank <= 1:\n",
+        ("tests/test_relations.py",),
+    ),
+    Mutant(
         "image-rank-cut-sqrt-tol",
         "src/psdcone/preserver.py",
         "eigval > tol * eigval[:, -1:]",
