@@ -471,9 +471,10 @@ def _sweep(re, im, m, n, jordan):
 
     Every other row becomes (p·row − row[c]·pivot_row) / prev, where p is the
     pivot and prev the pivot before it; each entry stays a minor of the input,
-    so the division is exact.  Bareiss (``jordan`` false) clears below the
-    pivots; Gauss–Jordan also clears above them, which leaves every pivot
-    equal to the last one.  Returns (pivot columns, last pivot).
+    so the division is exact, and skipped when by 1, as at the first pivot
+    (:func:`psd_certify_exact` keeps all of its own).  Bareiss (``jordan`` false)
+    clears below the pivots; Gauss–Jordan also clears above them, which leaves
+    every pivot equal to the last one.  Returns (pivot columns, last pivot).
     """
     prev_re, prev_im = 1, 0
     pivots = []
@@ -503,6 +504,9 @@ def _sweep(re, im, m, n, jordan):
                 ui = ar * xi[j] + ai * xr[j] - br * ri[j] - bi * rr[j]
                 if prev_im:
                     ur, ui = ur * prev_re + ui * prev_im, ui * prev_re - ur * prev_im
+                if div == 1:
+                    xr[j], xi[j] = ur, ui
+                    continue
                 xr[j], er = divmod(ur, div)
                 xi[j], ei = divmod(ui, div)
                 if er or ei:
@@ -576,16 +580,20 @@ def psd_certify_exact(m: Matrix) -> tuple[bool, int]:
     return (True, rank)
 
 
-def _kernel(parts: Sequence[Matrix]):
-    """(pivots, kre, kim, d) of one Gauss–Jordan sweep of [parts…] over a common
-    denominator.  Every pivot equals the last one, d, so (kre + i·kim) / d, with d
-    at each free column f and −grid[r][f] at the r-th pivot column, spans the kernel."""
+def _grid(parts: Sequence[Matrix]):
+    """(re, im, pivots, free columns, last pivot) of the Gauss–Jordan grid of [parts…]."""
     den = math.lcm(*(p._den for p in parts))
     re, im = (np.hstack(x).tolist() for x in zip(*(p._over(den) for p in parts)))
-    cols = len(re[0])
-    pivots, d = _sweep(re, im, len(re), cols, True)
-    free = [c for c in range(cols) if c not in pivots]
-    kern = np.zeros((2, cols, len(free)), dtype=object)
+    pivots, d = _sweep(re, im, len(re), len(re[0]), True)
+    return re, im, pivots, [c for c in range(len(re[0])) if c not in pivots], d
+
+
+def _kernel(parts: Sequence[Matrix]):
+    """(pivots, kre, kim, d) of one Gauss–Jordan sweep of [parts…].  Every pivot
+    equals the last one, d, so (kre + i·kim) / d, with d at each free column f
+    and −grid[r][f] at the r-th pivot column, spans the kernel."""
+    re, im, pivots, free, d = _grid(parts)
+    kern = np.zeros((2, len(re[0]), len(free)), dtype=object)
     kern[:, free, range(len(free))] = np.array(d, dtype=object)[:, None]
     kern[:, pivots] = -np.array([re, im], dtype=object)[:, : len(pivots)][:, :, free]
     return tuple(pivots), kern[0], kern[1], d
@@ -598,9 +606,12 @@ def hstack_kernel(parts: Sequence[Matrix]) -> tuple[tuple[int, ...], Matrix]:
 
 
 def column_intersection(u: Matrix, v: Matrix) -> Matrix:
-    """Basis of span U ∩ span V for exact U, V of independent columns: the kernel
-    of [U | V] pairs x (its first p rows) with y where U x = −V y, so the points
-    −U·x take one product and one division by −d·den(U)."""
-    _, kre, kim, (dr, di) = _kernel([u, v])
-    kr, ki, ur, ui = kre[: u.cols], kim[: u.cols], u._re, u._im
-    return _divide(ur @ kr - ui @ ki, ur @ ki + ui @ kr, -dr * u._den, -di * u._den)
+    """Basis of span U ∩ span V for exact U, V of independent columns: U's p columns
+    pivot first in the grid of [U | V], so the kernel vector of a free column f starts
+    −g_f / d, g_f the top p rows at f, and the points U·g_f / d (up to sign) take one
+    product and one division by d·den(U), with no kernel array built."""
+    re, im, _, free, (dr, di) = _grid([u, v])
+    gr, gi = (
+        np.array([[row[f] for f in free] for row in x[: u.cols]], dtype=object) for x in (re, im)
+    )
+    return _divide(u._re @ gr - u._im @ gi, u._re @ gi + u._im @ gr, dr * u._den, di * u._den)

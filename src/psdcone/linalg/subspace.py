@@ -148,14 +148,17 @@ def column_space(m: Matrix, rank_hint: int | None = None) -> Subspace:
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
     """The subspace u ∩ v of exact subspaces (float ones: :func:`common_dim`).
 
-    Solve [U | -V] (x; y) = 0 by one sweep of the numerators and collect the points
-    U x (the x-parts of a kernel basis are independent, as V's columns are).
+    One sweep of [U | V] gives the points U x (the x-parts of a kernel basis are
+    independent, as V's columns are); a spanning u leaves every column of V free
+    and its own point, so ``v`` is the answer then, with no sweep.
     """
     _check_pair(u, v)
     if u.backend != EXACT:
         raise BackendError("subspace intersections require the exact backend")
     if u.dim == 0 or v.dim == 0:
         return Subspace.zero(u.ambient_dim, EXACT)
+    if u.dim == u.ambient_dim:
+        return v
     return Subspace(column_intersection(u.basis, v.basis), _validated=True)
 
 

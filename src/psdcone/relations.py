@@ -20,6 +20,7 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL, EXACT, PsdOperator, Subspace, common_dim, hermitian_part, psd_check, spectral_roots,
 )
+from .linalg.psd import float_array
 
 
 def range_relations(
@@ -89,7 +90,7 @@ def _domination_constant(a: PsdOperator, b: PsdOperator) -> float:
         return 0.0
     bf = b.to_float()
     p = spectral_roots(*bf.eigh(), bf.rank, inverse=True)
-    mid = p @ a.to_float().matrix.array @ p
+    mid = p @ float_array(a) @ p
     top = float(np.linalg.eigvalsh(hermitian_part(mid))[-1])
     return max(top, 0.0)
 

@@ -245,9 +245,82 @@ def test_kernels_equal_the_divided_rref_reference():
             v = column_space(Matrix.hstack([_random_rational(rand, n, rand.randint(1, 2)), shared]))
             if not (u.dim and v.dim):
                 continue
-            kern = _reference_kernel(Matrix.hstack([u.basis, -v.basis]))
-            want = u.basis @ kern.take_rows(range(u.dim)) if kern.cols else Matrix.zeros(n, 0)
-            assert subspace_intersect(u, v).basis == want
+            assert subspace_intersect(u, v).basis == _reference_intersection(u, v)
+
+
+def _reference_intersection(u, v):
+    """The points U x of the divided-rref kernel of [U | −V]."""
+    kern = _reference_kernel(Matrix.hstack([u.basis, -v.basis]))
+    return u.basis @ kern.take_rows(range(u.dim)) if kern.cols else Matrix.zeros(u.ambient_dim, 0)
+
+
+def _full_span(rand, n, cols):
+    """A random rational matrix with ``cols`` independent columns."""
+    while True:
+        m = _random_rational(rand, n, cols)
+        if m.rank() == cols:
+            return m
+
+
+def test_intersections_equal_the_reference_in_every_shape():
+    rand = random.Random(3434)
+    for n in range(1, 7):
+        for _ in range(4):
+            full = column_space(_full_span(rand, n, n))
+            some = column_space(_full_span(rand, n, rand.randint(1, n)))
+            # a spanning side in each order: a spanning u answers with v itself
+            assert subspace_intersect(full, some).basis == some.basis == _reference_intersection(full, some)
+            assert subspace_intersect(some, full).basis == _reference_intersection(some, full)
+            if n == 1:
+                continue
+            # no free column: generic sides with u.dim + v.dim <= n meet in 0
+            k = rand.randint(1, n - 1)
+            u = column_space(_full_span(rand, n, k))
+            v = column_space(_full_span(rand, n, rand.randint(1, n - k)))
+            assert _reference_intersection(u, v).cols == 0
+            assert subspace_intersect(u, v).basis == Matrix.zeros(n, 0)
+            # v inside a u that does not span
+            v = column_space(u.basis @ _full_span(rand, k, rand.randint(1, k)))
+            got = subspace_intersect(u, v)
+            assert got.dim == v.dim and got.basis == _reference_intersection(u, v)
+
+
+def test_a_spanning_first_side_takes_no_elimination(monkeypatch):
+    rand = random.Random(3535)
+    cases = [
+        (column_space(_full_span(rand, n, n)), column_space(_full_span(rand, n, rand.randint(1, n - 1))))
+        for n in range(2, 6)
+    ]
+    calls = []
+    real_sweep = matrix_module._sweep
+    monkeypatch.setattr(matrix_module, "_sweep", lambda *args: calls.append(args[4]) or real_sweep(*args))
+    for full, some in cases:
+        calls.clear()
+        assert subspace_intersect(full, some) is some
+        assert calls == []
+        assert subspace_intersect(some, full).dim == some.dim
+        assert calls == [True]  # the mirror order takes its one Gauss–Jordan sweep
+
+
+def test_elimination_divides_by_every_pivot_but_one(monkeypatch):
+    # hstack_rank of a generic 3 × 3 matrix: at the first pivot prev = 1 and
+    # nothing divides; the second pivot's one update divides twice by the first
+    calls = []
+
+    def counting_divmod(a, b):
+        calls.append(b)
+        return divmod(a, b)
+
+    monkeypatch.setattr(matrix_module, "divmod", counting_divmod, raising=False)
+    for first, want in ((2, [2, 2]), (-1, [-1, -1]), (1, []), ((0, 1), [])):
+        m = Matrix.exact([[first, 1, 4], [3, 5, 1], [2, 7, 3]])
+        calls.clear()
+        assert hstack_rank([m]) == 3
+        assert calls == want, first
+    # a unit pivot divides by nothing but still rotates: the kernel stays right
+    for first in (1, -1, (0, 1), (0, -1)):
+        m = Matrix.exact([[first, 2, (1, 1), 3], [4, (0, 2), 5, 1], [1, 1, 2, (3, -1)]])
+        assert m.null_space() == _reference_kernel(m)
 
 
 def _random_rational(rand, rows, cols):

@@ -62,6 +62,20 @@ MUTANTS = (
         ("tests/test_linalg_exact.py", "tests/test_cli.py"),
     ),
     Mutant(
+        "intersect-spanning-returns-self",
+        "src/psdcone/linalg/subspace.py",
+        "        return v\n",
+        "        return u\n",
+        ("tests/test_linalg_exact.py", "tests/test_subspace.py"),
+    ),
+    Mutant(
+        "sweep-skips-division-by-minus-one",
+        "src/psdcone/linalg/matrix.py",
+        "                if div == 1:\n",
+        "                if abs(div) == 1:\n",
+        ("tests/test_linalg_exact.py",),
+    ),
+    Mutant(
         "leq-rank-bound-not-strict",
         "src/psdcone/relations.py",
         "        if a.rank > b.rank:\n",
